@@ -359,12 +359,6 @@ ATOMS: dict = {
 ATOM_ORDER = tuple(ATOMS)
 
 
-def register_atom(name: str, poly: Poly) -> None:
-    if name in ATOMS and ATOMS[name] != poly:
-        raise AlgebraError(f"atom {name!r} already registered differently")
-    ATOMS[name] = poly
-
-
 class LocFrac:
     """Poly / monomial-in-atoms, kept in normal form (no atom divides both
     numerator and denominator)."""
@@ -383,14 +377,6 @@ class LocFrac:
             if e:
                 d[name] = e
         self.num, self.den = _normalize(num, d)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "LocFrac":
-        return LocFrac(p)
-
-    @staticmethod
-    def atom(name: str) -> "LocFrac":
-        return LocFrac(ATOMS[name])
 
     def den_poly(self) -> Poly:
         p = Poly.const(1)
@@ -586,35 +572,13 @@ def _clear_rows(matrix, rhs):
     return cleared, vec
 
 
-def _det_bareiss(mat):
-    """Fraction-free determinant of a square Poly matrix."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = Poly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = num.div_exact(prev)
-                if q is None:
-                    raise AlgebraError("Bareiss exact division failed")
-                m[i][j] = q
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
 def linear_solve(matrix, rhs):
     """Solve matrix @ x == rhs exactly over the localized ring.
+
+    One fraction-free (Bareiss) elimination of the cleared augmented matrix,
+    swapping rows on zero pivots, leaves an upper-triangular U, a right-hand
+    side c and det = u_nn.  Back substitution stays in the polynomial ring,
+    y_i = (det c_i - sum_{j>i} u_ij y_j) / u_ii, and x = y / det.
 
     The determinant must be a unit (rational times atom monomial); a zero
     determinant raises SingularMatrixError, a non-unit one NonUnitError with
@@ -624,21 +588,36 @@ def linear_solve(matrix, rhs):
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise AlgebraError("linear_solve expects a square system")
     a, b = _clear_rows(matrix, rhs)
-    det = _det_bareiss(a)
-    if det.is_zero():
-        raise SingularMatrixError("singular matrix", determinant=det)
+    m = [row + [bi] for row, bi in zip(a, b)]
+    prev = Poly.const(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
+        if pivot is None:
+            raise SingularMatrixError("singular matrix", determinant=Poly.zero())
+        m[k], m[pivot] = m[pivot], m[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                q = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).div_exact(prev)
+                if q is None:
+                    raise AlgebraError("Bareiss exact division failed")
+                m[i][j] = q
+        prev = m[k][k]
+    det = prev
     c, exps = _extract_atoms(det)
     if c is None:
         raise NonUnitError(
             f"determinant has a factor outside the atom set: {exps}", factor=exps
         )
+    y = [Poly.zero()] * n
+    for i in reversed(range(n)):
+        acc = det * m[i][n]
+        for j in range(i + 1, n):
+            acc = acc - m[i][j] * y[j]
+        y[i] = acc.div_exact(m[i][i])
+        if y[i] is None:
+            raise AlgebraError("back substitution division failed")
     inv_det = LocFrac(Poly.const(Fraction(1) / c)) * LocFrac(Poly.const(1), exps)
-    xs = []
-    for j in range(n):
-        col = [row[:] for row in a]
-        for i in range(n):
-            col[i][j] = b[i]
-        xs.append(LocFrac(_det_bareiss(col)) * inv_det)
+    xs = [LocFrac(yi) * inv_det for yi in y]
     for i in range(n):
         resid = LocFrac(Poly.zero())
         for j in range(n):

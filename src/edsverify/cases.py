@@ -34,7 +34,7 @@ from .equations import (
     SUC,
 )
 from .forms import DForm, ext_d, substitute_one_forms
-from .jets import DIRECTIONS, JetContext
+from .jets import DIRECTIONS, JetContext, _as_frac
 from .structure import StructureSystem
 
 lam, sig, mup, mum, mus = eqs.lam, eqs.sig, eqs.mup, eqs.mum, eqs.mus
@@ -77,7 +77,7 @@ class FactStore:
         self.facts: dict[str, LocFrac] = {}
 
     def add(self, name: str, value, with_derivatives: bool = False):
-        v = self.ctx.substitute(_frac(value), self.facts)
+        v = self.ctx.substitute(_as_frac(value), self.facts)
         for key in list(self.facts):
             self.facts[key] = self.ctx.substitute(self.facts[key], {name: v})
         self.facts[name] = v
@@ -86,19 +86,11 @@ class FactStore:
                 self.add(f"{name}{j}", self.ctx.derive(v, j))
 
     def reduce(self, expr) -> LocFrac:
-        return self.ctx.substitute(_frac(expr), self.facts)
-
-
-def _frac(x) -> LocFrac:
-    if isinstance(x, LocFrac):
-        return x
-    if isinstance(x, Poly):
-        return LocFrac(x)
-    return LocFrac(Poly.const(x))
+        return self.ctx.substitute(_as_frac(expr), self.facts)
 
 
 def _check(report: PipelineReport, tag: str, description: str, value: LocFrac, expected):
-    expected = _frac(expected)
+    expected = _as_frac(expected)
     residual = value - expected
     ok = residual.is_zero()
     report.steps.append(Step(tag, description, ok, "" if ok else f"residual {residual}"))

@@ -15,6 +15,7 @@ import time
 
 from . import cases, derive, numeric
 from .equations import EQ36
+from .forms import DForm, ext_d, wedge
 from .structure import (
     EdsParseError,
     curvature_forms,
@@ -60,15 +61,12 @@ def run_structure(sys_, args) -> list:
     _check(checks, "curvature-table", "R_k^l", not bad, f"mismatches: {bad}" if bad else "0")
     cov = verify_covariant_derivatives(sys_)
     _check(checks, "covariant-derivatives", "lmn", cov["ok"], "; ".join(cov["failures"][:4]))
-    from .forms import RuleSystem, ext_d, wedge, DForm
-
-    rules = RuleSystem(sys_.basis, sys_.ctx, sys_.d_rules)
     for name in ("A", "B", "C", "D"):
-        dd = ext_d(sys_.d_rule(name), rules)
+        dd = ext_d(sys_.d_rule(name), sys_)
         _check(checks, f"d2-{name}", f"d^2 {name}", dd.is_zero())
     A, B, C, D = (DForm.one_form(sys_.basis, n) for n in "ABCD")
     omega = wedge(A, B) + wedge(C, D)
-    _check(checks, "kahler-closed", "d omega", ext_d(omega, rules).is_zero())
+    _check(checks, "kahler-closed", "d omega", ext_d(omega, sys_).is_zero())
     return checks
 
 

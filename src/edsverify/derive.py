@@ -18,7 +18,7 @@ from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
 from .equations import EQ36, INP, INTRO_A, INTRO_B, NEL, NEL_UNKNOWNS, SECOND_ORDER, SOL
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
-from .jets import DIRECTIONS, JetContext
+from .jets import DIRECTIONS, JetContext, standard_context
 from .structure import Equation, StructureSystem
 
 SLOT_NAMES = ("AB", "AC", "AD", "BC", "BD", "CD")
@@ -133,16 +133,12 @@ def derive_nel(sys: StructureSystem):
     EquationSet labeled nel-i .. nel-xii plus the match report.
     """
     comp = sys.free_components()
-    basis, ctx = sys.basis, sys.ctx
-    from .forms import RuleSystem
-
-    rules = RuleSystem(basis, ctx, sys.d_rules)
     half_sum = sys.d_rule("S") + sys.d_rule("L")
     half_diff = sys.d_rule("S") - sys.d_rule("L")
     three_forms = {
-        "d(dF)": ext_d(sys.d_rule("F"), rules),
-        "d(dS-dL)": ext_d(half_diff, rules),
-        "d(dS+dL)": ext_d(half_sum, rules),
+        "d(dF)": ext_d(sys.d_rule("F"), sys),
+        "d(dS-dL)": ext_d(half_diff, sys),
+        "d(dS+dL)": ext_d(half_sum, sys),
     }
     row_order = {
         "d(dF)": ("i", "ii", "iii", "iv"),
@@ -174,7 +170,7 @@ def derive_nel(sys: StructureSystem):
     if len(out) != 12:
         missing = [f"nel-{r}" for rows in row_order.values() for r in rows if f"nel-{r}" not in out]
         raise DeriveError(f"unmatched first-order rows: {missing}; report={report}")
-    return EquationSet(out, ctx, tuple(NEL_UNKNOWNS)), report
+    return EquationSet(out, sys.ctx, tuple(NEL_UNKNOWNS)), report
 
 
 def solve_sol(nel_set: EquationSet):
@@ -207,18 +203,12 @@ def solve_sol(nel_set: EquationSet):
 
 def verify_inp(assignment) -> list[bool]:
     """8 lam sig (G1+F2) = -4 sig lam4 and 8 lam sig (G2-F1) = 4 sig lam3."""
-    ctx_free = _shared_ctx()
+    ctx_free = standard_context()
     results = []
     for expr, rhs in INP:
         lhs = ctx_free.substitute(8 * eqs.lam * eqs.sig * expr, assignment)
         results.append((lhs - LocFrac(rhs)).is_zero())
     return results
-
-
-def _shared_ctx() -> JetContext:
-    from .jets import standard_context
-
-    return standard_context()
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +275,6 @@ def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]
     grid = sys.connection()
 
     def conjugated(j, k):
-        total = DForm(basis, 1)
         p = elem.perm[j - 1]
         q = elem.perm[k - 1]
         piece = gamma(grid, p, q)
@@ -317,7 +306,6 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
     from .structure import build_connection, gamma, verify_parallel_g_J
 
     elements, _ = symmetry_group()
-    rules = _rule_system(sys)
     failures = []
     for idx, elem in enumerate(elements):
         act = form_action(elem, sys)
@@ -340,18 +328,12 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
         one_form_map = {n: act[n] for n in ("F", "G", "L", "S")}
         coframe_map = {n: act[n] for n in ("A", "B", "C", "D")}
         for name in sys.basis.names:
-            lhs = ext_d(act[name], rules)
+            lhs = ext_d(act[name], sys)
             rhs = substitute_one_forms(sys.d_rule(name), {**coframe_map, **one_form_map})
             rhs = substitute_scalars(rhs, sys.ctx, scalar_sub)
             if not (lhs - rhs).is_zero():
                 failures.append((idx, f"rule d{name}"))
     return {"ok": not failures, "failures": failures[:8], "elements": len(elements)}
-
-
-def _rule_system(sys: StructureSystem):
-    from .forms import RuleSystem
-
-    return RuleSystem(sys.basis, sys.ctx, sys.d_rules)
 
 
 IDENTITY_ELEMENT = SymmetryElement((1, 2, 3, 4), (1, 1, 1, 1), 1, 1)
@@ -724,7 +706,7 @@ def rank_probe(seed: int = 0, trials: int = 3) -> dict:
     linear in the 32 unknowns S_i, lam_ij (i <= 3), sig_ij.  Sample points
     satisfy the two constraints exactly.  Purely informational.
     """
-    ctx = _shared_ctx()
+    ctx = standard_context()
     rng = random.Random(seed)
     dropped = {"e1", "e3", "i1", "i3", "c", "c1"}
     kill = {"lam4": 0}

@@ -276,27 +276,23 @@ NEL_UNKNOWNS = tuple(
 )
 
 
-def _frac(num: Poly, den: dict) -> LocFrac:
-    return LocFrac(num, den)
-
-
 _d8 = {"lam": 1, "sig": 1}
 _d16 = {"lam": 1, "sig": 2}
 
 #: closed-form connection components: 16 lam sig^2 L_i and 8 lam sig (F_i, G_i)
 SOL: dict[str, LocFrac] = {
-    "L1": _frac((-8 * lam * sig * s(2) + mus * l(2)) * Fraction(1, 16), _d16),
-    "L2": _frac((8 * lam * sig * s(1) - mus * l(1)) * Fraction(1, 16), _d16),
-    "L3": _frac((8 * lam * sig * s(4) - mus * l(4)) * Fraction(1, 16), _d16),
-    "L4": _frac((-8 * lam * sig * s(3) + mus * l(3)) * Fraction(1, 16), _d16),
-    "F1": _frac(-mum * l(3) * Fraction(1, 8), _d8),
-    "F2": _frac(-mum * l(4) * Fraction(1, 8), _d8),
-    "F3": _frac(mup * l(1) * Fraction(1, 8), _d8),
-    "F4": _frac(mup * l(2) * Fraction(1, 8), _d8),
-    "G1": _frac(-mup * l(4) * Fraction(1, 8), _d8),
-    "G2": _frac(mup * l(3) * Fraction(1, 8), _d8),
-    "G3": _frac(-mum * l(2) * Fraction(1, 8), _d8),
-    "G4": _frac(mum * l(1) * Fraction(1, 8), _d8),
+    "L1": LocFrac((-8 * lam * sig * s(2) + mus * l(2)) * Fraction(1, 16), _d16),
+    "L2": LocFrac((8 * lam * sig * s(1) - mus * l(1)) * Fraction(1, 16), _d16),
+    "L3": LocFrac((8 * lam * sig * s(4) - mus * l(4)) * Fraction(1, 16), _d16),
+    "L4": LocFrac((-8 * lam * sig * s(3) + mus * l(3)) * Fraction(1, 16), _d16),
+    "F1": LocFrac(-mum * l(3) * Fraction(1, 8), _d8),
+    "F2": LocFrac(-mum * l(4) * Fraction(1, 8), _d8),
+    "F3": LocFrac(mup * l(1) * Fraction(1, 8), _d8),
+    "F4": LocFrac(mup * l(2) * Fraction(1, 8), _d8),
+    "G1": LocFrac(-mup * l(4) * Fraction(1, 8), _d8),
+    "G2": LocFrac(mup * l(3) * Fraction(1, 8), _d8),
+    "G3": LocFrac(-mum * l(2) * Fraction(1, 8), _d8),
+    "G4": LocFrac(mum * l(1) * Fraction(1, 8), _d8),
 }
 
 #: 8 lam sig (G1 + F2) = -4 sig lam4 and 8 lam sig (G2 - F1) = 4 sig lam3
@@ -408,7 +404,8 @@ CASE3_FINAL = 8 * lam**2 * sig * (l(1)**2 + l(2)**2 + l(3)**2)
 
 
 # ---------------------------------------------------------------------------
-# The symbolic curvature component table (for the rotation checks)
+# The curvature component table: the only hand-typed curvature data; the
+# structure, rotation and numeric checks all read it
 # ---------------------------------------------------------------------------
 
 #: 1-based (i, j, k, l, value) generators; all other components are the ones

@@ -199,13 +199,6 @@ def wedge(a: DForm, b: DForm) -> DForm:
     return out
 
 
-def wedge_all(*forms: DForm) -> DForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 class RuleSystem:
     """What ext_d needs to know: d of every basis 1-form, plus the jet context."""
 
@@ -245,7 +238,7 @@ def ext_d(form: DForm, sys) -> DForm:
             prefix = DForm(basis, pos, {idx[:pos]: 1}) if pos else DForm.scalar(basis, 1)
             suffix_idx = idx[pos + 1 :]
             suffix = DForm(basis, len(suffix_idx), {suffix_idx: 1})
-            piece = wedge_all(prefix, sys.d_rule(basis.names[i]), suffix)
+            piece = wedge(wedge(prefix, sys.d_rule(basis.names[i])), suffix)
             if pos % 2:
                 piece = -piece
             out = out + piece.scale(c)

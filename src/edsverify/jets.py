@@ -43,7 +43,6 @@ class JetContext:
         self.symbols: set[str] = set()
         self.order: dict[str, int] = {}
         self.links: dict[tuple[str, int], LocFrac] = {}
-        self.nonzero_atoms = dict(ATOMS)
         self.extension_enabled = extension_enabled
 
     # -- registry ------------------------------------------------------------

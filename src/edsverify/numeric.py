@@ -19,18 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .derive import symmetry_group
+from .equations import curvature_table
 
-#: generating curvature components, 1-based indices
-_COMPONENTS = (
-    (1, 2, 1, 2, "-lam"),
-    (3, 4, 3, 4, "lam"),
-    (1, 3, 1, 3, "sig"),
-    (2, 4, 2, 4, "sig"),
-    (1, 4, 1, 4, "-sig"),
-    (2, 3, 2, 3, "-sig"),
-    (1, 4, 2, 3, "sig"),
-    (1, 3, 4, 2, "-sig"),
-)
+
+def _coefficient_arrays():
+    """(R_LAM, R_SIG): the exact curvature table at (lam, sig) = (1, 0) and (0, 1)."""
+    T = np.array(curvature_table(), dtype=object)
+    return tuple(
+        np.vectorize(lambda v: float(v.evaluate(at)) if v else 0.0, otypes=[float])(T)
+        for at in ({"lam": 1, "sig": 0}, {"lam": 0, "sig": 1})
+    )
+
+
+#: R = lam * R_LAM + sig * R_SIG, read once from equations.curvature_table
+R_LAM, R_SIG = _coefficient_arrays()
 
 #: complex structure: J e1 = e2, J e2 = -e1, J e3 = e4, J e4 = -e3
 J_MATRIX = np.array(
@@ -82,18 +84,9 @@ class CurvaturePoint:
 
 
 def build_curvature(lam: float, sig: float) -> CurvaturePoint:
-    """Curvature tensor whose only nonzero components are the ones
-    algebraically generated from the two-parameter table."""
-    R = np.zeros((4, 4, 4, 4))
-    values = {"lam": lam, "-lam": -lam, "sig": sig, "-sig": -sig}
-    for i, j, k, l, name in _COMPONENTS:
-        v = values[name]
-        for (a, b, c, d, w) in (
-            (i, j, k, l, v), (j, i, k, l, -v), (i, j, l, k, -v), (j, i, l, k, v),
-            (k, l, i, j, v), (l, k, i, j, -v), (k, l, j, i, -v), (l, k, j, i, v),
-        ):
-            R[a - 1, b - 1, c - 1, d - 1] = w
-    return CurvaturePoint(lam, sig, R)
+    """Curvature tensor of the exact component table at (lam, sig); the
+    trailing + 0.0 keeps entries the table leaves at zero at +0.0."""
+    return CurvaturePoint(lam, sig, lam * R_LAM + sig * R_SIG + 0.0)
 
 
 def curvature_symmetry_residual(pt: CurvaturePoint) -> float:
@@ -111,18 +104,13 @@ def ricci_weyl_scalar(pt: CurvaturePoint):
     g = pt.g
     ric = np.einsum("ipjp->ij", R)
     s = float(np.trace(ric))
-    W = R.copy()
-    for i in range(4):
-        for j in range(4):
-            for p in range(4):
-                for q in range(4):
-                    W[i, j, p, q] -= 0.5 * (
-                        g[i, p] * ric[j, q]
-                        + g[j, q] * ric[i, p]
-                        - g[j, p] * ric[i, q]
-                        - g[i, q] * ric[j, p]
-                    )
-                    W[i, j, p, q] += s / 6.0 * (g[i, p] * g[j, q] - g[j, p] * g[i, q])
+    W = R - 0.5 * (
+        np.einsum("ip,jq->ijpq", g, ric)
+        + np.einsum("jq,ip->ijpq", g, ric)
+        - np.einsum("jp,iq->ijpq", g, ric)
+        - np.einsum("iq,jp->ijpq", g, ric)
+    )
+    W = W + s / 6.0 * (np.einsum("ip,jq->ijpq", g, g) - np.einsum("jp,iq->ijpq", g, g))
     return ric, W, s
 
 

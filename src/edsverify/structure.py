@@ -21,6 +21,7 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .algebra import LocFrac, Poly
+from .equations import curvature_table
 from .forms import (
     COFRAME,
     DForm,
@@ -63,11 +64,8 @@ class Equation:
     poly: Poly
     provenance: dict = field(default_factory=dict)
 
-    def is_identity(self) -> bool:
-        return self.poly.is_zero()
 
-
-class StructureSystem:
+class StructureSystem(RuleSystem):
     """Frame declaration plus rewrite rules for d of each basis 1-form."""
 
     def __init__(
@@ -78,18 +76,10 @@ class StructureSystem:
         nonzero: Sequence[str],
         macros: Mapping[str, DForm] | None = None,
     ):
-        self.basis = basis
-        self.ctx = ctx
+        super().__init__(basis, ctx, d_rules)
         self.frame_names = basis.names[:4]
-        self.d_rules = dict(d_rules)
         self.nonzero = tuple(nonzero)
         self.macros = dict(macros or {})
-
-    def d_rule(self, name: str) -> DForm:
-        try:
-            return self.d_rules[name]
-        except KeyError:
-            raise FormError(f"no exterior-derivative rule for basis form {name!r}") from None
 
     def one_form(self, name: str) -> DForm:
         return DForm.one_form(self.basis, name)
@@ -275,12 +265,11 @@ def torsion_equations(sys: StructureSystem, grid=None):
 def curvature_forms(sys: StructureSystem, grid=None):
     """R_k^l = -d Gamma_k^l + Gamma_k^p ^ Gamma_p^l as a 4x4 grid of 2-forms."""
     grid = grid or sys.connection()
-    rules = RuleSystem(sys.basis, sys.ctx, sys.d_rules)
     out = []
     for k in range(1, 5):
         row = []
         for l in range(1, 5):
-            r = -ext_d(gamma(grid, k, l), rules)
+            r = -ext_d(gamma(grid, k, l), sys)
             for p in range(1, 5):
                 r = r + wedge(gamma(grid, k, p), gamma(grid, p, l))
             row.append(r)
@@ -289,31 +278,14 @@ def curvature_forms(sys: StructureSystem, grid=None):
 
 
 def expected_curvature(sys: StructureSystem):
-    """The curvature 2-forms the last four exterior equations encode."""
-    basis = sys.basis
-    lam, sig = sys.lambda_sigma
-    A, B, C, D = (DForm.one_form(basis, n) for n in COFRAME)
-    AB, CD = wedge(A, B), wedge(C, D)
-    AC_DB = wedge(A, C) - wedge(D, B)
-    AD_BC = wedge(A, D) - wedge(B, C)
-    zero = DForm(basis, 2)
-    R12 = AB.scale(-lam)
-    R13 = AC_DB.scale(sig)
-    R23 = AD_BC.scale(sig)
-    R34 = CD.scale(lam)
-    table = [[zero] * 4 for _ in range(4)]
-
-    def put(k, l, form):
-        table[k - 1][l - 1] = form
-        table[l - 1][k - 1] = -form
-
-    put(1, 2, R12)
-    put(1, 3, R13)
-    put(2, 4, R13)
-    put(3, 4, R34)
-    put(2, 3, R23)
-    put(1, 4, -R23)
-    return table
+    """The curvature 2-forms the last four exterior equations encode,
+    R_k^l = sum_{i<j} T_klij e^i ^ e^j over equations.curvature_table."""
+    T = curvature_table()
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return [
+        [DForm(sys.basis, 2, {(i, j): T[k][l][i][j] for i, j in pairs}) for l in range(4)]
+        for k in range(4)
+    ]
 
 
 def lie_bracket(i: int, j: int, sys: StructureSystem, comp_map=None):

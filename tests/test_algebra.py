@@ -112,6 +112,15 @@ def test_linear_solve_two_by_two_block():
     assert x[1] == LocFrac(-mum * lam1 * eighth, {"lam": 1, "sig": 1})
 
 
+def test_linear_solve_zero_leading_pivot():
+    # the first column's pivot is zero, so elimination must swap rows
+    matrix = [[LocFrac(Poly.zero()), LocFrac(lam)], [LocFrac(sig), LocFrac(Poly.zero())]]
+    rhs = [LocFrac(sig), LocFrac(lam3)]
+    x = linear_solve(matrix, rhs)
+    assert x[0] == LocFrac(lam3, {"sig": 1})
+    assert x[1] == LocFrac(sig, {"lam": 1})
+
+
 def test_linear_solve_identity():
     rng = random.Random(5)
     rhs = [random_locfrac(rng) for _ in range(3)]

@@ -140,7 +140,7 @@ def test_reports_serialize(const_lambda, case_ii, case_iii):
 def test_failed_step_reports_residual():
     report = C.PipelineReport("demo", assumptions=[])
     ok = C._check(report, "mismatch", "deliberately wrong expectation",
-                  C._frac(Poly.var("lam")), 0)
+                  C._as_frac(Poly.var("lam")), 0)
     assert not ok
     assert not report.ok
     assert "residual" in report.steps[0].detail

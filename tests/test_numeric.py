@@ -1,8 +1,11 @@
 import random
 
+from fractions import Fraction
+
 import numpy as np
 
 import edsverify.numeric as N
+from edsverify.equations import curvature_table
 
 TOL = 1e-12
 
@@ -15,6 +18,23 @@ def brute_norm_squared(R):
                 for l in range(4):
                     total += R[i, j, k, l] ** 2
     return total
+
+
+def brute_weyl(R, g, ric, s):
+    """The dimension-4 Weyl formula written out component by component."""
+    W = R.copy()
+    for i in range(4):
+        for j in range(4):
+            for p in range(4):
+                for q in range(4):
+                    W[i, j, p, q] -= 0.5 * (
+                        g[i, p] * ric[j, q]
+                        + g[j, q] * ric[i, p]
+                        - g[j, p] * ric[i, q]
+                        - g[i, q] * ric[j, p]
+                    )
+                    W[i, j, p, q] += s / 6.0 * (g[i, p] * g[j, q] - g[j, p] * g[i, q])
+    return W
 
 
 def brute_triple_contraction(R):
@@ -51,6 +71,30 @@ def test_norm_squared_brute_force():
         lam, sig = rng.uniform(-2, 2), rng.uniform(-2, 2)
         R = N.build_curvature(lam, sig).R
         assert abs(brute_norm_squared(R) - (8 * lam**2 + 32 * sig**2)) < TOL
+
+
+def test_build_matches_exact_table():
+    T = curvature_table()
+    rng = random.Random(7)
+    points = [(1.0, 1.0), (-1.5, 0.25), (0.5, -2.0), (-0.75, -1.25)]
+    points += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(10)]
+    for lam, sig in points:
+        at = {"lam": Fraction(lam), "sig": Fraction(sig)}
+        exact = np.array(
+            [[[[float(T[i][j][k][l].evaluate(at)) for l in range(4)] for k in range(4)]
+              for j in range(4)] for i in range(4)]
+        )
+        assert np.array_equal(N.build_curvature(lam, sig).R, exact)
+
+
+def test_weyl_matches_componentwise_formula():
+    rng = random.Random(41)
+    points = [(-1.0, -1.0), (-1.5, 0.5), (0.5, -1.5)]
+    points += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(200)]
+    for lam, sig in points:
+        pt = N.build_curvature(lam, sig)
+        ric, W, s = N.ricci_weyl_scalar(pt)
+        assert np.array_equal(W, brute_weyl(pt.R, pt.g, ric, s))
 
 
 def test_curvature_symmetries():
