@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
@@ -232,28 +233,47 @@ class SymmetryElement:
         signs = tuple(self.signs[i] * earlier.signs[self.perm[i] - 1] for i in range(4))
         return SymmetryElement(perm, signs, self.s_lam * earlier.s_lam, self.s_sig * earlier.s_sig)
 
-    def jet_substitution(self) -> dict[str, LocFrac]:
-        sub = {
-            "lam": LocFrac(Poly.const(self.s_lam) * eqs.lam),
-            "sig": LocFrac(Poly.const(self.s_sig) * eqs.sig),
-        }
+    def renames(self) -> dict[str, tuple[int, str]]:
+        """The action on jet symbols as a signed renaming: name -> (sign, new name)."""
+        out = {"lam": (self.s_lam, "lam"), "sig": (self.s_sig, "sig")}
         for i in DIRECTIONS:
             p, si = self.perm[i - 1], self.signs[i - 1]
-            sub[f"lam{i}"] = LocFrac(Poly.const(self.s_lam * si) * Poly.var(f"lam{p}"))
-            sub[f"sig{i}"] = LocFrac(Poly.const(self.s_sig * si) * Poly.var(f"sig{p}"))
-            sub[f"S{i}"] = LocFrac(Poly.const(si) * Poly.var(f"S{p}"))
+            out[f"lam{i}"] = (self.s_lam * si, f"lam{p}")
+            out[f"sig{i}"] = (self.s_sig * si, f"sig{p}")
+            out[f"S{i}"] = (si, f"S{p}")
             for j in DIRECTIONS:
                 q, sj = self.perm[j - 1], self.signs[j - 1]
-                sub[f"lam{i}{j}"] = LocFrac(Poly.const(self.s_lam * si * sj) * Poly.var(f"lam{p}{q}"))
-                sub[f"sig{i}{j}"] = LocFrac(Poly.const(self.s_sig * si * sj) * Poly.var(f"sig{p}{q}"))
-                sub[f"S{i}{j}"] = LocFrac(Poly.const(si * sj) * Poly.var(f"S{p}{q}"))
-        return sub
+                out[f"lam{i}{j}"] = (self.s_lam * si * sj, f"lam{p}{q}")
+                out[f"sig{i}{j}"] = (self.s_sig * si * sj, f"sig{p}{q}")
+                out[f"S{i}{j}"] = (si * sj, f"S{p}{q}")
+        return out
+
+    def jet_substitution(self) -> dict[str, LocFrac]:
+        """The renaming as a substitution, for expressions with atom denominators."""
+        return {name: LocFrac(sign * Poly.var(new)) for name, (sign, new) in self.renames().items()}
 
     def apply(self, ctx: JetContext, poly: Poly) -> Poly:
-        image = ctx.substitute(poly, self.jet_substitution())
-        if image.den:
-            raise DeriveError("symmetry image left the polynomial ring")
-        return image.num
+        """Image of `poly` under the renaming; symbols outside it stay fixed.
+
+        A rename that permutes its symbols maps distinct monomials to distinct
+        monomials, so each term's image is one term and no ring operation is
+        needed (`ctx` is not consulted).
+        """
+        ren = self.renames()
+        if {new for _, new in ren.values()} != ren.keys():
+            raise DeriveError("frame replacement does not permute the jet symbols")
+        terms = {}
+        for mono, c in poly.terms.items():
+            image = []
+            for name, e in mono:
+                sign, name = ren.get(name, (1, name))
+                if sign < 0 and e % 2:
+                    c = -c
+                image.append((name, e))
+            terms[tuple(sorted(image))] = c
+        out = Poly.__new__(Poly)
+        out.terms = terms
+        return out
 
 
 def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]:
@@ -522,15 +542,16 @@ def verify_group_closure(sys: StructureSystem) -> dict:
     """All 32 group elements permute the 36 transcriptions up to multiples."""
     ctx = sys.ctx
     elements, report = symmetry_group()
-    lookup = {}
-    for label, p in EQ36.items():
-        lookup[p.normalized()[2]] = label
+    primitive = {label: p.normalized()[2] for label, p in EQ36.items()}
+    lookup = {q: label for label, q in primitive.items()}
     failures = []
     for idx, elem in enumerate(elements):
         mapped = set()
-        for label, p in EQ36.items():
-            image = elem.apply(ctx, p).normalized()[2]
-            target = lookup.get(image)
+        for label, q in primitive.items():
+            # a signed rename keeps a primitive polynomial primitive, so the
+            # image's normal form is the image or its negative
+            image = elem.apply(ctx, q)
+            target = lookup.get(image) or lookup.get(-image)
             if target is None:
                 failures.append((idx, label))
             else:
@@ -677,23 +698,23 @@ def rotation_invariance() -> dict:
 
 
 def _rank(rows):
-    rows = [r[:] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                pivot = r
-                break
+    """Rank of a rational matrix by forward fraction-free (Bareiss)
+    elimination: rows are scaled to integers, every division is exact."""
+    m = []
+    for r in rows:
+        scale = lcm(*(x.denominator for x in r))
+        m.append([x.numerator * (scale // x.denominator) for x in r])
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv, top = m[rank][c], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c]
+            m[r] = [(pv * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = pv
         rank += 1
     return rank
 

@@ -114,6 +114,67 @@ def test_group_closure_on_equations(system):
     assert report["closure_ok"], report["failures"]
 
 
+def test_rename_matches_jet_substitution(system):
+    """Differential check: the signed rename equals the LocFrac substitution."""
+    ctx = system.ctx
+    P = Poly.var
+    # F1 and sigp lie outside the rename; lam, sig and first derivatives
+    # appear with odd and even exponents, so negated symbols flip the sign
+    # of a term only at odd exponents.
+    hand = (
+        Fraction(3, 2) * P("F1") * P("sig", 2) * P("lam2", 3)
+        - P("sigp") * P("sig", 3) * P("lam12", 2)
+        + 5 * P("lam", 2) * P("S21") * P("sig4")
+        - 7 * P("lam") * P("lam1", 2) * P("sig34")
+    )
+    elements, _ = D.symmetry_group()
+    for elem in elements:
+        sub = elem.jet_substitution()
+        for p in [*EQ36.values(), hand]:
+            image = ctx.substitute(p, sub)
+            assert not image.den
+            assert elem.apply(ctx, p) == image.num
+    odd_even = D.REP_V.renames()  # lam -> -lam and sig -> -sig
+    assert odd_even["lam"] == (-1, "lam") and odd_even["sig"] == (-1, "sig")
+    assert D.REP_V.apply(ctx, hand) != hand
+
+
+def test_rename_must_permute_the_jet_symbols(system):
+    collapsed = D.SymmetryElement((1, 1, 3, 4), (1, 1, 1, 1), 1, 1)
+    with pytest.raises(D.DeriveError):
+        collapsed.apply(system.ctx, EQ36["a"])
+
+
+def test_group_closure_catches_a_tampered_equation(system, monkeypatch):
+    """Changing one coefficient of one equation must break the closure."""
+    label = "c"
+    terms = dict(EQ36[label].terms)
+    mono = next(iter(terms))
+    terms[mono] = 2 * terms[mono]
+    tampered = dict(EQ36)
+    tampered[label] = Poly(terms)
+    monkeypatch.setattr(D, "EQ36", tampered)
+    report = D.verify_group_closure(system)
+    assert report["closure_ok"] is False
+    assert any(failed == label for _, failed in report["failures"]), report["failures"]
+
+
+def test_rank_is_exact_with_skipped_columns_and_swaps():
+    F = Fraction
+    assert D._rank([]) == 0
+    assert D._rank([[F(0), F(0)], [F(0), F(0)]]) == 0
+    # first column has no pivot; the second needs a row swap
+    rows = [
+        [F(0), F(0), F(1, 3), F(2)],
+        [F(0), F(1, 2), F(1), F(0)],
+        [F(0), F(1), F(2), F(0)],
+        [F(0), F(-2, 7), F(5), F(1, 9)],
+    ]
+    assert D._rank(rows) == 3
+    assert D._rank(rows[:2]) == 2
+    assert D._rank([rows[1], rows[2]]) == 1
+
+
 def test_form_action_matches_displayed_table(system):
     # (B,-A,C,D; E,-G,F,H,L,S), (A,B,D,-C; E,G,-F,H,L,S),
     # (C,D,A,B; H,-F,G,E,-L,S)
