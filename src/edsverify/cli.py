@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from . import cases, derive
+from . import cases, derive, numeric
 from .equations import EQ36
 from .forms import DForm, ext_d, wedge
 from .structure import (
@@ -180,8 +180,6 @@ def run_case_iii(sys_, args) -> list:
 
 
 def run_numeric(sys_, args) -> list:
-    from . import numeric  # numpy is loaded only for this suite
-
     checks = []
     sw = numeric.sweep(points=args.points, seed=args.seed, tol=args.tol)
     for name, value in sorted(sw["worst"].items()):

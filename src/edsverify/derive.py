@@ -252,12 +252,12 @@ class SymmetryElement:
         """The renaming as a substitution, for expressions with atom denominators."""
         return {name: LocFrac(sign * Poly.var(new)) for name, (sign, new) in self.renames().items()}
 
-    def apply(self, ctx: JetContext, poly: Poly) -> Poly:
+    def apply(self, poly: Poly) -> Poly:
         """Image of `poly` under the renaming; symbols outside it stay fixed.
 
         A rename that permutes its symbols maps distinct monomials to distinct
         monomials, so each term's image is one term and no ring operation is
-        needed (`ctx` is not consulted).
+        needed.
         """
         ren = self.renames()
         if {new for _, new in ren.values()} != ren.keys():
@@ -270,10 +270,8 @@ class SymmetryElement:
                 if sign < 0 and e % 2:
                     c = -c
                 image.append((name, e))
-            terms[tuple(sorted(image))] = c
-        out = Poly.__new__(Poly)
-        out.terms = terms
-        return out
+            terms[tuple(image)] = c
+        return Poly(terms)
 
 
 def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]:
@@ -423,7 +421,7 @@ def derive_36(sys: StructureSystem):
     for label in SYMMETRY_GENERATED:
         base, case = eqs.VARIANTS[label]
         elem = RPL_CASES[case]
-        image = elem.apply(ctx, raw[base].num)
+        image = elem.apply(raw[base].num)
         raw[label] = LocFrac(image, raw[base].den)
         source[label] = f"{source[base]} via replacement {case}"
     # cross-check those six against the dG identity
@@ -524,10 +522,9 @@ def verify_multipliers(eqset: EquationSet) -> dict:
 def verify_symmetry_variants(sys: StructureSystem, eqset: EquationSet) -> dict:
     """Each subscripted transcription equals (up to a rational multiple) the
     replacement-case image of its base transcription."""
-    ctx = sys.ctx
     out = {}
     for label, (base, case) in eqs.VARIANTS.items():
-        image = RPL_CASES[case].apply(ctx, EQ36[base])
+        image = RPL_CASES[case].apply(EQ36[base])
         mult = match_transcription(EQ36[label], LocFrac(image))
         out[label] = {
             "base": base,
@@ -540,7 +537,6 @@ def verify_symmetry_variants(sys: StructureSystem, eqset: EquationSet) -> dict:
 
 def verify_group_closure(sys: StructureSystem) -> dict:
     """All 32 group elements permute the 36 transcriptions up to multiples."""
-    ctx = sys.ctx
     elements, report = symmetry_group()
     primitive = {label: p.normalized()[2] for label, p in EQ36.items()}
     lookup = {q: label for label, q in primitive.items()}
@@ -550,7 +546,7 @@ def verify_group_closure(sys: StructureSystem) -> dict:
         for label, q in primitive.items():
             # a signed rename keeps a primitive polynomial primitive, so the
             # image's normal form is the image or its negative
-            image = elem.apply(ctx, q)
+            image = elem.apply(q)
             target = lookup.get(image) or lookup.get(-image)
             if target is None:
                 failures.append((idx, label))

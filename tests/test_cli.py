@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 from edsverify.cli import main
 
@@ -83,20 +82,3 @@ def test_modified_system_fails_cleanly(tmp_path):
     assert code == 1
     data = json.loads(out.read_text())
     assert data["overall"] == "fail"
-
-
-def test_symbolic_import_does_not_load_numpy():
-    """numpy is a dependency of the numeric suite only."""
-    import edsverify
-
-    src = str(Path(edsverify.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "import edsverify.cli\n"
-        "from edsverify.structure import load_system\n"
-        "load_system(None)\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr

@@ -133,16 +133,16 @@ def test_rename_matches_jet_substitution(system):
         for p in [*EQ36.values(), hand]:
             image = ctx.substitute(p, sub)
             assert not image.den
-            assert elem.apply(ctx, p) == image.num
+            assert elem.apply(p) == image.num
     odd_even = D.REP_V.renames()  # lam -> -lam and sig -> -sig
     assert odd_even["lam"] == (-1, "lam") and odd_even["sig"] == (-1, "sig")
-    assert D.REP_V.apply(ctx, hand) != hand
+    assert D.REP_V.apply(hand) != hand
 
 
-def test_rename_must_permute_the_jet_symbols(system):
+def test_rename_must_permute_the_jet_symbols():
     collapsed = D.SymmetryElement((1, 1, 3, 4), (1, 1, 1, 1), 1, 1)
     with pytest.raises(D.DeriveError):
-        collapsed.apply(system.ctx, EQ36["a"])
+        collapsed.apply(EQ36["a"])
 
 
 def test_group_closure_catches_a_tampered_equation(system, monkeypatch):
