@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from edsverify import algebra
 from edsverify.algebra import (
     ATOMS,
     LocFrac,
@@ -14,7 +16,7 @@ from edsverify.algebra import (
     ring_ops,
 )
 
-from conftest import random_locfrac
+from conftest import random_locfrac, random_poly
 
 lam = Poly.var("lam")
 sig = Poly.var("sig")
@@ -175,8 +177,6 @@ def test_linear_solve_reproduces_rhs():
 def test_div_exact_roundtrip():
     rng = random.Random(9)
     for _ in range(50):
-        from conftest import random_poly
-
         a = random_poly(rng)
         b = random_poly(rng)
         if b.is_zero():
@@ -193,3 +193,143 @@ def test_normalized_content():
     c, mono, prim = p.normalized()
     assert Poly({mono: c}) * prim == p
     assert prim.content() == (Fraction(1), ())
+
+
+# -- normal form of localized fractions against trial division ---------------
+
+
+def normalize_by_division(num, den):
+    """The reference: cancel each denominator atom by repeated exact division."""
+    if num.is_zero():
+        return num, {}
+    den = dict(den)
+    for name in list(den):
+        while den[name] > 0:
+            q = num.div_exact(ATOMS[name])
+            if q is None:
+                break
+            num = q
+            den[name] -= 1
+        if den[name] == 0:
+            del den[name]
+    return num, den
+
+
+def extract_by_division(p):
+    """The reference: divide out each atom, in ATOMS order, while it divides."""
+    if p.is_zero():
+        return Fraction(0), {}
+    exps = {}
+    for name in ATOMS:
+        while (q := p.div_exact(ATOMS[name])) is not None:
+            p = q
+            exps[name] = exps.get(name, 0) + 1
+    c = p.as_constant()
+    return (None, p) if c is None else (c, exps)
+
+
+def random_atom_multiple(rng):
+    """A random base (zero, a constant or a random polynomial) times random
+    powers of every atom."""
+    constant = Poly.const(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    base = rng.choice([Poly.zero(), constant, random_poly(rng)])
+    for atom in ATOMS.values():
+        base = base * atom ** rng.randint(0, 3)
+    return base
+
+
+def test_normalize_matches_trial_division():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(400):
+        num = random_atom_multiple(rng)
+        names = rng.sample(list(ATOMS), rng.randint(0, len(ATOMS)))
+        den = {name: rng.randint(1, 4) for name in names}
+        got_num, got_den = algebra._normalize(num, den)
+        want_num, want_den = normalize_by_division(num, den)
+        assert got_num.terms == want_num.terms
+        assert list(got_den.items()) == list(want_den.items())
+        got_c, got_exps = algebra._extract_atoms(num)
+        want_c, want_exps = extract_by_division(num)
+        assert got_c == want_c
+        if got_c is None:
+            assert got_exps.terms == want_exps.terms
+        else:
+            assert list(got_exps.items()) == list(want_exps.items())
+        # record which atoms were cancelled only in part, and which in full
+        for name, e in den.items():
+            seen.add((name, "part" if name in want_den else "full"))
+    assert seen == {(name, kind) for name in ATOMS for kind in ("part", "full")}
+
+
+def test_variable_atoms_cancel_without_division(monkeypatch):
+    calls = []
+    div_exact = Poly.div_exact
+
+    def counted(self, divisor):
+        calls.append(divisor)
+        return div_exact(self, divisor)
+
+    monkeypatch.setattr(Poly, "div_exact", counted)
+    v = LocFrac(lam**2 * sig * lam3 + 3 * lam * sig**3 * lam3**2, {"lam": 2, "sig": 1, "lam3": 3})
+    assert v.num == lam + 3 * sig**2 * lam3
+    assert v.den == {"lam": 1, "lam3": 2}
+    assert calls == []
+    w = LocFrac(mup * lam, {"mu+": 1})
+    assert w.num == lam and not w.den
+    assert calls
+
+
+# -- monomial order ------------------------------------------------------------
+
+
+def mono_cmp(a, b):
+    """The reference: graded lexicographic order (variables in name order,
+    missing = 0) as a comparator."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    ia = ib = 0
+    while ia < len(a) or ib < len(b):
+        na = a[ia][0] if ia < len(a) else None
+        nb = b[ib][0] if ib < len(b) else None
+        if na == nb:
+            ea, eb = a[ia][1], b[ib][1]
+            if ea != eb:
+                return 1 if ea > eb else -1
+            ia += 1
+            ib += 1
+        elif nb is None or (na is not None and na < nb):
+            return 1
+        else:
+            return -1
+    return 0
+
+
+ORDER_NAMES = ("lam", "lam1", "lam12", "lam2", "S12", "sig", "sigp")
+
+
+def test_sort_key_matches_comparator():
+    rng = random.Random(23)
+    for _ in range(300):
+        monos = list(dict.fromkeys(
+            tuple(sorted((n, rng.randint(1, 3)) for n in rng.sample(ORDER_NAMES, rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 8))
+        ))
+        want = sorted(monos, key=cmp_to_key(mono_cmp), reverse=True)
+        assert sorted(monos, key=algebra._grlex_key) == want
+        assert Poly(dict.fromkeys(monos, 1)).leading()[0] == want[0]
+
+
+def test_leading_and_str_pinned():
+    lam1, lam12, lam2 = Poly.var("lam1"), Poly.var("lam12"), Poly.var("lam2")
+    s12, sigp = Poly.var("S12"), Poly.var("sigp")
+    p = lam2 * sig + lam12 * sig + lam1 * sig + s12 * lam - 3
+    assert p.leading() == ((("S12", 1), ("lam", 1)), Fraction(1))
+    assert str(p) == "S12*lam + lam1*sig + lam12*sig + lam2*sig - 3"
+    q = sigp**2 + 2 * lam * sig + lam**2 - Fraction(1, 2) * lam12**3
+    assert q.leading() == ((("lam12", 3),), Fraction(-1, 2))
+    assert str(q) == "-1/2*lam12^3 + lam^2 + 2*lam*sig + sigp^2"
+    r = lam1 * lam2 - lam**2 + sig
+    assert r.leading() == ((("lam", 2),), Fraction(-1))
+    assert str(r) == "-lam^2 + lam1*lam2 + sig"
