@@ -265,6 +265,16 @@ class Poly:
             rem = rem - Poly({q: qc}) * divisor
         return Poly(quot)
 
+    def __floordiv__(self, other):
+        """Exact quotient; raises AlgebraError when other does not divide self."""
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        q = self.div_exact(other)
+        if q is None:
+            raise AlgebraError(f"{other} does not divide {self}")
+        return q
+
     def content(self):
         """(rational content, monomial content) with the rational carrying
         the sign of the graded-lex leading coefficient."""
@@ -482,8 +492,9 @@ def _cancel_atom(p: Poly, name: str, most=inf):
     nonzero p.  A variable atom cancels by subtracting k, the least exponent
     of the variable over p's terms; a binomial one by exact division."""
     if name not in _VARIABLE_ATOMS:
+        # a binomial atom never divides a one-term polynomial
         k = 0
-        while k < most and (q := p.div_exact(ATOMS[name])) is not None:
+        while k < most and len(p.terms) > 1 and (q := p.div_exact(ATOMS[name])) is not None:
             p, k = q, k + 1
         return p, k
     k = most
@@ -526,19 +537,6 @@ def _extract_atoms(p: Poly):
     return c, exps
 
 
-def ring_ops(a: LocFrac, b: LocFrac, op: str) -> LocFrac:
-    """Named entry point for the four ring operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "sub":
-        return a - b
-    if op == "neg":
-        return -a
-    raise AlgebraError(f"unknown ring op {op!r}")
-
-
 def atom_divide(a: LocFrac, atom: str, power: int = 1) -> LocFrac:
     """Divide by atom**power; exact because atom is declared nonzero."""
     if atom not in ATOMS:
@@ -549,8 +547,36 @@ def atom_divide(a: LocFrac, atom: str, power: int = 1) -> LocFrac:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving over the localized ring
+# Fraction-free elimination and exact linear solving
 # ---------------------------------------------------------------------------
+
+
+def eliminate(m) -> list:
+    """Forward fraction-free (Bareiss) elimination of the rows m, in place.
+
+    Works over int and over Poly: every update (m_ij p - m_ic m_kj) // prev
+    is exact by Sylvester's identity.  A zero pivot swaps in a lower row; a
+    column with no pivot is skipped.  Only entries right of each pivot are
+    updated, so entries left of a row's pivot are stale and read as zero.
+    Returns the pivot columns cols.  The pivot m[k][cols[k]] is the minor
+    of the input on its first k + 1 rows (after the swaps) and columns
+    cols[0..k].
+    """
+    cols, prev = [], 1
+    for c in range(len(m[0]) if m else 0):
+        k = len(cols)
+        r = next((r for r in range(k, len(m)) if m[r][c]), None)
+        if r is None:
+            continue
+        m[k], m[r] = m[r], m[k]
+        top, pv = m[k], m[k][c]
+        for row in m[k + 1:]:
+            f = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (row[j] * pv - f * top[j]) // prev
+        cols.append(c)
+        prev = pv
+    return cols
 
 
 def _clear_rows(matrix, rhs):
@@ -580,10 +606,9 @@ def _clear_rows(matrix, rhs):
 def linear_solve(matrix, rhs):
     """Solve matrix @ x == rhs exactly over the localized ring.
 
-    One fraction-free (Bareiss) elimination of the cleared augmented matrix,
-    swapping rows on zero pivots, leaves an upper-triangular U, a right-hand
-    side c and det = u_nn.  Back substitution stays in the polynomial ring,
-    y_i = (det c_i - sum_{j>i} u_ij y_j) / u_ii, and x = y / det.
+    `eliminate` on the cleared augmented matrix leaves an upper-triangular U,
+    a right-hand side c and det = u_nn.  Back substitution stays in the
+    polynomial ring, y_i = (det c_i - sum_{j>i} u_ij y_j) / u_ii, and x = y / det.
 
     The determinant must be a unit (rational times atom monomial); a zero
     determinant raises SingularMatrixError, a non-unit one NonUnitError with
@@ -594,20 +619,9 @@ def linear_solve(matrix, rhs):
         raise AlgebraError("linear_solve expects a square system")
     a, b = _clear_rows(matrix, rhs)
     m = [row + [bi] for row, bi in zip(a, b)]
-    prev = Poly.const(1)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrixError("singular matrix", determinant=Poly.zero())
-        m[k], m[pivot] = m[pivot], m[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                q = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).div_exact(prev)
-                if q is None:
-                    raise AlgebraError("Bareiss exact division failed")
-                m[i][j] = q
-        prev = m[k][k]
-    det = prev
+    if eliminate(m)[:n] != list(range(n)):
+        raise SingularMatrixError("singular matrix", determinant=Poly.zero())
+    det = m[n - 1][n - 1]
     c, exps = _extract_atoms(det)
     if c is None:
         raise NonUnitError(
@@ -618,9 +632,7 @@ def linear_solve(matrix, rhs):
         acc = det * m[i][n]
         for j in range(i + 1, n):
             acc = acc - m[i][j] * y[j]
-        y[i] = acc.div_exact(m[i][i])
-        if y[i] is None:
-            raise AlgebraError("back substitution division failed")
+        y[i] = acc // m[i][i]
     inv_det = LocFrac(Poly.const(Fraction(1) / c)) * LocFrac(Poly.const(1), exps)
     xs = [LocFrac(yi) * inv_det for yi in y]
     for i in range(n):

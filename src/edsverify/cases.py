@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import equations as eqs
-from .algebra import LocFrac, Poly, atom_divide
+from .algebra import LocFrac, Poly, _coerce_frac, _grlex_key, atom_divide, eliminate, mono_mul
 from .equations import (
     CASE2_FINAL,
     CASE2_H,
@@ -34,7 +35,7 @@ from .equations import (
     SUC,
 )
 from .forms import DForm, ext_d, substitute_one_forms
-from .jets import DIRECTIONS, JetContext, _as_frac
+from .jets import DIRECTIONS, JetContext
 from .structure import StructureSystem
 
 lam, sig, mup, mum, mus = eqs.lam, eqs.sig, eqs.mup, eqs.mum, eqs.mus
@@ -77,7 +78,7 @@ class FactStore:
         self.facts: dict[str, LocFrac] = {}
 
     def add(self, name: str, value, with_derivatives: bool = False):
-        v = self.ctx.substitute(_as_frac(value), self.facts)
+        v = self.ctx.substitute(_coerce_frac(value), self.facts)
         for key in list(self.facts):
             self.facts[key] = self.ctx.substitute(self.facts[key], {name: v})
         self.facts[name] = v
@@ -86,11 +87,11 @@ class FactStore:
                 self.add(f"{name}{j}", self.ctx.derive(v, j))
 
     def reduce(self, expr) -> LocFrac:
-        return self.ctx.substitute(_as_frac(expr), self.facts)
+        return self.ctx.substitute(_coerce_frac(expr), self.facts)
 
 
 def _check(report: PipelineReport, tag: str, description: str, value: LocFrac, expected):
-    expected = _as_frac(expected)
+    expected = _coerce_frac(expected)
     residual = value - expected
     ok = residual.is_zero()
     report.steps.append(Step(tag, description, ok, "" if ok else f"residual {residual}"))
@@ -361,38 +362,43 @@ def run_case_iii(sys: StructureSystem) -> PipelineReport:
 
 
 def sos_certificate(p: Poly):
-    """Exact decomposition p = sum c_i q_i^2 with positive rational c_i.
+    """Exact decomposition p = sum c_k q_k^2 with positive rational c_k, as a
+    list of (c_k, q_k), or None when the ansatz below gives none.
 
-    Two shapes are implemented: every term already an even square with a
-    positive coefficient, and even binary quartics via completing the square.
-    Returns a list of (c_i, q_i) or None when the ansatz does not apply.
+    The basis b is the halves of p's even monomials in graded-lex order, and
+    p = b^T G b for a symmetric Gram matrix G: a positive even term sits on
+    the diagonal, any other term on the first off-diagonal pair whose product
+    is its monomial.  With s the lcm of G's denominators, `eliminate` on s G
+    gives pivots d_k and pivot rows u_k (zero left of the pivot), and when G
+    is positive semidefinite s G = sum_k u_k^T u_k / (d_{k-1} d_k), d_{-1} = 1,
+    an exact rational LDL^T.  So c_k = d_k / (s d_{k-1}) and
+    q_k = (u_k . b) / d_k; the identity is checked exactly before it is
+    returned.
     """
-    if p.is_zero():
-        return []
-    # trivial shape: positive combination of monomial squares
-    if all(c > 0 and all(e % 2 == 0 for _, e in m) for m, c in p.terms.items()):
-        out = []
-        for m, c in sorted(p.terms.items()):
-            half = tuple((n, e // 2) for n, e in m)
-            out.append((c, Poly({half: 1})))
-        if _verify_sos(p, out):
-            return out
-    # even binary quartic a x^4 + b x^2 y^2 + c y^4
-    names = sorted(p.variables())
-    if len(names) == 2 and p.total_degree() == 4:
-        x, y = names
-        a = p.terms.get(((x, 4),), Fraction(0))
-        b = p.terms.get(tuple(sorted(((x, 2), (y, 2)))), Fraction(0))
-        c = p.terms.get(((y, 4),), Fraction(0))
-        shape = Poly({((x, 4),): a, tuple(sorted(((x, 2), (y, 2)))): b, ((y, 4),): c})
-        if shape == p and a > 0:
-            rest = c - b * b / (4 * a)
-            if rest > 0:
-                q1 = Poly.var(x, 2) + Poly.const(b / (2 * a)) * Poly.var(y, 2)
-                out = [(a, q1), (rest, Poly.var(y, 2))]
-                if _verify_sos(p, out):
-                    return out
-    return None
+    even = sorted((m for m in p.terms if all(e % 2 == 0 for _, e in m)), key=_grlex_key)
+    halves = [tuple((v, e // 2) for v, e in m) for m in even]
+    n = len(halves)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for m, c in p.terms.items():
+        if c > 0 and m in even:
+            i = j = even.index(m)
+        else:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                         if mono_mul(halves[i], halves[j]) == m), None)
+            if pair is None:
+                return None
+            i, j = pair
+            c = c / 2
+        gram[i][j] = gram[j][i] = c
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    u = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
+    out, prev = [], 1
+    for k, col in enumerate(eliminate(u)):
+        pivot = u[k][col]
+        q = Poly({halves[j]: Fraction(u[k][j], pivot) for j in range(col, n)})
+        out.append((Fraction(pivot, scale * prev), q))
+        prev = pivot
+    return out if _verify_sos(p, out) else None
 
 
 def _verify_sos(p: Poly, decomposition) -> bool:

@@ -228,9 +228,6 @@ _eq("k3", 16 * (2 * (Sj(4, 2) - Sj(2, 4)) - S(2) * S(3) + S(1) * S(4)) * lam * s
 
 assert len(EQ36) == 36
 
-#: label -> (source identity, coefficient slot) for the engine derivation
-BASE_LABELS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k")
-
 #: subscripted label -> (base label, frame-replacement case 1..5)
 VARIANTS: dict[str, tuple[str, int]] = {
     "a4": ("a", 4),

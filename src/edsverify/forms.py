@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .algebra import LocFrac, Poly
-from .jets import JetContext, Scalar, _as_frac
+from .algebra import LocFrac, Poly, _coerce_frac
+from .jets import JetContext, Scalar
 
 COFRAME = ("A", "B", "C", "D")
 
@@ -84,7 +84,7 @@ class DForm:
             idx = tuple(idx)
             if len(idx) != degree or list(idx) != sorted(set(idx)):
                 raise FormError(f"bad multi-index {idx} for degree {degree}")
-            c = _as_frac(c)
+            c = _coerce_frac(c)
             if not c.is_zero():
                 self.terms[idx] = c
 
@@ -127,7 +127,7 @@ class DForm:
         return self + (-other)
 
     def scale(self, factor: Scalar) -> "DForm":
-        factor = _as_frac(factor)
+        factor = _coerce_frac(factor)
         out = DForm(self.basis, self.degree)
         if factor.is_zero():
             return out
@@ -216,7 +216,7 @@ class RuleSystem:
 
 def d_scalar(ctx: JetContext, basis: FormBasis, f: Scalar) -> DForm:
     """df = (d_i f) e^i over the coframe."""
-    f = _as_frac(f)
+    f = _coerce_frac(f)
     return DForm(basis, 1, {(i,): ctx.derive(f, i + 1) for i in range(4)})
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly
+from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly, _coerce_frac
 
 DIRECTIONS = (1, 2, 3, 4)
 
@@ -39,36 +39,33 @@ class SubstitutionError(JetError):
 class JetContext:
     """Registered function symbols, their derivative links and nonzero atoms."""
 
-    def __init__(self, extension_enabled: bool = False):
+    def __init__(self):
         self.symbols: set[str] = set()
-        self.order: dict[str, int] = {}
         self.links: dict[tuple[str, int], LocFrac] = {}
-        self.extension_enabled = extension_enabled
 
     # -- registry ------------------------------------------------------------
 
-    def register(self, name: str, order: int = 0) -> None:
+    def register(self, name: str) -> None:
         self.symbols.add(name)
-        self.order[name] = order
 
     def link(self, name: str, direction: int, value) -> None:
         if name not in self.symbols:
             raise JetError(f"unregistered symbol {name!r}")
-        self.links[(name, direction)] = _as_frac(value)
+        self.links[(name, direction)] = _coerce_frac(value)
 
     def register_jet_family(self, base: str, max_order: int = 2) -> None:
         """base, base_i, base_ij with derivative links between them."""
-        self.register(base, 0)
+        self.register(base)
         if max_order < 1:
             return
         for i in DIRECTIONS:
-            self.register(f"{base}{i}", 1)
+            self.register(f"{base}{i}")
             self.link(base, i, LocFrac(Poly.var(f"{base}{i}")))
         if max_order < 2:
             return
         for i in DIRECTIONS:
             for j in DIRECTIONS:
-                self.register(f"{base}{i}{j}", 2)
+                self.register(f"{base}{i}{j}")
                 self.link(f"{base}{i}", j, LocFrac(Poly.var(f"{base}{i}{j}")))
 
     def symbol(self, name: str) -> LocFrac:
@@ -83,11 +80,6 @@ class JetContext:
         if key in self.links:
             return self.links[key]
         if name in self.symbols:
-            if self.extension_enabled:
-                new = f"{name}{direction}"
-                self.register(new, self.order.get(name, 0) + 1)
-                self.link(name, direction, LocFrac(Poly.var(new)))
-                return self.links[key]
             raise JetOrderError(
                 f"jet order exceeded: d_{direction} of {name!r} is not registered"
             )
@@ -101,7 +93,7 @@ class JetContext:
         """
         if direction not in DIRECTIONS:
             raise JetError(f"direction must be 1..4, got {direction}")
-        expr = _as_frac(expr)
+        expr = _coerce_frac(expr)
         out = _dpoly(self, expr.num, direction)
         if expr.den:
             out = out * LocFrac(Poly.const(1), expr.den)
@@ -112,11 +104,11 @@ class JetContext:
         """Simultaneous single-pass substitution.
 
         All keys are replaced at once, so signed-permutation maps such as
-        lam -> -lam are sound; layered (sequential) fact maps go through
-        close_substitution first.
+        lam -> -lam are sound; a layered fact map must be closed first (no
+        value mentions a key), as cases.FactStore keeps it.
         """
-        assignment = {k: _as_frac(v) for k, v in assignment.items()}
-        expr = _as_frac(expr)
+        assignment = {k: _coerce_frac(v) for k, v in assignment.items()}
+        expr = _coerce_frac(expr)
         out = _subst_poly(expr.num, assignment)
         for atom, e in expr.den.items():
             value = _subst_poly(ATOMS[atom], assignment)
@@ -140,14 +132,6 @@ def sum_den_terms(ctx: JetContext, expr: LocFrac, direction: int) -> LocFrac:
         datom = _dpoly(ctx, ATOMS[atom], direction)
         total = total + e * expr * datom * LocFrac(Poly.const(1), {atom: 1})
     return total
-
-
-def _as_frac(x: Scalar) -> LocFrac:
-    if isinstance(x, LocFrac):
-        return x
-    if isinstance(x, Poly):
-        return LocFrac(x)
-    return LocFrac(Poly.const(x))
 
 
 def _dpoly(ctx: JetContext, p: Poly, direction: int) -> LocFrac:
@@ -180,52 +164,25 @@ def _subst_poly(p: Poly, assignment: Mapping[str, LocFrac]) -> LocFrac:
     return out
 
 
-def close_substitution(assignment: Mapping[str, Scalar]) -> dict[str, LocFrac]:
-    """Iterate substitution inside the values until none mentions a key.
-
-    The layered facts produced by the case pipelines are acyclic, so this
-    terminates; a cycle raises SubstitutionError.
-    """
-    work = {k: _as_frac(v) for k, v in assignment.items()}
-    for _ in range(len(work) + 2):
-        dirty = False
-        for k, v in work.items():
-            mentioned = v.num.variables() & work.keys()
-            for atom in v.den:
-                mentioned |= ATOMS[atom].variables() & work.keys()
-            mentioned.discard(k)
-            if mentioned:
-                reduced = {m: work[m] for m in mentioned}
-                work[k] = _subst_poly(v.num, reduced)
-                for atom, e in v.den.items():
-                    inv = _subst_poly(ATOMS[atom], reduced).inverse()
-                    for _ in range(e):
-                        work[k] = work[k] * inv
-                dirty = True
-        if not dirty:
-            return work
-    raise SubstitutionError("substitution closure did not stabilize (cycle?)")
-
-
-def standard_context(extension_enabled: bool = False) -> JetContext:
+def standard_context() -> JetContext:
     """The engine's ambient symbol table."""
-    ctx = JetContext(extension_enabled=extension_enabled)
+    ctx = JetContext()
     ctx.register_jet_family("lam", 2)
     ctx.register_jet_family("sig", 2)
     for i in DIRECTIONS:
-        ctx.register(f"S{i}", 1)
+        ctx.register(f"S{i}")
         for j in DIRECTIONS:
-            ctx.register(f"S{i}{j}", 2)
+            ctx.register(f"S{i}{j}")
             ctx.link(f"S{i}", j, LocFrac(Poly.var(f"S{i}{j}")))
     for fam in ("F", "G", "L"):
         for i in DIRECTIONS:
-            ctx.register(f"{fam}{i}", 1)
+            ctx.register(f"{fam}{i}")
     # sig as a function of lam: d_j sigp = sigpp * lam_j
-    ctx.register("sigp", 1)
-    ctx.register("sigpp", 2)
+    ctx.register("sigp")
+    ctx.register("sigpp")
     for j in DIRECTIONS:
         ctx.link("sigp", j, LocFrac(Poly.var("sigpp") * Poly.var(f"lam{j}")))
     # rotation parameters, never differentiated
-    ctx.register("c", 0)
-    ctx.register("s", 0)
+    ctx.register("c")
+    ctx.register("s")
     return ctx

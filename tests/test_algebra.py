@@ -13,7 +13,6 @@ from edsverify.algebra import (
     SingularMatrixError,
     atom_divide,
     linear_solve,
-    ring_ops,
 )
 
 from conftest import random_locfrac, random_poly
@@ -54,15 +53,6 @@ def test_ring_axioms_1000_random_triples():
         assert a * b == b * a
 
 
-def test_ring_ops_named_entry():
-    a = LocFrac(lam)
-    b = LocFrac(sig)
-    assert ring_ops(a, b, "add") == LocFrac(lam + sig)
-    assert ring_ops(a, b, "mul") == LocFrac(lam * sig)
-    assert ring_ops(a, b, "sub") == LocFrac(lam - sig)
-    assert ring_ops(a, b, "neg") == LocFrac(-lam)
-
-
 def test_atom_divide_monomial():
     assert atom_divide(LocFrac(8 * lam * sig * lam3), "lam") == LocFrac(8 * sig * lam3)
 
@@ -88,7 +78,7 @@ def test_atom_divide_inverts_multiplication():
     rng = random.Random(3)
     for _ in range(50):
         a = random_locfrac(rng)
-        scaled = ring_ops(a, LocFrac(ATOMS["mu+"] ** 2), "mul")
+        scaled = a * LocFrac(ATOMS["mu+"] ** 2)
         assert atom_divide(scaled, "mu+", 2) == a
 
 
@@ -262,7 +252,9 @@ def test_normalize_matches_trial_division():
     assert seen == {(name, kind) for name in ATOMS for kind in ("part", "full")}
 
 
-def test_variable_atoms_cancel_without_division(monkeypatch):
+@pytest.fixture()
+def div_exact_calls(monkeypatch):
+    """The divisors of every Poly.div_exact call made while the test runs."""
     calls = []
     div_exact = Poly.div_exact
 
@@ -271,6 +263,11 @@ def test_variable_atoms_cancel_without_division(monkeypatch):
         return div_exact(self, divisor)
 
     monkeypatch.setattr(Poly, "div_exact", counted)
+    return calls
+
+
+def test_variable_atoms_cancel_without_division(div_exact_calls):
+    calls = div_exact_calls
     v = LocFrac(lam**2 * sig * lam3 + 3 * lam * sig**3 * lam3**2, {"lam": 2, "sig": 1, "lam3": 3})
     assert v.num == lam + 3 * sig**2 * lam3
     assert v.den == {"lam": 1, "lam3": 2}
@@ -278,6 +275,21 @@ def test_variable_atoms_cancel_without_division(monkeypatch):
     w = LocFrac(mup * lam, {"mu+": 1})
     assert w.num == lam and not w.den
     assert calls
+
+
+def test_one_term_numerators_skip_binomial_division(div_exact_calls):
+    # a binomial atom never divides a monomial, so no trial division is made
+    v = LocFrac(3 * lam**2 * sig, {"mu+": 2, "mu-": 1})
+    assert v.num == 3 * lam**2 * sig and v.den == {"mu+": 2, "mu-": 1}
+    inv = LocFrac(Fraction(-2, 5) * lam * sig**2 * lam3, {"mu-": 1}).inverse()
+    assert inv == LocFrac(Fraction(-5, 2) * mum, {"lam": 1, "sig": 2, "lam3": 1})
+    assert div_exact_calls == []
+    # once the numerator has two terms the binomials are still divided out
+    w = LocFrac(mup**2 * mum * lam, {"mu+": 1, "mu-": 2})
+    assert w.num == mup * lam and w.den == {"mu-": 1}
+    assert div_exact_calls
+    c, exps = algebra._extract_atoms(Fraction(7, 3) * mup**2 * mum * sig)
+    assert c == Fraction(7, 3) and exps == {"sig": 1, "mu+": 2, "mu-": 1}
 
 
 # -- monomial order ------------------------------------------------------------
@@ -333,3 +345,110 @@ def test_leading_and_str_pinned():
     r = lam1 * lam2 - lam**2 + sig
     assert r.leading() == ((("lam", 2),), Fraction(-1))
     assert str(r) == "-lam^2 + lam1*lam2 + sig"
+
+
+# -- shared fraction-free elimination against Fraction Gaussian elimination --
+
+
+def gauss_reference(rows):
+    """The reference: Gaussian elimination over Fraction, taking the first
+    nonzero row as pivot.  Returns the pivot columns, the pivots, and whether
+    a zero pivot forced a row swap."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    cols, pivots, swapped = [], [], False
+    for c in range(len(m[0]) if m else 0):
+        k = len(cols)
+        r = next((r for r in range(k, len(m)) if m[r][c]), None)
+        if r is None:
+            continue
+        swapped |= r != k
+        m[k], m[r] = m[r], m[k]
+        for i in range(k + 1, len(m)):
+            f = m[i][c] / m[k][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+        cols.append(c)
+        pivots.append(m[k][c])
+    return cols, pivots, swapped
+
+
+def solve_reference(matrix, rhs):
+    """The reference: Gauss-Jordan elimination over Fraction of a nonsingular
+    system."""
+    m = [row + [b] for row, b in zip(matrix, rhs)]
+    n = len(m)
+    for k in range(n):
+        r = next(r for r in range(k, n) if m[r][k])
+        m[k], m[r] = m[r], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k:
+                m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+    return [row[n] for row in m]
+
+
+def random_integer_matrix(rng, rows, cols):
+    """A random small integer matrix, at times with a zero column, a row
+    that is a multiple of another, or a zero in the top-left corner."""
+    m = [[rng.randint(-4, 4) if rng.random() < 0.8 else 0 for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = 0
+    if rows > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(rows), 2)
+        q = rng.choice([-2, -1, 2, 3])
+        m[i] = [q * x for x in m[j]]
+    if rng.random() < 0.3:
+        m[0][0] = 0
+    return m
+
+
+def test_eliminate_matches_fraction_reference():
+    from edsverify.derive import _rank
+
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(300):
+        ints = random_integer_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        want_cols, want_pivots, swapped = gauss_reference(ints)
+        m = [list(row) for row in ints]
+        cols = algebra.eliminate(m)
+        assert cols == want_cols
+        # the k-th Bareiss pivot is the k-th leading minor: the product of
+        # the first k + 1 Gaussian pivots
+        minor = Fraction(1)
+        for k, (c, g) in enumerate(zip(cols, want_pivots)):
+            minor *= g
+            assert m[k][c] == minor
+        dens = [rng.randint(1, 6) for _ in ints]
+        rationals = [[Fraction(x, d) for x in row] for row, d in zip(ints, dens)]
+        assert _rank(rationals) == len(want_cols)
+        width = len(ints[0])
+        seen.add("swap" if swapped else "no-swap")
+        seen.add("deficient" if len(cols) < min(len(ints), width) else "full")
+        if any(not any(row[c] for row in ints) for c in range(width)):
+            seen.add("zero-column")
+    assert seen == {"swap", "no-swap", "deficient", "full", "zero-column"}
+
+
+def test_linear_solve_matches_fraction_reference():
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        ints = random_integer_matrix(rng, n, n)
+        matrix = [[Fraction(x, rng.randint(1, 3)) for x in row] for row in ints]
+        rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        system = [[LocFrac(Poly.const(x)) for x in row] for row in matrix]
+        values = [LocFrac(Poly.const(b)) for b in rhs]
+        cols, _, swapped = gauss_reference(matrix)
+        if len(cols) < n:
+            seen.add("singular")
+            with pytest.raises(SingularMatrixError) as err:
+                linear_solve(system, values)
+            assert err.value.determinant.is_zero()
+            continue
+        seen.add("swap" if swapped else "no-swap")
+        got = linear_solve(system, values)
+        assert got == [LocFrac(Poly.const(x)) for x in solve_reference(matrix, rhs)]
+    assert seen == {"singular", "swap", "no-swap"}

@@ -116,10 +116,29 @@ def test_sos_three_variable_trivial():
     assert cert is not None and len(cert) == 3
 
 
+def test_sos_cross_term_certificate():
+    P = Poly.var
+    p = (P("lam1") + P("lam2")) ** 2 + P("lam3") ** 2
+    assert C.sos_certificate(p) == [(Fraction(1), P("lam1") + P("lam2")), (Fraction(1), P("lam3"))]
+
+
+def test_sos_positive_middle_term():
+    p = lam**4 + 3 * lam**2 * sig**2 + sig**4
+    cert = C.sos_certificate(p)
+    assert cert == [(Fraction(1), lam**2), (Fraction(3), lam * sig), (Fraction(1), sig**2)]
+    # terms of a non-homogeneous sum come in graded-lex order
+    assert C.sos_certificate(lam**2 + 1) == [(Fraction(1), lam), (Fraction(1), Poly.const(1))]
+
+
 def test_sos_inconclusive_cases():
     assert C.sos_certificate(-(lam**2)) is None
     # indefinite quartic: lam^4 - 10 lam^2 sig^2 + sig^4 is negative at lam=sig
     assert C.sos_certificate(lam**4 - 10 * lam**2 * sig**2 + sig**4) is None
+    # indefinite quadratic: negative at lam = -sig; its Gram matrix has a negative pivot
+    assert C.sos_certificate(lam**2 + 3 * lam * sig + sig**2) is None
+    # no even monomial to pair the terms with
+    assert C.sos_certificate(lam * sig) is None
+    assert C.sos_certificate(lam**2 - sig**2) is None
 
 
 def test_reduce_square_helper():
@@ -140,7 +159,7 @@ def test_reports_serialize(const_lambda, case_ii, case_iii):
 def test_failed_step_reports_residual():
     report = C.PipelineReport("demo", assumptions=[])
     ok = C._check(report, "mismatch", "deliberately wrong expectation",
-                  C._as_frac(Poly.var("lam")), 0)
+                  C._coerce_frac(Poly.var("lam")), 0)
     assert not ok
     assert not report.ok
     assert "residual" in report.steps[0].detail

@@ -139,6 +139,21 @@ def test_rename_matches_jet_substitution(system):
     assert D.REP_V.apply(hand) != hand
 
 
+def test_rename_map_is_built_once_per_element(monkeypatch):
+    calls = []
+    renames = D.SymmetryElement.renames
+
+    def counted(self):
+        calls.append(self)
+        return renames(self)
+
+    monkeypatch.setattr(D.SymmetryElement, "renames", counted)
+    elem = D.SymmetryElement((2, 1, 4, 3), (1, -1, 1, -1), -1, 1)
+    images = [elem.apply(EQ36[label]) for label in ("a", "b", "c")]
+    assert images[0] == elem.apply(EQ36["a"])
+    assert calls == [elem]
+
+
 def test_rename_must_permute_the_jet_symbols():
     collapsed = D.SymmetryElement((1, 1, 3, 4), (1, 1, 1, 1), 1, 1)
     with pytest.raises(D.DeriveError):

@@ -4,12 +4,7 @@ from fractions import Fraction
 import pytest
 
 from edsverify.algebra import ATOMS, LocFrac, Poly
-from edsverify.jets import (
-    JetOrderError,
-    SubstitutionError,
-    close_substitution,
-    standard_context,
-)
+from edsverify.jets import JetOrderError, SubstitutionError, standard_context
 
 from conftest import random_locfrac
 
@@ -51,12 +46,6 @@ def test_derivative_of_atom_stays_localized(ctx):
 def test_jet_order_exceeded(ctx):
     with pytest.raises(JetOrderError):
         ctx.derive(ctx.symbol("lam12"), 1)
-
-
-def test_extension_on_demand():
-    ctx = standard_context(extension_enabled=True)
-    v = ctx.derive(ctx.symbol("lam12"), 3)
-    assert v == LocFrac(P("lam123"))
 
 
 def test_derive_is_linear(ctx):
@@ -109,14 +98,3 @@ def test_substitute_rejects_denominator_escape(ctx):
         ctx.substitute(bad, {"sig": LocFrac(P("lam") + P("sig"))})
     assert err.value.factor is not None
 
-
-def test_close_substitution_layers():
-    closed = close_substitution(
-        {"S1": LocFrac(-P("sig2") * Fraction(1, 2), {"sig": 1}), "sig2": LocFrac(Poly.zero())}
-    )
-    assert closed["S1"].is_zero()
-
-
-def test_close_substitution_detects_cycle():
-    with pytest.raises(SubstitutionError):
-        close_substitution({"S1": LocFrac(P("S2")), "S2": LocFrac(P("S1") + P("lam"))})
