@@ -206,9 +206,6 @@ class Poly:
                 out.add(n)
         return out
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def leading(self):
         """(monomial, coefficient) maximal under graded lex."""
         if not self.terms:
@@ -234,6 +231,25 @@ class Poly:
                 d.pop(name, None)
                 t[tuple(sorted(d.items()))] = c
         return Poly(t)
+
+    def rename(self, ren: Mapping[str, tuple[int, str]]) -> "Poly":
+        """Image under the signed rename name -> (sign, new name); variables
+        outside `ren` stay fixed.
+
+        `ren` must permute its variables.  Then distinct monomials map to
+        distinct monomials, so each term's image is one term, negated when
+        an odd power of a negated variable divides it.
+        """
+        terms = {}
+        for mono, c in self.terms.items():
+            image = []
+            for name, e in mono:
+                sign, name = ren.get(name, (1, name))
+                if sign < 0 and e % 2:
+                    c = -c
+                image.append((name, e))
+            terms[tuple(image)] = c
+        return Poly(terms)
 
     def evaluate(self, values: Mapping[str, Coeff]) -> Fraction:
         total = Fraction(0)
@@ -435,6 +451,27 @@ class LocFrac:
 
     __rmul__ = __mul__
 
+    def rename(self, ren: Mapping[str, tuple[int, str]]) -> "LocFrac":
+        """Image under the signed rename of `Poly.rename`.
+
+        Each denominator atom must map to plus or minus an atom; its sign
+        survives at odd exponents.
+        """
+        num, den = self.num.rename(ren), {}
+        for name, e in self.den.items():
+            image = ATOMS[name].rename(ren)
+            for target, atom in ATOMS.items():
+                if atom == image or atom == -image:
+                    break
+            else:
+                raise AlgebraError(
+                    f"rename sends denominator atom {name!r} outside the atom set: {image}"
+                )
+            if atom != image and e % 2:
+                num = -num
+            den[target] = e
+        return LocFrac(num, den)
+
     def inverse(self) -> "LocFrac":
         """Inverse, defined when the numerator is rational * atom monomial."""
         if self.num.is_zero():
@@ -573,7 +610,9 @@ def eliminate(m) -> list:
         for row in m[k + 1:]:
             f = row[c]
             for j in range(c + 1, len(row)):
-                row[j] = (row[j] * pv - f * top[j]) // prev
+                v = row[j] * pv - f * top[j]
+                # prev is still the initial 1 at the first pivot: no division
+                row[j] = v // prev if k else v
         cols.append(c)
         prev = pv
     return cols

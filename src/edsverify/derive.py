@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import product
 from math import lcm
 
 from . import equations as eqs
@@ -21,7 +22,14 @@ from .algebra import LocFrac, Poly, eliminate, linear_solve
 from .equations import EQ36, INP, INTRO_A, INTRO_B, NEL, NEL_UNKNOWNS, SECOND_ORDER, SOL
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, JetContext, standard_context
-from .structure import Equation, StructureSystem
+from .structure import (
+    Equation,
+    StructureSystem,
+    build_connection,
+    gamma,
+    lie_bracket,
+    verify_parallel_g_J,
+)
 
 SLOT_NAMES = ("AB", "AC", "AD", "BC", "BD", "CD")
 
@@ -255,10 +263,6 @@ class SymmetryElement:
                 out[f"S{i}{j}"] = (si * sj, f"S{p}{q}")
         return out
 
-    def jet_substitution(self) -> dict[str, LocFrac]:
-        """The renaming as a substitution, for expressions with atom denominators."""
-        return {name: LocFrac(sign * Poly.var(new)) for name, (sign, new) in self.renames().items()}
-
     @cached_property
     def _permutation(self) -> dict[str, tuple[int, str]]:
         """`renames()`, checked to permute its symbols and built once per
@@ -271,24 +275,11 @@ class SymmetryElement:
             raise DeriveError("frame replacement does not permute the jet symbols")
         return {_signed(1, name)[1]: _signed(*image) for name, image in ren.items()}
 
-    def apply(self, poly: Poly) -> Poly:
-        """Image of `poly` under the renaming; symbols outside it stay fixed.
-
-        A rename that permutes its symbols maps distinct monomials to distinct
-        monomials, so each term's image is one term and no ring operation is
-        needed.
-        """
-        ren = self._permutation
-        terms = {}
-        for mono, c in poly.terms.items():
-            image = []
-            for name, e in mono:
-                sign, name = ren.get(name, (1, name))
-                if sign < 0 and e % 2:
-                    c = -c
-                image.append((name, e))
-            terms[tuple(image)] = c
-        return Poly(terms)
+    def apply(self, x):
+        """Image of the Poly or LocFrac `x` under the renaming; symbols
+        outside it stay fixed.  A LocFrac whose denominator atom leaves the
+        atom set raises AlgebraError."""
+        return x.rename(self._permutation)
 
 
 def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]:
@@ -299,8 +290,6 @@ def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]
     sum_{p,q} M_jp M_kq Gamma_p^q, and reading E, F, G, H back off the
     displayed slots.  S = E + H is invariant for every group element.
     """
-    from .structure import gamma
-
     basis = sys.basis
     out = {}
     for i in range(4):
@@ -334,22 +323,16 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
 
     For each of the 32 elements and each rule d X = R, the transformed
     left-hand side d(Phi X), computed with the original rules, must equal
-    Phi(R) (1-forms mapped by the induced action, scalars by their signs).
-    The conjugated connection grid must also reproduce the displayed pattern.
+    Phi(R) (1-forms mapped by the induced action, coefficients by the
+    element's rename).  The conjugated connection grid must also reproduce
+    the displayed pattern.
     """
-    from .forms import substitute_scalars
-    from .structure import build_connection, gamma, verify_parallel_g_J
-
     elements, _ = symmetry_group()
+    grid = sys.connection()
     failures = []
     for idx, elem in enumerate(elements):
         act = form_action(elem, sys)
-        scalar_sub = {
-            "lam": LocFrac(Poly.const(elem.s_lam) * eqs.lam),
-            "sig": LocFrac(Poly.const(elem.s_sig) * eqs.sig),
-        }
         pattern = build_connection(act["E"], act["F"], act["G"], act["H"])
-        grid = sys.connection()
         for j in range(1, 5):
             for k in range(1, 5):
                 p, q = elem.perm[j - 1], elem.perm[k - 1]
@@ -364,8 +347,11 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
         coframe_map = {n: act[n] for n in ("A", "B", "C", "D")}
         for name in sys.basis.names:
             lhs = ext_d(act[name], sys)
-            rhs = substitute_one_forms(sys.d_rule(name), {**coframe_map, **one_form_map})
-            rhs = substitute_scalars(rhs, sys.ctx, scalar_sub)
+            rule = sys.d_rule(name)
+            renamed = DForm(
+                rule.basis, rule.degree, {i: elem.apply(c) for i, c in rule.terms.items()}
+            )
+            rhs = substitute_one_forms(renamed, {**coframe_map, **one_form_map})
             if not (lhs - rhs).is_zero():
                 failures.append((idx, f"rule d{name}"))
     return {"ok": not failures, "failures": failures[:8], "elements": len(elements)}
@@ -437,9 +423,7 @@ def derive_36(sys: StructureSystem):
     # symmetry-generated equations from the derived base coefficients
     for label in SYMMETRY_GENERATED:
         base, case = eqs.VARIANTS[label]
-        elem = RPL_CASES[case]
-        image = elem.apply(raw[base].num)
-        raw[label] = LocFrac(image, raw[base].den)
+        raw[label] = RPL_CASES[case].apply(raw[base])
         source[label] = f"{source[base]} via replacement {case}"
     # cross-check those six against the dG identity
     g_coeffs = dict(zip(IDENTITY_SLOTS["dG"], coeff6(forms["dG"])))
@@ -611,8 +595,6 @@ def integrability_criterion(sys: StructureSystem) -> dict:
     span(e1,e2) is involutive iff lam3 = lam4 = 0; the image of the statement
     under replacement iv gives lam1 = lam2 = 0 for span(e3,e4).
     """
-    from .structure import lie_bracket
-
     comp = sol_component_map(sys)
     b12 = lie_bracket(1, 2, sys, comp)
     b34 = lie_bracket(3, 4, sys, comp)
@@ -629,12 +611,10 @@ def integrability_criterion(sys: StructureSystem) -> dict:
     ]
     ok12 = all((a - b).is_zero() for a, b in zip(doubled12, expected12))
     ok34 = all((a - b).is_zero() for a, b in zip(doubled34, expected34))
-    ctx = sys.ctx
     kill = {"lam3": 0, "lam4": 0}
-    vanish12 = all(ctx.substitute(c, kill).is_zero() for c in doubled12)
+    vanish12 = all(sys.ctx.substitute(c, kill).is_zero() for c in doubled12)
     # the dual criterion is the replacement-iv image of the first one
-    sub = REP_IV.jet_substitution()
-    image = [ctx.substitute(c, sub) for c in doubled12]
+    image = [REP_IV.apply(c) for c in doubled12]
     dual_ok = all((a - b).is_zero() for a, b in zip(image, expected34))
     return {
         "span12_coefficients": [str(c) for c in doubled12],
@@ -650,50 +630,28 @@ def integrability_criterion(sys: StructureSystem) -> dict:
 def rotation_invariance() -> dict:
     """Simultaneous rotation of (e1,e2) and (e3,e4) by an unconstrained angle
     pair (c, s): every curvature component transforms by (c^2+s^2)^2."""
-    T = eqs.curvature_table()
+    table = eqs.curvature_table()
     c, s = Poly.var("c"), Poly.var("s")
     zero = Poly.zero()
-    rows = (
+    M = (
         (c, s, zero, zero),
         (-s, c, zero, zero),
         (zero, zero, c, s),
         (zero, zero, -s, c),
     )
+    slots = list(product(range(4), repeat=4))
+    T = {ix: table[ix[0]][ix[1]][ix[2]][ix[3]] for ix in slots}
+    R = T
+    for _ in range(4):
+        # rotate the first slot and move it last: R'[j,k,l,i] = sum_p M_ip R[p,j,k,l]
+        R = {
+            (*rest, i): sum((M[i][p] * R[(p, *rest)] for p in range(4) if M[i][p]), zero)
+            for *rest, i in slots
+        }
     factor = (c**2 + s**2) ** 2
-    failures = []
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    acc = Poly.zero()
-                    for p in range(4):
-                        if not rows[i][p]:
-                            continue
-                        for q in range(4):
-                            if not rows[j][q]:
-                                continue
-                            for r in range(4):
-                                if not rows[k][r]:
-                                    continue
-                                for t in range(4):
-                                    if not rows[l][t]:
-                                        continue
-                                    v = T[p][q][r][t]
-                                    if v:
-                                        acc = acc + rows[i][p] * rows[j][q] * rows[k][r] * rows[l][t] * v
-                    if acc != factor * T[i][j][k][l]:
-                        failures.append((i + 1, j + 1, k + 1, l + 1))
+    failures = [tuple(x + 1 for x in ix) for ix in slots if R[ix] != factor * T[ix]]
     # the headline component: R(ce1+se2, ce3+se4, ce1+se2, ce3+se4)
-    acc = Poly.zero()
-    x = ((c, 1), (s, 2))
-    y = ((c, 3), (s, 4))
-    for cx1, i in x:
-        for cy1, j in y:
-            for cx2, k in x:
-                for cy2, l in y:
-                    v = T[i - 1][j - 1][k - 1][l - 1]
-                    if v:
-                        acc = acc + cx1 * cy1 * cx2 * cy2 * v
+    acc = R[0, 2, 0, 2]
     headline = acc == factor * eqs.sig
     ident = acc.evaluate({"c": 1, "s": 0, "lam": 3, "sig": 5}) == Fraction(5)
     return {

@@ -274,14 +274,3 @@ def substitute_one_forms(form: DForm, mapping: Mapping[str, DForm]) -> DForm:
         out = out + piece
     return out
 
-
-def substitute_scalars(form: DForm, ctx: JetContext, assignment) -> DForm:
-    """Apply a jet substitution to every coefficient."""
-    out = DForm(form.basis, form.degree)
-    t = {}
-    for idx, c in form.terms.items():
-        v = ctx.substitute(c, assignment)
-        if not v.is_zero():
-            t[idx] = v
-    out.terms = t
-    return out

@@ -103,9 +103,9 @@ class JetContext:
     def substitute(self, expr: Scalar, assignment: Mapping[str, Scalar]) -> LocFrac:
         """Simultaneous single-pass substitution.
 
-        All keys are replaced at once, so signed-permutation maps such as
-        lam -> -lam are sound; a layered fact map must be closed first (no
-        value mentions a key), as cases.FactStore keeps it.
+        All keys are replaced at once, and a key in a value is not replaced
+        again, so a layered fact map must be closed first (no value mentions
+        a key), as cases.FactStore keeps it.
         """
         assignment = {k: _coerce_frac(v) for k, v in assignment.items()}
         expr = _coerce_frac(expr)

@@ -431,6 +431,13 @@ def test_eliminate_matches_fraction_reference():
     assert seen == {"swap", "no-swap", "deficient", "full", "zero-column"}
 
 
+def test_eliminate_skips_division_before_the_first_pivot(div_exact_calls):
+    m = [[lam, sig, Poly.const(1)], [sig, lam3, lam]]
+    assert algebra.eliminate(m) == [0, 1]
+    assert m[1][1:] == [lam * lam3 - sig**2, lam**2 - sig]
+    assert div_exact_calls == []
+
+
 def test_linear_solve_matches_fraction_reference():
     rng = random.Random(67)
     seen = set()

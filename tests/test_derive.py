@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import edsverify.derive as D
-from edsverify.algebra import LocFrac, Poly
+from edsverify.algebra import ATOMS, AlgebraError, LocFrac, Poly
 from edsverify.equations import EQ36, NEL, SOL, VARIANTS, lam, sig, mup, mum
+from edsverify.forms import coeff6
+from edsverify.jets import SubstitutionError
+
+from conftest import random_locfrac
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +119,16 @@ def test_group_closure_on_equations(system):
     assert report["closure_ok"], report["failures"]
 
 
+def jet_substitution(elem):
+    """The reference action of a group element: its rename as a LocFrac
+    substitution."""
+    return {name: LocFrac(sign * Poly.var(new)) for name, (sign, new) in elem.renames().items()}
+
+
 def test_rename_matches_jet_substitution(system):
-    """Differential check: the signed rename equals the LocFrac substitution."""
+    """Differential check: the signed rename of a Poly or a LocFrac equals the
+    substitution, and raises exactly where the substitution sends a
+    denominator atom outside the atom set."""
     ctx = system.ctx
     P = Poly.var
     # F1 and sigp lie outside the rename; lam, sig and first derivatives
@@ -127,16 +140,51 @@ def test_rename_matches_jet_substitution(system):
         + 5 * P("lam", 2) * P("S21") * P("sig4")
         - 7 * P("lam") * P("lam1", 2) * P("sig34")
     )
+    rng = random.Random(0)
+    fractions = [c for form in D.identity_forms(system).values() for c in form.terms.values()]
+    fractions += [random_locfrac(rng) for _ in range(200)]
+    dens = set()
+    raised = 0
     elements, _ = D.symmetry_group()
     for elem in elements:
-        sub = elem.jet_substitution()
+        sub = jet_substitution(elem)
         for p in [*EQ36.values(), hand]:
             image = ctx.substitute(p, sub)
             assert not image.den
             assert elem.apply(p) == image.num
+        for x in fractions:
+            dens.update(x.den)
+            try:
+                want = ctx.substitute(x, sub)
+            except SubstitutionError:
+                with pytest.raises(AlgebraError):
+                    elem.apply(x)
+                raised += 1
+                continue
+            got = elem.apply(x)
+            assert (got.num, got.den) == (want.num, want.den), (elem, x)
+    assert dens == set(ATOMS) and raised
     odd_even = D.REP_V.renames()  # lam -> -lam and sig -> -sig
     assert odd_even["lam"] == (-1, "lam") and odd_even["sig"] == (-1, "sig")
     assert D.REP_V.apply(hand) != hand
+
+
+def test_generated_coefficients_are_reference_images(system, derived36):
+    """Each symmetry-generated coefficient of derive_36, read back from its
+    transcription and multiplier, is the substitution image of its base
+    coefficient, sign included."""
+    eqset, _ = derived36
+    forms = D.identity_forms(system)
+    raw = {}
+    for ident, labels in D.IDENTITY_SLOTS.items():
+        if ident != "dG":
+            raw.update(zip(labels, coeff6(forms[ident])))
+    for label in D.SYMMETRY_GENERATED:
+        base, case = VARIANTS[label]
+        want = system.ctx.substitute(raw[base], jet_substitution(D.RPL_CASES[case]))
+        factor, den_mono = eqset[label].provenance["multiplier_value"]
+        got = LocFrac(eqset[label].poly * Poly({den_mono: 1})) / LocFrac(factor)
+        assert got == want, label
 
 
 def test_rename_map_is_built_once_per_element(monkeypatch):
@@ -263,6 +311,15 @@ def test_rotation_invariance():
     assert report["rotated_1313_equals_factor_sigma"]
     assert report["identity_rotation_fixes_sigma"]
     assert not report["failures"]
+
+
+def test_rotation_invariance_catches_a_perturbed_entry(monkeypatch):
+    table = D.eqs.curvature_table()
+    table[0][1][0][1] = 2 * table[0][1][0][1]
+    monkeypatch.setattr(D.eqs, "curvature_table", lambda: table)
+    report = D.rotation_invariance()
+    assert not report["ok"] and not report["all_components_scale"]
+    assert (1, 2, 1, 2) in report["failures"]
 
 
 def test_rank_probe_reports(system):
