@@ -207,6 +207,17 @@ RUNNERS = {
 }
 
 
+def _point_count(text: str) -> int:
+    """--points: an integer >= 1, since a sweep over no points checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edsverify",
@@ -217,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
     parser.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance gate")
-    parser.add_argument("--points", type=int, default=100, help="numeric sweep size")
+    parser.add_argument("--points", type=_point_count, default=100,
+                        help="numeric sweep size, at least 1")
     return parser
 
 

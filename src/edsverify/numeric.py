@@ -8,6 +8,12 @@ convention (W phi)_ij = 1/2 W_ijkl phi_kl, which makes the eigenvalues read
 0, 2 sigma, -2 sigma on the anti-self-dual eigenforms), vanishing of the
 self-dual Weyl part, and invariance under the 32-element symmetry group and
 simultaneous rotations.
+
+The pointwise routines take a leading batch axis: `build_curvature` accepts
+scalars or arrays of (lam, sig), every tensor carries the batch shape in
+front of its index axes, and every residual reduces over the index axes only,
+giving one value per point.  The sweep evaluates its points in fixed blocks
+of `BLOCK`, so its heap is bounded by the block, not by the number of points.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import numpy as np
 
 from .derive import symmetry_group
 from .equations import curvature_table
+
+#: points per block of `sweep`; a constant, so the sweep's heap does not grow
+#: with the number of points
+BLOCK = 32
 
 
 def _coefficient_arrays():
@@ -46,107 +56,125 @@ J_MATRIX = np.array(
 
 
 def _two_form(*pairs) -> np.ndarray:
-    """Antisymmetric matrix from (i, j, value) entries, 1-based."""
+    """Read-only antisymmetric matrix from (i, j, value) entries, 1-based."""
     m = np.zeros((4, 4))
     for i, j, v in pairs:
         m[i - 1, j - 1] = v
         m[j - 1, i - 1] = -v
+    m.flags.writeable = False
     return m
+
+
+#: Kaehler form omega = g(J ., .)
+OMEGA = _two_form((1, 2, 1.0), (3, 4, 1.0))
+#: anti-self-dual eigenforms of W, eigenvalues 0, 2 sigma, -2 sigma
+ZETA = _two_form((1, 2, -1.0), (3, 4, 1.0))
+ETA = _two_form((1, 3, -1.0), (2, 4, -1.0))
+THETA = _two_form((1, 4, -1.0), (2, 3, 1.0))
+#: a basis of the self-dual 2-forms, which W annihilates
+SELF_DUAL = (OMEGA, _two_form((1, 3, 1.0), (2, 4, -1.0)), _two_form((1, 4, 1.0), (2, 3, 1.0)))
+
+
+def _max_abs(x: np.ndarray, axes: int) -> np.ndarray:
+    """max |x| over the trailing `axes` index axes, one value per point."""
+    return np.abs(x).max(axis=tuple(range(-axes, 0)))
 
 
 @dataclass
 class CurvaturePoint:
-    lam: float
-    sig: float
+    """One point of the model, or a batch: `lam` and `sig` are scalars or
+    arrays of one shape, and `R` has that shape followed by (4, 4, 4, 4)."""
+
+    lam: float | np.ndarray
+    sig: float | np.ndarray
     R: np.ndarray
     g: np.ndarray = field(default_factory=lambda: np.eye(4))
     J: np.ndarray = field(default_factory=lambda: J_MATRIX.copy())
 
     @property
-    def omega(self) -> np.ndarray:
-        return _two_form((1, 2, 1.0), (3, 4, 1.0))
-
-    @property
     def rho(self) -> np.ndarray:
-        return _two_form((1, 2, -self.lam), (3, 4, self.lam))
-
-    @property
-    def zeta(self) -> np.ndarray:
-        return _two_form((1, 2, -1.0), (3, 4, 1.0))
-
-    @property
-    def eta(self) -> np.ndarray:
-        return _two_form((1, 3, -1.0), (2, 4, -1.0))
-
-    @property
-    def theta(self) -> np.ndarray:
-        return _two_form((1, 4, -1.0), (2, 3, 1.0))
+        """Ricci form lam * ZETA; the + 0.0 keeps its zero entries at +0.0."""
+        return np.asarray(self.lam)[..., None, None] * ZETA + 0.0
 
 
-def build_curvature(lam: float, sig: float) -> CurvaturePoint:
-    """Curvature tensor of the exact component table at (lam, sig); the
-    trailing + 0.0 keeps entries the table leaves at zero at +0.0."""
-    return CurvaturePoint(lam, sig, lam * R_LAM + sig * R_SIG + 0.0)
+def build_curvature(lam, sig) -> CurvaturePoint:
+    """Curvature tensor of the exact component table at (lam, sig), scalars
+    or arrays of one shape; the trailing + 0.0 keeps entries the table leaves
+    at zero at +0.0."""
+    lam_b, sig_b = (np.asarray(v, dtype=float)[..., None, None, None, None] for v in (lam, sig))
+    return CurvaturePoint(lam, sig, lam_b * R_LAM + sig_b * R_SIG + 0.0)
 
 
-def curvature_symmetry_residual(pt: CurvaturePoint) -> float:
+def curvature_symmetry_residual(pt: CurvaturePoint) -> np.ndarray:
+    """Largest violation of the pair antisymmetries, the pair symmetry and
+    the first Bianchi identity."""
     R = pt.R
-    r1 = np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3))))
-    r2 = np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2))))
-    r3 = np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))
-    bianchi = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-    return max(r1, r2, r3, float(np.max(np.abs(bianchi))))
+
+    def perm(indices):
+        return np.einsum("...ijkl->..." + indices, R)
+
+    return np.maximum.reduce([
+        _max_abs(R + perm("jikl"), 4),
+        _max_abs(R + perm("ijlk"), 4),
+        _max_abs(R - perm("klij"), 4),
+        _max_abs(R + perm("iklj") + perm("iljk"), 4),
+    ])
 
 
 def ricci_weyl_scalar(pt: CurvaturePoint):
     """(ricci, weyl, scalar) with the g^pq R_ipjq convention, n = 4."""
     R = pt.R
     g = pt.g
-    ric = np.einsum("ipjp->ij", R)
-    s = float(np.trace(ric))
+    ric = np.einsum("...ipjp->...ij", R)
+    s = np.trace(ric, axis1=-2, axis2=-1)
     W = R - 0.5 * (
-        np.einsum("ip,jq->ijpq", g, ric)
-        + np.einsum("jq,ip->ijpq", g, ric)
-        - np.einsum("jp,iq->ijpq", g, ric)
-        - np.einsum("iq,jp->ijpq", g, ric)
+        np.einsum("ip,...jq->...ijpq", g, ric)
+        + np.einsum("jq,...ip->...ijpq", g, ric)
+        - np.einsum("jp,...iq->...ijpq", g, ric)
+        - np.einsum("iq,...jp->...ijpq", g, ric)
     )
-    W = W + s / 6.0 * (np.einsum("ip,jq->ijpq", g, g) - np.einsum("jp,iq->ijpq", g, g))
+    W = W + s[..., None, None, None, None] / 6.0 * (
+        np.einsum("ip,jq->ijpq", g, g) - np.einsum("jp,iq->ijpq", g, g)
+    )
     return ric, W, s
 
 
 def triple_contraction(R: np.ndarray) -> np.ndarray:
-    return np.einsum("ipqr,jpqr->ij", R, R)
+    return np.einsum("...ipqr,...jpqr->...ij", R, R)
 
 
-def weakly_einstein_residual(pt: CurvaturePoint) -> float:
+def norm_squared(R: np.ndarray) -> np.ndarray:
+    return np.einsum("...ijkl,...ijkl->...", R, R)
+
+
+def norm_residual(pt: CurvaturePoint) -> np.ndarray:
+    """|R|^2 against its closed form 8 lam^2 + 32 sig^2."""
+    return np.abs(norm_squared(pt.R) - (8 * np.square(pt.lam) + 32 * np.square(pt.sig)))
+
+
+def weakly_einstein_residual(pt: CurvaturePoint) -> np.ndarray:
     """max-abs residual of check(R) - (|R|^2/4) g."""
     check = triple_contraction(pt.R)
-    norm2 = float(np.einsum("ijkl,ijkl->", pt.R, pt.R))
-    return float(np.max(np.abs(check - norm2 / 4.0 * pt.g)))
+    norm2 = norm_squared(pt.R)
+    return _max_abs(check - (norm2 / 4.0)[..., None, None] * pt.g, 2)
 
 
 def weyl_action(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("ijkl,kl->ij", W, phi)
+    return 0.5 * np.einsum("...ijkl,...kl->...ij", W, phi)
 
 
-def weyl_on_2forms(pt: CurvaturePoint) -> dict:
-    """Eigen-data of W acting on 2-forms and the self-dual annihilation."""
-    _, W, _ = ricci_weyl_scalar(pt)
-    zeta, eta, theta = pt.zeta, pt.eta, pt.theta
-    err_zeta = float(np.max(np.abs(weyl_action(W, zeta))))
-    err_eta = float(np.max(np.abs(weyl_action(W, eta) - 2.0 * pt.sig * eta)))
-    err_theta = float(np.max(np.abs(weyl_action(W, theta) + 2.0 * pt.sig * theta)))
-    err_rho = float(np.max(np.abs(weyl_action(W, pt.rho))))
-    self_dual = (
-        _two_form((1, 2, 1.0), (3, 4, 1.0)),
-        _two_form((1, 3, 1.0), (2, 4, -1.0)),
-        _two_form((1, 4, 1.0), (2, 3, 1.0)),
-    )
-    w_plus = max(float(np.max(np.abs(weyl_action(W, f)))) for f in self_dual)
+def weyl_on_2forms(pt: CurvaturePoint, W: np.ndarray) -> dict:
+    """Eigen-data of the Weyl tensor W of `pt` acting on 2-forms, and the
+    self-dual annihilation."""
+    two_sig = 2.0 * np.asarray(pt.sig)[..., None, None]
     return {
-        "eigen_errors": (err_zeta, err_eta, err_theta),
-        "rho_error": err_rho,
-        "w_plus_norm": w_plus,
+        "eigen_errors": (
+            _max_abs(weyl_action(W, ZETA), 2),
+            _max_abs(weyl_action(W, ETA) - two_sig * ETA, 2),
+            _max_abs(weyl_action(W, THETA) + two_sig * THETA, 2),
+        ),
+        "rho_error": _max_abs(weyl_action(W, pt.rho), 2),
+        "w_plus_norm": np.maximum.reduce([_max_abs(weyl_action(W, f), 2) for f in SELF_DUAL]),
     }
 
 
@@ -189,37 +217,33 @@ def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0, angles: int = 16) ->
 
 
 def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
-    """Seeded random sweep over (lam, sig) in [-2, 2]^2."""
+    """Seeded random sweep over (lam, sig) in [-2, 2]^2, evaluated in blocks
+    of `BLOCK` points; each point draws lam, then sig."""
+    if points < 1:
+        raise ValueError(f"a sweep needs at least one point, got {points}")
     rng = random.Random(seed)
-    worst = {
-        "curvature_symmetry": 0.0,
-        "scalar": 0.0,
-        "ricci_spectrum": 0.0,
-        "weakly_einstein": 0.0,
-        "eigenvalues": 0.0,
-        "rho": 0.0,
-        "w_plus": 0.0,
-        "norm2": 0.0,
-    }
-    for _ in range(points):
-        lam = rng.uniform(-2.0, 2.0)
-        sig = rng.uniform(-2.0, 2.0)
+    worst = {}
+    for start in range(0, points, BLOCK):
+        drawn = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                 for _ in range(min(BLOCK, points - start))]
+        lam, sig = np.array(drawn).T
         pt = build_curvature(lam, sig)
-        worst["curvature_symmetry"] = max(worst["curvature_symmetry"], curvature_symmetry_residual(pt))
-        ric, _, s = ricci_weyl_scalar(pt)
-        worst["scalar"] = max(worst["scalar"], abs(s))
-        spectrum = sorted(np.linalg.eigvalsh(ric))
-        expected = sorted([-abs(lam), -abs(lam), abs(lam), abs(lam)])
-        worst["ricci_spectrum"] = max(
-            worst["ricci_spectrum"], max(abs(a - b) for a, b in zip(spectrum, expected))
-        )
-        worst["weakly_einstein"] = max(worst["weakly_einstein"], weakly_einstein_residual(pt))
-        w = weyl_on_2forms(pt)
-        worst["eigenvalues"] = max(worst["eigenvalues"], max(w["eigen_errors"]))
-        worst["rho"] = max(worst["rho"], w["rho_error"])
-        worst["w_plus"] = max(worst["w_plus"], w["w_plus_norm"])
-        norm2 = float(np.einsum("ijkl,ijkl->", pt.R, pt.R))
-        worst["norm2"] = max(worst["norm2"], abs(norm2 - (8 * lam**2 + 32 * sig**2)))
+        ric, W, s = ricci_weyl_scalar(pt)
+        spectrum = np.sort(np.linalg.eigvalsh(ric), axis=-1)
+        a = np.abs(lam)[:, None]
+        w = weyl_on_2forms(pt, W)
+        block = {
+            "curvature_symmetry": curvature_symmetry_residual(pt),
+            "scalar": np.abs(s),
+            "ricci_spectrum": _max_abs(spectrum - np.hstack([-a, -a, a, a]), 1),
+            "weakly_einstein": weakly_einstein_residual(pt),
+            "eigenvalues": np.maximum.reduce(w["eigen_errors"]),
+            "rho": w["rho_error"],
+            "w_plus": w["w_plus_norm"],
+            "norm2": norm_residual(pt),
+        }
+        for name, values in block.items():
+            worst[name] = max(worst.get(name, 0.0), float(values.max()))
     return {
         "points": points,
         "seed": seed,

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from edsverify.cli import main
 
 
@@ -37,6 +39,15 @@ def test_unknown_suite_exits_2():
 def test_unknown_flag_exits_2():
     result = run_cli("combos", "--frobnicate")
     assert result.returncode == 2
+
+
+def test_points_below_one_is_a_usage_error(capsys):
+    for argv in (["numeric", "--points", "0"], ["numeric", "--points", "-5"],
+                 ["all", "--points", "0"], ["numeric", "--points", "two"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err
 
 
 def test_parse_failure_exits_3(tmp_path):

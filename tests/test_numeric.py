@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import edsverify.numeric as N
 from edsverify.equations import curvature_table
@@ -35,6 +37,49 @@ def brute_weyl(R, g, ric, s):
                     )
                     W[i, j, p, q] += s / 6.0 * (g[i, p] * g[j, q] - g[j, p] * g[i, q])
     return W
+
+
+def reference_sweep(points, seed, tol=1e-12):
+    """The sweep as a loop over single points, calling the per-point forms."""
+    rng = random.Random(seed)
+    worst = {
+        "curvature_symmetry": 0.0,
+        "scalar": 0.0,
+        "ricci_spectrum": 0.0,
+        "weakly_einstein": 0.0,
+        "eigenvalues": 0.0,
+        "rho": 0.0,
+        "w_plus": 0.0,
+        "norm2": 0.0,
+    }
+    for _ in range(points):
+        lam = rng.uniform(-2.0, 2.0)
+        sig = rng.uniform(-2.0, 2.0)
+        pt = N.build_curvature(lam, sig)
+        worst["curvature_symmetry"] = max(
+            worst["curvature_symmetry"], N.curvature_symmetry_residual(pt)
+        )
+        ric, W, s = N.ricci_weyl_scalar(pt)
+        worst["scalar"] = max(worst["scalar"], abs(s))
+        spectrum = sorted(np.linalg.eigvalsh(ric))
+        expected = sorted([-abs(lam), -abs(lam), abs(lam), abs(lam)])
+        worst["ricci_spectrum"] = max(
+            worst["ricci_spectrum"], max(abs(a - b) for a, b in zip(spectrum, expected))
+        )
+        worst["weakly_einstein"] = max(worst["weakly_einstein"], N.weakly_einstein_residual(pt))
+        w = N.weyl_on_2forms(pt, W)
+        worst["eigenvalues"] = max(worst["eigenvalues"], max(w["eigen_errors"]))
+        worst["rho"] = max(worst["rho"], w["rho_error"])
+        worst["w_plus"] = max(worst["w_plus"], w["w_plus_norm"])
+        norm2 = float(np.einsum("ijkl,ijkl->", pt.R, pt.R))
+        worst["norm2"] = max(worst["norm2"], abs(norm2 - (8 * lam**2 + 32 * sig**2)))
+    return {"worst": worst, "ok": all(v < tol for v in worst.values())}
+
+
+def stacked(points):
+    """One CurvaturePoint holding every (lam, sig) of `points`."""
+    lam, sig = np.array(points).T
+    return N.build_curvature(lam, sig)
 
 
 def brute_triple_contraction(R):
@@ -91,17 +136,23 @@ def test_weyl_matches_componentwise_formula():
     rng = random.Random(41)
     points = [(-1.0, -1.0), (-1.5, 0.5), (0.5, -1.5)]
     points += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(200)]
+    per_point = []
     for lam, sig in points:
         pt = N.build_curvature(lam, sig)
         ric, W, s = N.ricci_weyl_scalar(pt)
         assert np.array_equal(W, brute_weyl(pt.R, pt.g, ric, s))
+        per_point.append((ric, W, s))
+    for got, want in zip(N.ricci_weyl_scalar(stacked(points)), zip(*per_point)):
+        assert np.array_equal(got, np.array(want))
 
 
 def test_curvature_symmetries():
     rng = random.Random(11)
-    for _ in range(20):
-        pt = N.build_curvature(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert N.curvature_symmetry_residual(pt) < 1e-14
+    points = [(-1.0, -1.0), (-1.5, 0.5), (0.5, -1.5)]
+    points += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
+    per_point = [N.curvature_symmetry_residual(N.build_curvature(lam, sig)) for lam, sig in points]
+    assert max(per_point) < 1e-14
+    assert np.array_equal(N.curvature_symmetry_residual(stacked(points)), per_point)
 
 
 def test_ricci_weyl_scalar_values():
@@ -139,8 +190,11 @@ def test_weakly_einstein_conformally_flat_branch():
 
 def test_weakly_einstein_random_sweep():
     rng = random.Random(17)
-    for _ in range(100):
-        pt = N.build_curvature(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    points = [(-1.0, -1.0), (-1.5, 0.5), (0.5, -1.5)]
+    points += [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(100)]
+    triples, residuals = [], []
+    for lam, sig in points:
+        pt = N.build_curvature(lam, sig)
         residual = np.max(
             np.abs(
                 brute_triple_contraction(pt.R)
@@ -148,13 +202,18 @@ def test_weakly_einstein_random_sweep():
             )
         )
         assert residual < 1e-12
-        assert N.weakly_einstein_residual(pt) < 1e-12
+        residuals.append(N.weakly_einstein_residual(pt))
+        assert residuals[-1] < 1e-12
+        triples.append(N.triple_contraction(pt.R))
+    pts = stacked(points)
+    assert np.array_equal(N.triple_contraction(pts.R), triples)
+    assert np.array_equal(N.weakly_einstein_residual(pts), residuals)
 
 
 def test_weyl_eigenvalues_unit_point():
     pt = N.build_curvature(1.0, 1.0)
     _, W, _ = N.ricci_weyl_scalar(pt)
-    for form, value in ((pt.zeta, 0.0), (pt.eta, 2.0), (pt.theta, -2.0)):
+    for form, value in ((N.ZETA, 0.0), (N.ETA, 2.0), (N.THETA, -2.0)):
         assert np.max(np.abs(N.weyl_action(W, form) - value * form)) < 1e-12
 
 
@@ -165,7 +224,7 @@ def test_weyl_annihilates_ricci_form():
         _, W, _ = N.ricci_weyl_scalar(pt)
         assert np.max(np.abs(N.weyl_action(W, pt.rho))) < 1e-12
         # rho is lam times the first eigenform
-        assert np.max(np.abs(pt.rho - pt.lam * pt.zeta)) < 1e-14
+        assert np.max(np.abs(pt.rho - pt.lam * N.ZETA)) < 1e-14
 
 
 def test_self_dual_part_vanishes_brute_force():
@@ -199,8 +258,7 @@ def test_self_dual_part_vanishes_brute_force():
 
 def test_anti_self_dual_eigenforms_are_orthogonal_length_sqrt2():
     # 2-form inner product <a, b> = 1/2 sum a_ij b_ij
-    pt = N.build_curvature(0.5, -1.0)
-    forms = (pt.zeta, pt.eta, pt.theta)
+    forms = (N.ZETA, N.ETA, N.THETA)
     for a in forms:
         assert abs(0.5 * np.tensordot(a, a) - 2.0) < TOL
     for i in range(3):
@@ -212,7 +270,7 @@ def test_complex_structure():
     pt = N.build_curvature(1.0, 2.0)
     assert np.array_equal(pt.J @ pt.J, -np.eye(4))
     # omega = g(J . , .) has components J^T
-    assert np.max(np.abs(pt.omega - pt.J.T)) < TOL
+    assert np.max(np.abs(N.OMEGA - pt.J.T)) < TOL
 
 
 def test_symmetry_orbit_elements():
@@ -249,3 +307,30 @@ def test_sweep_interface():
     report = N.sweep(points=30, seed=9, tol=1e-12)
     assert report["ok"]
     assert report["points"] == 30
+    with pytest.raises(ValueError):
+        N.sweep(points=0)
+
+
+def test_sweep_matches_reference_loop():
+    # block boundaries on each side: one point, a block less one, a block, a block plus one
+    for seed in range(4):
+        for points in (1, 31, 32, 33, 100, 2000):
+            got = N.sweep(points=points, seed=seed)
+            want = reference_sweep(points, seed)
+            assert got["worst"] == want["worst"], (seed, points)
+            assert got["ok"] == want["ok"]
+
+
+def test_sweep_heap_is_bounded_by_the_block():
+    N.sweep(points=N.BLOCK)  # numpy's lazy set-up happens outside the trace
+    tracemalloc.start()
+    try:
+        N.sweep(points=4 * N.BLOCK)
+        _, few = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        N.sweep(points=2000)
+        _, many = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert many < 2**20, many
+    assert abs(many - few) <= 0.1 * few, (few, many)
