@@ -2,12 +2,13 @@
 localized fractions whose denominators are monomials in declared-nonzero atoms.
 
 A monomial is a sorted tuple of (variable-name, exponent) pairs; a Poly maps
-monomials to nonzero Fraction coefficients.  Monomials are ordered graded-lex
-(variables in name order) through a sort key.  LocFrac is Poly / product of
-atom powers, normalized so that no atom divides numerator and denominator at
-once: a variable atom (lam, sig, lam3) cancels by subtracting exponents, a
-binomial atom (mu+, mu-) by exact division.  Equality of fractions is decided
-by cross-multiplication.
+monomials to nonzero rationals, an int when integral and else a Fraction, so
+integer arithmetic carries nearly every coefficient.  Monomials are ordered
+graded-lex (variables in name order) through a sort key.  LocFrac is Poly /
+product of atom powers, normalized so that no atom divides numerator and
+denominator at once: a variable atom (lam, sig, lam3) cancels by subtracting
+exponents, a binomial atom (mu+, mu-) by exact division.  Equality of
+fractions is decided by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd, inf
 from typing import Mapping, Union
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
-Coeff = Union[int, Fraction]
+Coeff = Union[int, Fraction]  # canonical: int, or Fraction with denominator > 1
 
 ONE_MONO: Monomial = ()
 
@@ -41,8 +42,27 @@ class SingularMatrixError(AlgebraError):
         self.determinant = determinant
 
 
-def _as_fraction(c: Coeff) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _coeff(c: Coeff) -> Coeff:
+    """c as a canonical coefficient; a float is refused, being inexact."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise AlgebraError(f"coefficient {c!r} is not an int or a Fraction")
+
+
+def _quotient(a: Coeff, b: Coeff) -> Coeff:
+    """The exact quotient a / b of two coefficients, canonical."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _coeff(Fraction(a, b))
+
+
+def _poly(terms: dict) -> "Poly":
+    """A Poly on canonical terms: sorted monomials, nonzero canonical coefficients."""
+    out = Poly.__new__(Poly)
+    out.terms = terms
+    return out
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -86,18 +106,13 @@ def _grlex_key(m: Monomial):
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial over Q; a coefficient is an int or a Fraction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    t[tuple(sorted(m))] = c
-        self.terms = t
+        self.terms = {tuple(sorted(m)): k for m, c in (terms or {}).items()
+                      if (k := _coeff(c))}
 
     # -- constructors ------------------------------------------------------
 
@@ -107,12 +122,12 @@ class Poly:
 
     @staticmethod
     def const(c: Coeff) -> "Poly":
-        c = _as_fraction(c)
-        return Poly({ONE_MONO: c}) if c else Poly()
+        c = _coeff(c)
+        return _poly({ONE_MONO: c} if c else {})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
-        return Poly({((name, exp),): Fraction(1)})
+        return _poly({((name, exp),): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -126,19 +141,15 @@ class Poly:
             if s is None:
                 t[m] = c
             elif s := s + c:
-                t[m] = s
+                t[m] = _coeff(s)
             else:
                 del t[m]
-        out = Poly.__new__(Poly)
-        out.terms = t
-        return out
+        return _poly(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -159,14 +170,12 @@ class Poly:
                 m = mono_mul(m1, m2)
                 s = t.get(m)
                 if s is None:
-                    t[m] = c1 * c2
+                    t[m] = _coeff(c1 * c2)
                 elif s := s + c1 * c2:
-                    t[m] = s
+                    t[m] = _coeff(s)
                 else:
                     del t[m]
-        out = Poly.__new__(Poly)
-        out.terms = t
-        return out
+        return _poly(t)
 
     __rmul__ = __mul__
 
@@ -214,9 +223,9 @@ class Poly:
         return m, self.terms[m]
 
     def as_constant(self):
-        """The Fraction value of a constant polynomial, else None."""
+        """The rational value of a constant polynomial, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and ONE_MONO in self.terms:
             return self.terms[ONE_MONO]
         return None
@@ -229,8 +238,8 @@ class Poly:
             d = dict(m)
             if d.get(name, 0) == exp:
                 d.pop(name, None)
-                t[tuple(sorted(d.items()))] = c
-        return Poly(t)
+                t[tuple(d.items())] = c
+        return _poly(t)
 
     def rename(self, ren: Mapping[str, tuple[int, str]]) -> "Poly":
         """Image under the signed rename name -> (sign, new name); variables
@@ -248,15 +257,15 @@ class Poly:
                 if sign < 0 and e % 2:
                     c = -c
                 image.append((name, e))
-            terms[tuple(image)] = c
-        return Poly(terms)
+            terms[tuple(sorted(image))] = c
+        return _poly(terms)
 
     def evaluate(self, values: Mapping[str, Coeff]) -> Fraction:
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
             for n, e in m:
-                v = v * _as_fraction(values[n]) ** e
+                v = v * _coeff(values[n]) ** e
             total += v
         return total
 
@@ -275,11 +284,11 @@ class Poly:
             q = mono_div(m, lm)
             if q is None:
                 return None
-            qc = c / lc
+            qc = _quotient(c, lc)
             # the leading monomial of rem falls strictly, so q is new
             quot[q] = qc
-            rem = rem - Poly({q: qc}) * divisor
-        return Poly(quot)
+            rem = rem - _poly({q: qc}) * divisor
+        return _poly(quot)
 
     def __floordiv__(self, other):
         """Exact quotient; raises AlgebraError when other does not divide self."""
@@ -322,10 +331,11 @@ class Poly:
         if not self.terms:
             return Fraction(0), ONE_MONO, Poly()
         c, mono = self.content()
+        k = _coeff(c)
         t = {}
         for m, coeff in self.terms.items():
-            t[mono_div(m, mono)] = coeff / c
-        return c, mono, Poly(t)
+            t[mono_div(m, mono)] = _quotient(coeff, k)
+        return c, mono, _poly(t)
 
     # -- presentation --------------------------------------------------------
 
@@ -385,7 +395,7 @@ class LocFrac:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den: Mapping[str, int] | None = None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, Poly):
             num = Poly.const(num)
         d = {}
         for name, e in (den or {}).items():
@@ -422,7 +432,7 @@ class LocFrac:
             extra = e - other.den.get(n, 0)
             if extra:
                 b = b * ATOMS[n] ** extra
-        return LocFrac(a + b, den)
+        return _frac(a + b, den)
 
     __radd__ = __add__
 
@@ -447,7 +457,7 @@ class LocFrac:
         den = dict(self.den)
         for n, e in other.den.items():
             den[n] = den.get(n, 0) + e
-        return LocFrac(self.num * other.num, den)
+        return _frac(self.num * other.num, den)
 
     __rmul__ = __mul__
 
@@ -481,7 +491,7 @@ class LocFrac:
             raise NonUnitError(
                 f"non-unit numerator: {self.num}", factor=extracted
             )
-        return LocFrac(self.den_poly() * Poly.const(Fraction(1) / c), extracted)
+        return LocFrac(self.den_poly() * Poly.const(_quotient(1, c)), extracted)
 
     def __truediv__(self, other):
         other = _coerce_frac(other)
@@ -514,13 +524,18 @@ class LocFrac:
     __repr__ = __str__
 
 
+def _frac(num: Poly, den: dict) -> LocFrac:
+    """A LocFrac on positive exponents of registered atoms, normalized."""
+    out = LocFrac.__new__(LocFrac)
+    out.num, out.den = _normalize(num, den)
+    return out
+
+
 def _coerce_frac(x):
     if isinstance(x, LocFrac):
         return x
-    if isinstance(x, Poly):
-        return LocFrac(x)
-    if isinstance(x, (int, Fraction)):
-        return LocFrac(Poly.const(x))
+    if isinstance(x, (Poly, int, Fraction)):
+        return _frac(_coerce(x), {})
     return NotImplemented
 
 
@@ -539,12 +554,10 @@ def _cancel_atom(p: Poly, name: str, most=inf):
         k = min(k, dict(m).get(name, 0))
         if not k:
             return p, 0
-    out = Poly.__new__(Poly)
-    out.terms = {
+    return _poly({
         tuple((n, e - k if n == name else e) for n, e in m if n != name or e != k): c
         for m, c in p.terms.items()
-    }
-    return out, k
+    }), k
 
 
 def _normalize(num: Poly, den: dict):
@@ -562,7 +575,7 @@ def _extract_atoms(p: Poly):
     """Write p as c * prod(atom^e).  Returns (c, exponents) on success and
     (None, irreducible-residual) otherwise."""
     if p.is_zero():
-        return Fraction(0), {}
+        return 0, {}
     exps = {}
     for name in ATOM_ORDER:
         p, k = _cancel_atom(p, name)
@@ -672,7 +685,7 @@ def linear_solve(matrix, rhs):
         for j in range(i + 1, n):
             acc = acc - m[i][j] * y[j]
         y[i] = acc // m[i][i]
-    inv_det = LocFrac(Poly.const(Fraction(1) / c)) * LocFrac(Poly.const(1), exps)
+    inv_det = LocFrac(Poly.const(_quotient(1, c))) * LocFrac(Poly.const(1), exps)
     xs = [LocFrac(yi) * inv_det for yi in y]
     for i in range(n):
         resid = LocFrac(Poly.zero())

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import equations as eqs
-from .algebra import LocFrac, Poly, _coerce_frac, _grlex_key, atom_divide, eliminate, mono_mul
+from .algebra import LocFrac, Poly, _coerce_frac, _grlex_key, _quotient, atom_divide, eliminate, mono_mul
 from .equations import (
     CASE2_FINAL,
     CASE2_H,
@@ -388,7 +388,7 @@ def sos_certificate(p: Poly):
             if pair is None:
                 return None
             i, j = pair
-            c = c / 2
+            c = _quotient(c, 2)
         gram[i][j] = gram[j][i] = c
     scale = lcm(*(x.denominator for row in gram for x in row))
     u = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -207,15 +208,22 @@ RUNNERS = {
 }
 
 
-def _point_count(text: str) -> int:
-    """--points: an integer >= 1, since a sweep over no points checks nothing."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _checked(convert, valid, need: str):
+    """An argparse type: the text converted, and refused unless valid."""
+    def parse(text: str):
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+    return parse
+
+
+#: --points: a sweep over no points checks nothing
+_point_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+#: --tol: an infinite or NaN tolerance passes every residual
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eds", default=None, help="EDS file (default: shipped system)")
     parser.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    parser.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance gate")
+    parser.add_argument("--tol", type=_tolerance, default=1e-12, help="numeric tolerance, finite and > 0")
     parser.add_argument("--points", type=_point_count, default=100,
                         help="numeric sweep size, at least 1")
     return parser

@@ -229,6 +229,8 @@ def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
     of `BLOCK` points; each point draws lam, then sig."""
     if points < 1:
         raise ValueError(f"a sweep needs at least one point, got {points}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"a sweep needs a finite tolerance > 0, got {tol}")
     rng = random.Random(seed)
     worst = {}
     for start in range(0, points, BLOCK):

@@ -7,6 +7,7 @@ import pytest
 from edsverify import algebra
 from edsverify.algebra import (
     ATOMS,
+    AlgebraError,
     LocFrac,
     NonUnitError,
     Poly,
@@ -15,7 +16,7 @@ from edsverify.algebra import (
     linear_solve,
 )
 
-from conftest import random_locfrac, random_poly
+from conftest import VARS, random_locfrac, random_poly
 
 lam = Poly.var("lam")
 sig = Poly.var("sig")
@@ -459,3 +460,111 @@ def test_linear_solve_matches_fraction_reference():
         got = linear_solve(system, values)
         assert got == [LocFrac(Poly.const(x)) for x in solve_reference(matrix, rhs)]
     assert seen == {"singular", "swap", "no-swap"}
+
+
+# -- canonical coefficients: an int when integral, else a Fraction -------------
+
+
+def assert_canonical(*values):
+    """Every stored coefficient of the Polys and LocFracs given is an int or
+    a Fraction with denominator > 1."""
+    for v in values:
+        for c in (v.num if isinstance(v, LocFrac) else v).terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (v, c)
+
+
+def test_coefficients_are_canonical(system):
+    from edsverify.derive import derive_36, identity_forms
+    from edsverify.equations import EQ36, SOL
+
+    half = Fraction(1, 2)
+    p = Poly({(("lam", 1),): Fraction(4, 2), (("sig", 2),): half, (): 3})
+    q = half * lam - Fraction(3, 2) * sig + Poly.const(Fraction(6, 3))
+    assert_canonical(p, q, Poly.const(Fraction(4, 2)), Poly.const(half), lam, Poly.var("sig", 3))
+    assert p.terms[(("lam", 1),)] == 2
+    # Fraction coefficients whose sum or product is whole come back as ints
+    whole = [q + q, p - q, p * q, q * 2, q**2, q**3, -q]
+    assert_canonical(*whole)
+    assert (q + q).terms == {(("lam", 1),): 1, (("sig", 1),): -3, (): 4}
+    assert_canonical((p * q).div_exact(q), (p * q).div_exact(p), (q * 6).normalized()[2])
+    assert_canonical(*q.normalized()[2:], p.rename({"lam": (-1, "sig"), "sig": (1, "lam")}))
+    assert_canonical(p.coefficient_of("lam"), (p * q).coefficient_of("sig", 2))
+    a = LocFrac(q, {"sig": 1})
+    b = LocFrac(p * half, {"lam": 2, "mu+": 1})
+    assert_canonical(a + b, a - b, a * b, -a, a * 2, LocFrac(half * lam).inverse(), a / LocFrac(lam))
+    assert_canonical(atom_divide(a, "mu-", 2), LocFrac(Fraction(4, 2)))
+    matrix = [[LocFrac(half * lam), LocFrac(sig)], [LocFrac(Poly.zero()), LocFrac(Fraction(3, 2))]]
+    assert_canonical(*linear_solve(matrix, [LocFrac(Poly.const(1)), LocFrac(half)]))
+    assert_canonical(*EQ36.values(), *SOL.values())
+    for form in identity_forms(system).values():
+        assert_canonical(*form.terms.values())
+    eqset, _ = derive_36(system)
+    assert_canonical(*(e.provenance["multiplier_value"][0] for e in eqset.equations.values()))
+
+
+def test_constructors_refuse_float_coefficients():
+    for build in (lambda: Poly.const(0.1), lambda: Poly({(("lam", 1),): 0.5}),
+                  lambda: LocFrac(0.5), lambda: lam.evaluate({"lam": 0.5})):
+        with pytest.raises(AlgebraError):
+            build()
+    with pytest.raises(TypeError):
+        lam * 0.1
+
+
+def test_whole_fraction_and_int_build_the_same_poly():
+    for two in (2, Fraction(2), Fraction(6, 3)):
+        p = Poly({(("lam", 1),): two, (): Fraction(1, 2)})
+        r = Poly({(("lam", 1),): 2, (): Fraction(1, 2)})
+        assert p == r and hash(p) == hash(r) and str(p) == str(r) == "2*lam + 1/2"
+        assert LocFrac(p, {"sig": 1}) == LocFrac(r, {"sig": 1})
+        assert hash(LocFrac(p, {"sig": 1})) == hash(LocFrac(r, {"sig": 1}))
+    assert Poly.const(Fraction(2)) == Poly.const(2) and str(Poly.const(Fraction(2))) == "2"
+
+
+def test_poly_matches_sympy_ring():
+    pytest.importorskip("sympy")
+    from functools import reduce
+
+    from sympy.polys.domains import QQ
+    from sympy.polys.monomials import monomial_div, monomial_gcd
+    from sympy.polys.rings import ring
+
+    R, *_ = ring("S1,lam,lam1,lam3,sig,sig2", QQ)
+    names = [str(g) for g in R.symbols]
+    assert sorted(names) == names == sorted(VARS)
+    rng = random.Random(97)  # its own stream: conftest.random_poly's is unchanged
+
+    def draw():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            mono = tuple(sorted((n, rng.randint(1, 2)) for n in rng.sample(VARS, rng.randint(0, 3))))
+            c = rng.randint(-6, 6)
+            terms[mono] = c if rng.random() < 0.5 else Fraction(c, rng.randint(1, 4))
+        return Poly(terms)
+
+    def to_ring(p):
+        return R.from_dict({tuple(dict(m).get(n, 0) for n in names): QQ(c.numerator, c.denominator)
+                            for m, c in p.terms.items()})
+
+    def assert_same(p, f):
+        assert_canonical(p)
+        assert p.terms == {tuple((n, e) for n, e in zip(names, exps) if e): Fraction(c.numerator, c.denominator)
+                           for exps, c in f.terms()}
+
+    for _ in range(300):
+        a, b, c = draw(), draw(), draw()
+        fa, fb, fc = to_ring(a), to_ring(b), to_ring(c)
+        assert_same(a + b, fa + fb)
+        assert_same(a - c, fa - fc)
+        assert_same(a * b * c, fa * fb * fc)
+        assert_same(b**2, fb**2)
+        if b:
+            assert_same((a * b).div_exact(b), (fa * fb).exquo(fb))
+        if a:
+            content, mono, primitive = a.normalized()
+            gcd = reduce(monomial_gcd, fa.monoms())
+            cont, prim = R.from_dict({monomial_div(m, gcd): k for m, k in fa.terms()}).primitive()
+            assert abs(content) == Fraction(cont.numerator, cont.denominator)
+            assert mono == tuple((n, e) for n, e in zip(names, gcd) if e)
+            assert_same(primitive, prim if content > 0 else -prim)
+            assert primitive.leading()[1] > 0

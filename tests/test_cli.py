@@ -50,6 +50,15 @@ def test_points_below_one_is_a_usage_error(capsys):
         assert "--points" in capsys.readouterr().err
 
 
+def test_tolerance_must_be_finite_and_positive(capsys):
+    for tol in ("inf", "nan", "0", "-1"):
+        for suite in ("numeric", "all"):
+            with pytest.raises(SystemExit) as exc:
+                main([suite, "--points", "5", "--tol", tol])
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+
+
 def test_parse_failure_exits_3(tmp_path):
     bad = tmp_path / "bad.eds"
     bad.write_text("frame A B C D\nscalars lambda sigma\noneforms F G L S\nd A = B^\n")

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -309,6 +310,9 @@ def test_sweep_interface():
     assert report["points"] == 30
     with pytest.raises(ValueError):
         N.sweep(points=0)
+    for tol in (math.inf, math.nan, 0, -1):
+        with pytest.raises(ValueError):
+            N.sweep(points=5, tol=tol)
 
 
 def test_sweep_matches_reference_loop():
