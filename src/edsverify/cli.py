@@ -105,26 +105,22 @@ def run_equations36(sys_, args) -> list:
     eqset, report = derive.derive_36(sys_)
     for label in EQ36:
         entry = report[label]
-        _check(checks, f"eq-{label}", label, entry["matched"],
+        # a symmetry-generated equation must also agree with the dG identity
+        ok = entry["matched"] and entry.get("dG_cross_check", True)
+        _check(checks, f"eq-{label}", label, ok,
                f"{entry['source']}; multiplier {entry.get('multiplier', '?')}")
-        # derivation trace: label -> {source identity, multiplier, matched, residual}
-        checks[-1]["trace"] = {
-            "source": entry["source"],
-            "multiplier": entry.get("multiplier"),
-            "matched": entry["matched"],
-            "residual": entry["residual"],
-        }
+        # derivation trace: label -> {source identity, multiplier, matched,
+        # residual, and dG_cross_check for the symmetry-generated six}
+        checks[-1]["trace"] = {"multiplier": None, **entry}
     vm = derive.verify_multipliers(eqset)
     _check(checks, "multipliers", "stated clearing factors",
            all(v["ok"] for v in vm.values()),
            "; ".join(f"{k}:{v['recovered']}" for k, v in sorted(vm.items()) if not v["ok"]))
-    sv = derive.verify_symmetry_variants(sys_, eqset)
+    sv = derive.verify_symmetry_variants()
     _check(checks, "variants", "rpl images", all(v["ok"] for v in sv.values()))
     integ = derive.integrability_criterion(sys_)
     _check(checks, "integrability", "inp", integ["ok"],
            f"span(e1,e2): {integ['span12_coefficients']}")
-    probe = derive.rank_probe(seed=args.seed)
-    _check(checks, "rank-probe", "informational", True, json.dumps(probe["trials"]))
     return checks
 
 
@@ -141,7 +137,7 @@ def run_symmetry(sys_, args) -> list:
     _check(checks, "order", "group order", grp["order"] == 32, str(grp["order"]))
     _check(checks, "conjugation", "cng", grp["cng_conjugation"])
     _check(checks, "composition", "cng", grp["cng_composition"])
-    closure = derive.verify_group_closure(sys_)
+    closure = derive.verify_group_closure()
     _check(checks, "closure", "orbit of the 36", closure["closure_ok"],
            str(closure["failures"]) if closure["failures"] else "")
     invariance = derive.verify_system_invariance(sys_)

@@ -10,16 +10,14 @@ generate the subscripted variants the identities do not cover directly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
-from math import lcm
 
 from . import equations as eqs
-from .algebra import LocFrac, Poly, eliminate, linear_solve
-from .equations import EQ36, INP, INTRO_A, INTRO_B, NEL, NEL_UNKNOWNS, SECOND_ORDER, SOL
+from .algebra import LocFrac, Poly, linear_solve
+from .equations import EQ36, INP, NEL, NEL_UNKNOWNS, SECOND_ORDER, SOL
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, JetContext, standard_context
 from .structure import (
@@ -226,12 +224,6 @@ def verify_inp(assignment) -> list[bool]:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _signed(sign: int, name: str) -> tuple[int, str]:
-    """One shared (sign, name) object per value, made on first use."""
-    return sign, name
-
-
 @dataclass(frozen=True)
 class SymmetryElement:
     """Signed frame permutation with scalar signs: new_i = signs[i-1]*e_perm[i-1],
@@ -243,9 +235,10 @@ class SymmetryElement:
     s_sig: int
 
     def compose(self, earlier: "SymmetryElement") -> "SymmetryElement":
-        """self applied after `earlier` (read: earlier, then self)."""
-        perm = tuple(earlier.perm[self.perm[i] - 1] for i in range(4))
-        signs = tuple(self.signs[i] * earlier.signs[self.perm[i] - 1] for i in range(4))
+        """self applied after `earlier` (read: earlier, then self), so that
+        h.compose(g).apply(x) == h.apply(g.apply(x))."""
+        perm = tuple(self.perm[earlier.perm[i] - 1] for i in range(4))
+        signs = tuple(earlier.signs[i] * self.signs[earlier.perm[i] - 1] for i in range(4))
         return SymmetryElement(perm, signs, self.s_lam * earlier.s_lam, self.s_sig * earlier.s_sig)
 
     def renames(self) -> dict[str, tuple[int, str]]:
@@ -265,15 +258,12 @@ class SymmetryElement:
 
     @cached_property
     def _permutation(self) -> dict[str, tuple[int, str]]:
-        """`renames()`, checked to permute its symbols and built once per
-        element from the strings and (sign, name) pairs that `_signed` shares
-        among all elements: the group closure keeps 32 maps alive, and with
-        fresh strings and pairs (about 7.9 KB a map) they raised the peak
-        traced memory of `all` by 0.27 MiB."""
+        """`renames()`, built once per element and checked to permute its
+        symbols."""
         ren = self.renames()
         if {new for _, new in ren.values()} != ren.keys():
             raise DeriveError("frame replacement does not permute the jet symbols")
-        return {_signed(1, name)[1]: _signed(*image) for name, image in ren.items()}
+        return ren
 
     def apply(self, x):
         """Image of the Poly or LocFrac `x` under the renaming; symbols
@@ -319,18 +309,17 @@ def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]
 
 
 def verify_system_invariance(sys: StructureSystem) -> dict:
-    """Every group element maps the exterior system to itself.
+    """The group maps the exterior system to itself.
 
-    For each of the 32 elements and each rule d X = R, the transformed
-    left-hand side d(Phi X), computed with the original rules, must equal
-    Phi(R) (1-forms mapped by the induced action, coefficients by the
-    element's rename).  The conjugated connection grid must also reproduce
-    the displayed pattern.
+    Checked on the generators, which suffices for the whole group: for each
+    generator and each rule d X = R, the transformed left-hand side d(Phi X),
+    computed with the original rules, must equal Phi(R) (1-forms mapped by
+    the induced action, coefficients by the element's rename).  The
+    conjugated connection grid must also reproduce the displayed pattern.
     """
-    elements, _ = symmetry_group()
     grid = sys.connection()
     failures = []
-    for idx, elem in enumerate(elements):
+    for gen, elem in GENERATORS.items():
         act = form_action(elem, sys)
         pattern = build_connection(act["E"], act["F"], act["G"], act["H"])
         for j in range(1, 5):
@@ -340,9 +329,9 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
                 expect = gamma(grid, p, q)
                 expect = expect if sign > 0 else -expect
                 if not (gamma(pattern, j, k) - expect).is_zero():
-                    failures.append((idx, f"pattern ({j},{k})"))
+                    failures.append((gen, f"pattern ({j},{k})"))
         if not verify_parallel_g_J(pattern)["ok"]:
-            failures.append((idx, "pattern"))
+            failures.append((gen, "pattern"))
         one_form_map = {n: act[n] for n in ("F", "G", "L", "S")}
         coframe_map = {n: act[n] for n in ("A", "B", "C", "D")}
         for name in sys.basis.names:
@@ -353,8 +342,8 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
             )
             rhs = substitute_one_forms(renamed, {**coframe_map, **one_form_map})
             if not (lhs - rhs).is_zero():
-                failures.append((idx, f"rule d{name}"))
-    return {"ok": not failures, "failures": failures[:8], "elements": len(elements)}
+                failures.append((gen, f"rule d{name}"))
+    return {"ok": not failures, "failures": failures[:8], "generators": list(GENERATORS)}
 
 
 IDENTITY_ELEMENT = SymmetryElement((1, 2, 3, 4), (1, 1, 1, 1), 1, 1)
@@ -366,21 +355,24 @@ REP_V = SymmetryElement((3, 4, 2, 1), (1, 1, 1, -1), -1, -1)
 
 RPL_CASES = {1: REP_I, 2: REP_II, 3: REP_III, 4: REP_IV, 5: REP_V}
 
+#: replacements i and iv generate the group; a set of equations or of rules is
+#: invariant under the group exactly when it is invariant under these two
+GENERATORS = {"i": REP_I, "iv": REP_IV}
+
 
 def symmetry_group():
-    """Closure of the two generators; returns (elements, report).
+    """Closure of the generators; returns (elements, report).
 
     The report records the group order, the conjugation identity (replacement
-    ii equals i conjugated by iv), the composition identity (iii equals i
-    followed by ii), and that v equals i followed by iv.
+    ii equals i conjugated by iv), and the composition identities (iii is i,
+    then ii; v is iv, then i).
     """
     seen = {IDENTITY_ELEMENT}
     frontier = [IDENTITY_ELEMENT]
-    gens = (REP_I, REP_IV)
     while frontier:
         nxt = []
         for g in frontier:
-            for h in gens:
+            for h in GENERATORS.values():
                 e = h.compose(g)
                 if e not in seen:
                     seen.add(e)
@@ -391,9 +383,7 @@ def symmetry_group():
     report = {
         "order": len(elements),
         "cng_conjugation": conj == REP_II,
-        "cng_composition": REP_II.compose(REP_I) == REP_III,
-        "v_is_i_then_iv": REP_IV.compose(REP_I) == REP_V,
-        "generators_in_group": all(g in seen for g in RPL_CASES.values()),
+        "cng_composition": REP_II.compose(REP_I) == REP_III and REP_I.compose(REP_IV) == REP_V,
     }
     return elements, report
 
@@ -520,7 +510,7 @@ def verify_multipliers(eqset: EquationSet) -> dict:
     return out
 
 
-def verify_symmetry_variants(sys: StructureSystem, eqset: EquationSet) -> dict:
+def verify_symmetry_variants() -> dict:
     """Each subscripted transcription equals (up to a rational multiple) the
     replacement-case image of its base transcription."""
     out = {}
@@ -536,13 +526,13 @@ def verify_symmetry_variants(sys: StructureSystem, eqset: EquationSet) -> dict:
     return out
 
 
-def verify_group_closure(sys: StructureSystem) -> dict:
-    """All 32 group elements permute the 36 transcriptions up to multiples."""
-    elements, report = symmetry_group()
+def verify_group_closure() -> dict:
+    """The group permutes the 36 transcriptions up to multiples: each
+    generator maps them bijectively onto themselves."""
     primitive = {label: p.normalized()[2] for label, p in EQ36.items()}
     lookup = {q: label for label, q in primitive.items()}
     failures = []
-    for idx, elem in enumerate(elements):
+    for gen, elem in GENERATORS.items():
         mapped = set()
         for label, q in primitive.items():
             # a signed rename keeps a primitive polynomial primitive, so the
@@ -550,14 +540,12 @@ def verify_group_closure(sys: StructureSystem) -> dict:
             image = elem.apply(q)
             target = lookup.get(image) or lookup.get(-image)
             if target is None:
-                failures.append((idx, label))
+                failures.append((gen, label))
             else:
                 mapped.add(target)
         if len(mapped) != 36:
-            failures.append((idx, "not bijective"))
-    report["closure_ok"] = not failures
-    report["failures"] = failures[:8]
-    return report
+            failures.append((gen, "not bijective"))
+    return {"closure_ok": not failures, "failures": failures[:8]}
 
 
 # ---------------------------------------------------------------------------
@@ -661,83 +649,3 @@ def rotation_invariance() -> dict:
         "identity_rotation_fixes_sigma": ident,
         "ok": not failures and headline and ident,
     }
-
-
-# ---------------------------------------------------------------------------
-# informational rank probe (open-question diagnostic, never asserted)
-# ---------------------------------------------------------------------------
-
-
-def _rank(rows):
-    """Rank of a rational matrix: rows scaled to integers, then `eliminate`."""
-    m = []
-    for r in rows:
-        scale = lcm(*(x.denominator for x in r))
-        m.append([x.numerator * (scale // x.denominator) for x in r])
-    return len(eliminate(m))
-
-
-def rank_probe(seed: int = 0, trials: int = 3) -> dict:
-    """Rank of the linear second-order system at random rational points.
-
-    After fixing lam4 = 0, the surviving 22 second-order equations plus the
-    eight directional derivatives of the two first-order constraints are
-    linear in the 32 unknowns S_i, lam_ij (i <= 3), sig_ij.  Sample points
-    satisfy the two constraints exactly.  Purely informational.
-    """
-    ctx = standard_context()
-    rng = random.Random(seed)
-    dropped = {"e1", "e3", "i1", "i3", "c", "c1"}
-    kill = {"lam4": 0}
-    kill.update({f"lam4{j}": 0 for j in DIRECTIONS})
-    base_eqs = [ctx.substitute(EQ36[l], kill).num for l in EQ36
-                if family(l) not in ("j", "k") and l not in dropped]
-    for intro in (INTRO_A, INTRO_B):
-        for j in DIRECTIONS:
-            base_eqs.append(ctx.substitute(ctx.derive(intro, j), kill).num)
-    unknowns = (
-        [f"S{i}" for i in DIRECTIONS]
-        + [f"lam{i}{j}" for i in (1, 2, 3) for j in DIRECTIONS]
-        + [f"sig{i}{j}" for i in DIRECTIONS for j in DIRECTIONS]
-    )
-    results = []
-    for _ in range(trials):
-        while True:
-            point = {
-                name: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                for name in ("lam", "sig", "lam1", "lam2", "lam3", "sig1", "sig2")
-            }
-            point["lam4"] = Fraction(0)
-            # solve the two constraints for sig3, sig4 over Q
-            rows = []
-            consts = []
-            for intro in (INTRO_A, INTRO_B):
-                c3 = intro.coefficient_of("sig3", 1).evaluate(point)
-                c4 = intro.coefficient_of("sig4", 1).evaluate(point)
-                rest = intro.evaluate({**point, "sig3": 0, "sig4": 0})
-                rows.append((c3, c4))
-                consts.append(-rest)
-            det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-            if point["lam"] and point["sig"] and det:
-                break
-        point["sig3"] = (consts[0] * rows[1][1] - consts[1] * rows[0][1]) / det
-        point["sig4"] = (rows[0][0] * consts[1] - rows[1][0] * consts[0]) / det
-        matrix = []
-        aug = []
-        for p in base_eqs:
-            row = []
-            stripped = p
-            for u in unknowns:
-                cu = p.coefficient_of(u, 1)
-                row.append(cu.evaluate(point))
-                stripped = stripped - cu * Poly.var(u)
-            const = stripped.evaluate({**point, **{u: 0 for u in unknowns}})
-            matrix.append(row)
-            aug.append(row + [const])
-        results.append({
-            "rank": _rank(matrix),
-            "augmented_rank": _rank(aug),
-            "rows": len(matrix),
-            "unknowns": len(unknowns),
-        })
-    return {"trials": results, "note": "informational only"}

@@ -405,12 +405,13 @@ def random_integer_matrix(rng, rows, cols):
 
 
 def test_eliminate_matches_fraction_reference():
-    from edsverify.derive import _rank
-
     rng = random.Random(61)
+    # column 1 has no pivot; columns 2 and 4 each need a row swap
+    skipped_and_swapped = [[0, 0, 1, 6], [0, 1, 2, 0], [0, 1, 2, 0], [0, -18, 315, 7]]
+    inputs = [skipped_and_swapped]
+    inputs += [random_integer_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300)]
     seen = set()
-    for _ in range(300):
-        ints = random_integer_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    for ints in inputs:
         want_cols, want_pivots, swapped = gauss_reference(ints)
         m = [list(row) for row in ints]
         cols = algebra.eliminate(m)
@@ -421,9 +422,6 @@ def test_eliminate_matches_fraction_reference():
         for k, (c, g) in enumerate(zip(cols, want_pivots)):
             minor *= g
             assert m[k][c] == minor
-        dens = [rng.randint(1, 6) for _ in ints]
-        rationals = [[Fraction(x, d) for x in row] for row, d in zip(ints, dens)]
-        assert _rank(rationals) == len(want_cols)
         width = len(ints[0])
         seen.add("swap" if swapped else "no-swap")
         seen.add("deficient" if len(cols) < min(len(ints), width) else "full")

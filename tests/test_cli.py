@@ -102,3 +102,34 @@ def test_modified_system_fails_cleanly(tmp_path):
     assert code == 1
     data = json.loads(out.read_text())
     assert data["overall"] == "fail"
+
+
+#: the six single-term mutants of the shipped `d G` rule: each term doubled
+#: or sign-flipped in turn
+G_MUTANTS = (
+    "-2 sigma A^D + sigma B^C + F^L",
+    "sigma A^D + sigma B^C + F^L",
+    "-sigma A^D + 2 sigma B^C + F^L",
+    "-sigma A^D - sigma B^C + F^L",
+    "-sigma A^D + sigma B^C + 2 F^L",
+    "-sigma A^D + sigma B^C - F^L",
+)
+
+
+@pytest.mark.parametrize("rule", G_MUTANTS)
+def test_equations36_fails_on_a_changed_dG_rule(rule, tmp_path):
+    """d G enters the 36 equations only through the cross-check of the six
+    symmetry-generated ones, so that check must decide their status."""
+    from importlib import resources
+
+    shipped = resources.files("edsverify").joinpath("data", "weakly-einstein.eds").read_text()
+    line = "d G = -sigma A^D + sigma B^C + F^L\n"
+    assert line in shipped
+    eds = tmp_path / "mutant.eds"
+    eds.write_text(shipped.replace(line, f"d G = {rule}\n"))
+    out = tmp_path / "r.json"
+    assert main(["equations36", "--eds", str(eds), "--json", str(out)]) == 1
+    failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+    generated = {"eq-c1", "eq-c5", "eq-d1", "eq-d2", "eq-e1", "eq-e2"}
+    assert failed and {c["id"] for c in failed} <= generated
+    assert all(c["trace"]["matched"] and not c["trace"]["dG_cross_check"] for c in failed)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from edsverify.algebra import ATOMS, AlgebraError, LocFrac, Poly
 from edsverify.equations import EQ36, NEL, SOL, VARIANTS, lam, sig, mup, mum
 from edsverify.forms import coeff6
 from edsverify.jets import SubstitutionError
+from edsverify.structure import load_system
 
 from conftest import random_locfrac
 
@@ -93,9 +95,8 @@ def test_dG_cross_checks(derived36):
         assert report[label]["dG_cross_check"]
 
 
-def test_symmetry_variants(system, derived36):
-    eqset, _ = derived36
-    table = D.verify_symmetry_variants(system, eqset)
+def test_symmetry_variants():
+    table = D.verify_symmetry_variants()
     assert all(entry["ok"] for entry in table.values())
     assert table["h4"]["base"] == "h" and table["h4"]["case"] == 4
     assert table["e2"]["base"] == "e" and table["e2"]["case"] == 2
@@ -111,11 +112,25 @@ def test_group_order_and_relations():
     assert report["order"] == 32
     assert report["cng_conjugation"]
     assert report["cng_composition"]
-    assert report["v_is_i_then_iv"]
+    # v is iv, then i; i and iv do not commute
+    assert D.REP_I.compose(D.REP_IV) == D.REP_V
+    assert D.REP_IV.compose(D.REP_I) != D.REP_V
 
 
-def test_group_closure_on_equations(system):
-    report = D.verify_group_closure(system)
+def test_compose_is_earlier_then_self_on_rename_maps():
+    """h.compose(g) renames as g's rename followed by h's, on all 32 x 32
+    pairs."""
+    elements, _ = D.symmetry_group()
+    assert len(elements) == 32
+    for g in elements:
+        for h in elements:
+            first, then = g.renames(), h.renames()
+            composed = {n: (s * then[m][0], then[m][1]) for n, (s, m) in first.items()}
+            assert h.compose(g).renames() == composed, (h, g)
+
+
+def test_group_closure_on_equations():
+    report = D.verify_group_closure()
     assert report["closure_ok"], report["failures"]
 
 
@@ -208,34 +223,42 @@ def test_rename_must_permute_the_jet_symbols():
         collapsed.apply(EQ36["a"])
 
 
-def test_group_closure_catches_a_tampered_equation(system, monkeypatch):
-    """Changing one coefficient of one equation must break the closure."""
-    label = "c"
-    terms = dict(EQ36[label].terms)
+def tampered_eq36():
+    """EQ36 with the first coefficient of equation c doubled."""
+    terms = dict(EQ36["c"].terms)
     mono = next(iter(terms))
     terms[mono] = 2 * terms[mono]
-    tampered = dict(EQ36)
-    tampered[label] = Poly(terms)
-    monkeypatch.setattr(D, "EQ36", tampered)
-    report = D.verify_group_closure(system)
+    return {**EQ36, "c": Poly(terms)}
+
+
+def test_group_closure_catches_a_tampered_equation(monkeypatch):
+    """Changing one coefficient of one equation must break the closure."""
+    monkeypatch.setattr(D, "EQ36", tampered_eq36())
+    report = D.verify_group_closure()
     assert report["closure_ok"] is False
-    assert any(failed == label for _, failed in report["failures"]), report["failures"]
+    assert any(failed == "c" for _, failed in report["failures"]), report["failures"]
 
 
-def test_rank_is_exact_with_skipped_columns_and_swaps():
-    F = Fraction
-    assert D._rank([]) == 0
-    assert D._rank([[F(0), F(0)], [F(0), F(0)]]) == 0
-    # first column has no pivot; the second needs a row swap
-    rows = [
-        [F(0), F(0), F(1, 3), F(2)],
-        [F(0), F(1, 2), F(1), F(0)],
-        [F(0), F(1), F(2), F(0)],
-        [F(0), F(-2, 7), F(5), F(1, 9)],
-    ]
-    assert D._rank(rows) == 3
-    assert D._rank(rows[:2]) == 2
-    assert D._rank([rows[1], rows[2]]) == 1
+def test_generators_decide_like_the_whole_group(system, monkeypatch):
+    """Differential check: both group verifiers give the same verdict on the
+    two generators as on all 32 elements, on the shipped system, two mutant
+    systems and a tampered equation set."""
+    data = Path(__file__).parent / "data"
+    systems = [system] + [load_system(str(data / f"mutant-{m}.eds")) for m in ("F.1.double", "L.1.flip")]
+    elements, _ = D.symmetry_group()
+
+    def verdicts():
+        invariance = [D.verify_system_invariance(s)["ok"] for s in systems]
+        closure = []
+        for catalog in (EQ36, tampered_eq36()):
+            monkeypatch.setattr(D, "EQ36", catalog)
+            closure.append(D.verify_group_closure()["closure_ok"])
+        return invariance, closure
+
+    on_generators = verdicts()
+    assert on_generators == ([True, False, False], [True, False])
+    monkeypatch.setattr(D, "GENERATORS", {str(k): e for k, e in enumerate(elements)})
+    assert verdicts() == on_generators
 
 
 def test_form_action_matches_displayed_table(system):
@@ -262,7 +285,7 @@ def test_form_action_matches_displayed_table(system):
 def test_system_invariance_under_group(system):
     report = D.verify_system_invariance(system)
     assert report["ok"], report["failures"]
-    assert report["elements"] == 32
+    assert report["generators"] == ["i", "iv"]
 
 
 def test_dependence_relations():
@@ -320,13 +343,6 @@ def test_rotation_invariance_catches_a_perturbed_entry(monkeypatch):
     report = D.rotation_invariance()
     assert not report["ok"] and not report["all_components_scale"]
     assert (1, 2, 1, 2) in report["failures"]
-
-
-def test_rank_probe_reports(system):
-    probe = D.rank_probe(seed=1, trials=2)
-    for trial in probe["trials"]:
-        assert trial["rows"] == 32 and trial["unknowns"] == 32
-        assert 0 <= trial["rank"] <= 32
 
 
 def test_every_equation_symbol_is_registered(system):
