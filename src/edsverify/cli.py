@@ -11,8 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+
+# The only LAPACK call is eigvalsh on 4x4 matrices, which a BLAS worker pool
+# does not speed up; without this, importing numpy starts one worker per extra
+# core.  Set before numpy's first import; a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import cases, derive, numeric
 from .equations import EQ36

@@ -12,28 +12,40 @@ simultaneous rotations.
 The pointwise routines take a leading batch axis: `build_curvature` accepts
 scalars or arrays of (lam, sig), every tensor carries the batch shape in
 front of its index axes, and every residual reduces over the index axes only,
-giving one value per point.  The sweep evaluates its points in fixed blocks
-of `BLOCK` = 4, so its heap is bounded by the block, not by the number of
-points: about 60 KiB, some seven curvature tensors of the block counting
-numpy's iteration buffers.
+giving one value per point.  The Weyl tensor acts on the six 2-forms it is
+checked on in one contraction, against the stack `WEYL_FORMS`, and a change
+of frame contracts one index at a time (`transform`).  The sweep evaluates
+its points in fixed blocks of `BLOCK` = 4, so its heap is bounded by the
+block, not by the number of points: about 70 KiB, some eight curvature
+tensors of the block counting numpy's iteration buffers.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .derive import symmetry_group
 from .equations import curvature_table
 
-#: points per block of `sweep`; a constant, so the sweep's heap does not grow
-#: with the number of points.  At 4 the block fits in the heap the CLI already
-#: holds, so its peak RSS stays where the per-point loop had it; with 8-point
-#: blocks it read about 0.1 MiB higher, with 32-point blocks more.
+#: points per block of `sweep`; a constant, so the sweep's heap (about
+#: 70 KiB under tracemalloc) does not grow with the number of points.  At 4
+#: the block fits in the heap the CLI already holds, so its peak RSS stays
+#: where the per-point loop had it; with 8-point blocks it read about 0.1 MiB
+#: higher, with 32-point blocks more.
 BLOCK = 4
+
+
+def _constant(a) -> np.ndarray:
+    """`a` as a read-only float array, safe to share between points."""
+    m = np.array(a, dtype=float)
+    m.flags.writeable = False
+    return m
 
 
 def _coefficient_arrays():
@@ -48,14 +60,20 @@ def _coefficient_arrays():
 #: R = lam * R_LAM + sig * R_SIG, read once from equations.curvature_table
 R_LAM, R_SIG = _coefficient_arrays()
 
+#: the flat metric g_ij in the orthonormal frame
+METRIC = _constant(np.eye(4))
 #: complex structure: J e1 = e2, J e2 = -e1, J e3 = e4, J e4 = -e3
-J_MATRIX = np.array(
+J_MATRIX = _constant(
     [
         [0.0, -1.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, -1.0],
         [0.0, 0.0, 1.0, 0.0],
     ]
+)
+#: the metric part of the Weyl formula, g_ip g_jq - g_jp g_iq
+METRIC_WEDGE = _constant(
+    np.einsum("ip,jq->ijpq", METRIC, METRIC) - np.einsum("jp,iq->ijpq", METRIC, METRIC)
 )
 
 
@@ -65,8 +83,7 @@ def _two_form(*pairs) -> np.ndarray:
     for i, j, v in pairs:
         m[i - 1, j - 1] = v
         m[j - 1, i - 1] = -v
-    m.flags.writeable = False
-    return m
+    return _constant(m)
 
 
 #: Kaehler form omega = g(J ., .)
@@ -77,6 +94,12 @@ ETA = _two_form((1, 3, -1.0), (2, 4, -1.0))
 THETA = _two_form((1, 4, -1.0), (2, 3, 1.0))
 #: a basis of the self-dual 2-forms, which W annihilates
 SELF_DUAL = (OMEGA, _two_form((1, 3, 1.0), (2, 4, -1.0)), _two_form((1, 4, 1.0), (2, 3, 1.0)))
+#: the forms `weyl_on_2forms` applies W to, in one stack: the three
+#: anti-self-dual eigenforms, then the self-dual basis
+WEYL_FORMS = _constant((ZETA, ETA, THETA) + SELF_DUAL)
+#: W of each form in WEYL_FORMS, per unit sigma: 0, 2 ETA, -2 THETA, then
+#: zero on the self-dual forms
+WEYL_IMAGES = _constant([np.zeros((4, 4)), 2.0 * ETA, -2.0 * THETA] + 3 * [np.zeros((4, 4))])
 
 
 #: signs of the Ricci eigenvalues in ascending order: -|lam|, -|lam|, |lam|, |lam|
@@ -96,13 +119,18 @@ class CurvaturePoint:
     lam: float | np.ndarray
     sig: float | np.ndarray
     R: np.ndarray
-    g: np.ndarray = field(default_factory=lambda: np.eye(4))
-    J: np.ndarray = field(default_factory=lambda: J_MATRIX.copy())
+    g: ClassVar[np.ndarray] = METRIC
+    J: ClassVar[np.ndarray] = J_MATRIX
 
     @property
     def rho(self) -> np.ndarray:
         """Ricci form lam * ZETA; the + 0.0 keeps its zero entries at +0.0."""
         return np.asarray(self.lam)[..., None, None] * ZETA + 0.0
+
+    @cached_property
+    def norm2(self) -> np.ndarray:
+        """|R|^2, computed once for the residuals that read it."""
+        return norm_squared(self.R)
 
 
 def build_curvature(lam, sig) -> CurvaturePoint:
@@ -132,18 +160,18 @@ def curvature_symmetry_residual(pt: CurvaturePoint) -> np.ndarray:
 def ricci_weyl_scalar(pt: CurvaturePoint):
     """(ricci, weyl, scalar) with the g^pq R_ipjq convention, n = 4."""
     R = pt.R
-    g = pt.g
     ric = np.einsum("...ipjp->...ij", R)
     s = np.trace(ric, axis1=-2, axis2=-1)
+    # gr[..., i, j, p, q] = g_ip ric_jq; the other three terms of the formula
+    # are views of it with its indices renamed
+    gr = pt.g[:, None, :, None] * ric[..., None, :, None, :]
     W = R - 0.5 * (
-        np.einsum("ip,...jq->...ijpq", g, ric)
-        + np.einsum("jq,...ip->...ijpq", g, ric)
-        - np.einsum("jp,...iq->...ijpq", g, ric)
-        - np.einsum("iq,...jp->...ijpq", g, ric)
+        gr
+        + np.einsum("...jiqp->...ijpq", gr)
+        - np.einsum("...jipq->...ijpq", gr)
+        - np.einsum("...ijqp->...ijpq", gr)
     )
-    W = W + s[..., None, None, None, None] / 6.0 * (
-        np.einsum("ip,jq->ijpq", g, g) - np.einsum("jp,iq->ijpq", g, g)
-    )
+    W = W + s[..., None, None, None, None] / 6.0 * METRIC_WEDGE
     return ric, W, s
 
 
@@ -157,14 +185,13 @@ def norm_squared(R: np.ndarray) -> np.ndarray:
 
 def norm_residual(pt: CurvaturePoint) -> np.ndarray:
     """|R|^2 against its closed form 8 lam^2 + 32 sig^2."""
-    return np.abs(norm_squared(pt.R) - (8 * np.square(pt.lam) + 32 * np.square(pt.sig)))
+    return np.abs(pt.norm2 - (8 * np.square(pt.lam) + 32 * np.square(pt.sig)))
 
 
 def weakly_einstein_residual(pt: CurvaturePoint) -> np.ndarray:
     """max-abs residual of check(R) - (|R|^2/4) g."""
     check = triple_contraction(pt.R)
-    norm2 = norm_squared(pt.R)
-    return _max_abs(check - (norm2 / 4.0)[..., None, None] * pt.g, 2)
+    return _max_abs(check - (pt.norm2 / 4.0)[..., None, None] * pt.g, 2)
 
 
 def weyl_action(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -174,16 +201,33 @@ def weyl_action(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def weyl_on_2forms(pt: CurvaturePoint, W: np.ndarray) -> dict:
     """Eigen-data of the Weyl tensor W of `pt` acting on 2-forms, and the
     self-dual annihilation."""
-    two_sig = 2.0 * np.asarray(pt.sig)[..., None, None]
+    images = 0.5 * np.einsum("...ijkl,fkl->...fij", W, WEYL_FORMS)
+    errors = _max_abs(images - np.asarray(pt.sig)[..., None, None, None] * WEYL_IMAGES, 2)
     return {
-        "eigen_errors": (
-            _max_abs(weyl_action(W, ZETA), 2),
-            _max_abs(weyl_action(W, ETA) - two_sig * ETA, 2),
-            _max_abs(weyl_action(W, THETA) + two_sig * THETA, 2),
-        ),
+        "eigen_errors": (errors[..., 0], errors[..., 1], errors[..., 2]),
         "rho_error": _max_abs(weyl_action(W, pt.rho), 2),
-        "w_plus_norm": np.maximum.reduce([_max_abs(weyl_action(W, f), 2) for f in SELF_DUAL]),
+        "w_plus_norm": errors[..., 3:].max(axis=-1),
     }
+
+
+def transform(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M_ip M_jq M_kr M_ls R_pqrs, one index at a time: each step contracts
+    the leading index of R with M and puts the new index last, so four steps
+    bring the indices back in order."""
+    for _ in range(4):
+        R = np.einsum("ip,pqrs->qrsi", M, R)
+    return R
+
+
+def group_matrices() -> list:
+    """(M, s_lam, s_sig) for each of the 32 group elements: its frame change
+    as a signed permutation matrix, and the signs it puts on lam and sig."""
+    out = []
+    for e in symmetry_group()[0]:
+        M = np.zeros((4, 4))
+        M[range(4), np.subtract(e.perm, 1)] = e.signs
+        out.append((M, e.s_lam, e.s_sig))
+    return out
 
 
 def _table_residual(R: np.ndarray, lam: float, sig: float) -> float:
@@ -192,18 +236,14 @@ def _table_residual(R: np.ndarray, lam: float, sig: float) -> float:
 
 def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0, angles: int = 16) -> dict:
     """All 32 group elements and `angles` random rotations reproduce the
-    component table with the transformed scalars."""
-    elements, _ = symmetry_group()
-    worst_group = 0.0
-    for e in elements:
-        M = np.zeros((4, 4))
-        for i in range(4):
-            M[i, e.perm[i] - 1] = e.signs[i]
-        Rhat = np.einsum("ip,jq,kr,ls,pqrs->ijkl", M, M, M, M, pt.R)
-        resid = _table_residual(Rhat, e.s_lam * pt.lam, e.s_sig * pt.sig)
-        worst_group = max(worst_group, resid)
+    component table with the transformed scalars.  One 4x4 frame change at a
+    time: a batch of all 32 would grow the heap by some 0.3 MiB."""
+    group = [
+        _table_residual(transform(M, pt.R), s_lam * pt.lam, s_sig * pt.sig)
+        for M, s_lam, s_sig in group_matrices()
+    ]
     rng = random.Random(seed)
-    worst_rot = 0.0
+    rotations = []
     for _ in range(angles):
         t = rng.uniform(0.0, 2.0 * math.pi)
         c, s = math.cos(t), math.sin(t)
@@ -215,12 +255,11 @@ def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0, angles: int = 16) ->
                 [0.0, 0.0, -s, c],
             ]
         )
-        Rhat = np.einsum("ip,jq,kr,ls,pqrs->ijkl", M, M, M, M, pt.R)
-        worst_rot = max(worst_rot, _table_residual(Rhat, pt.lam, pt.sig))
-    return {
-        "group_elements": len(elements),
-        "group_residual": worst_group,
-        "rotation_residual": worst_rot,
+        rotations.append(_table_residual(transform(M, pt.R), pt.lam, pt.sig))
+    return {  # np.max keeps a NaN residual, which max() drops
+        "group_elements": len(group),
+        "group_residual": float(np.max(group)),
+        "rotation_residual": float(np.max(rotations)),
     }
 
 
@@ -232,7 +271,7 @@ def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
     if not 0 < tol < math.inf:
         raise ValueError(f"a sweep needs a finite tolerance > 0, got {tol}")
     rng = random.Random(seed)
-    worst = {}
+    worst = 0.0
     for start in range(0, points, BLOCK):
         drawn = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
                  for _ in range(min(BLOCK, points - start))]
@@ -251,8 +290,9 @@ def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
             "w_plus": w["w_plus_norm"],
             "norm2": norm_residual(pt),
         }
-        for name, values in block.items():
-            worst[name] = max(worst.get(name, 0.0), float(values.max()))
+        # one maximum per residual; np.maximum keeps a NaN, which max() drops
+        worst = np.maximum(worst, np.max(list(block.values()), axis=1))
+    worst = dict(zip(block, worst.tolist()))
     return {
         "points": points,
         "seed": seed,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -133,3 +134,31 @@ def test_equations36_fails_on_a_changed_dG_rule(rule, tmp_path):
     generated = {"eq-c1", "eq-c5", "eq-d1", "eq-d2", "eq-e1", "eq-e2"}
     assert failed and {c["id"] for c in failed} <= generated
     assert all(c["trace"]["matched"] and not c["trace"]["dG_cross_check"] for c in failed)
+
+
+TASKS = "/proc/self/task"
+#: run in a fresh interpreter: import the CLI, print the BLAS thread setting
+#: and the number of threads the process holds (-1 without TASKS)
+_THREAD_PROBE = (
+    "import os, edsverify.cli\n"
+    f"tasks = len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else -1\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n"
+)
+
+
+def _probe_threads(**env):
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=base | env,
+                          capture_output=True, text=True, check=True)
+    setting, threads = done.stdout.split()
+    return setting, int(threads)
+
+
+@pytest.mark.skipif(not os.path.isdir(TASKS), reason=f"needs {TASKS}")
+def test_cli_import_starts_no_blas_threads():
+    assert _probe_threads() == ("1", 1)
+
+
+def test_cli_keeps_a_user_blas_thread_setting():
+    setting, _ = _probe_threads(OPENBLAS_NUM_THREADS="2")
+    assert setting == "2"

@@ -339,3 +339,73 @@ def test_sweep_heap_is_bounded_by_the_block():
     # about seven curvature tensors of a 4-point block; an 8-point block goes over
     assert many < 80 * 1024, many
     assert abs(many - few) <= 0.1 * few, (few, many)
+
+
+def five_operand(M, R):
+    """The frame change written as one contraction over all four indices."""
+    return np.einsum("ip,jq,kr,ls,pqrs->ijkl", M, M, M, M, R)
+
+
+def seeded_rotations(seed, angles):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(angles):
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(t), math.sin(t)
+        out.append([[c, s, 0, 0], [-s, c, 0, 0], [0, 0, c, s], [0, 0, -s, c]])
+    return np.array(out)
+
+
+def test_staged_transform_matches_five_operand_einsum():
+    group = [M for M, _, _ in N.group_matrices()]
+    assert len(group) == 32
+    curvature = N.build_curvature(1.25, -0.75).R
+    full = np.random.default_rng(43).uniform(-2.0, 2.0, (4, 4, 4, 4))
+    for M in group:
+        # a signed permutation moves entries exactly, whatever the order
+        assert np.array_equal(N.transform(M, curvature), five_operand(M, curvature))
+        assert np.array_equal(N.transform(M, full), five_operand(M, full))
+    for M in seeded_rotations(3, 16):
+        assert np.max(np.abs(N.transform(M, curvature) - five_operand(M, curvature))) <= 1e-15
+    for seed in range(4):  # the CLI's orbit-group detail reads 0.000e+00
+        report = N.symmetry_orbit_check(N.build_curvature(1.25, -0.75), seed=seed)
+        assert report["group_residual"] == 0.0
+
+
+def test_stacked_weyl_forms_match_one_action_per_form():
+    rng = random.Random(47)
+    pts = stacked([(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(50)])
+    _, W, _ = N.ricci_weyl_scalar(pts)
+    w = N.weyl_on_2forms(pts, W)
+    two_sig = 2.0 * pts.sig[:, None, None]
+
+    def err(x):
+        return np.abs(x).max(axis=(-2, -1))
+
+    want = (
+        err(N.weyl_action(W, N.ZETA)),
+        err(N.weyl_action(W, N.ETA) - two_sig * N.ETA),
+        err(N.weyl_action(W, N.THETA) + two_sig * N.THETA),
+    )
+    for got, expected in zip(w["eigen_errors"], want):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(
+        w["w_plus_norm"], np.maximum.reduce([err(N.weyl_action(W, f)) for f in N.SELF_DUAL])
+    )
+    assert np.array_equal(w["rho_error"], err(N.weyl_action(W, pts.rho)))
+
+
+def test_a_nan_residual_fails(monkeypatch):
+    monkeypatch.setattr(N, "norm_residual", lambda pt: np.full(np.shape(pt.lam), np.nan))
+    report = N.sweep(points=2 * N.BLOCK + 1)
+    assert math.isnan(report["worst"]["norm2"])
+    assert not report["ok"]
+    monkeypatch.setattr(N, "transform", lambda M, R: np.full_like(R, np.nan))
+    report = N.symmetry_orbit_check(N.build_curvature(1.25, -0.75))
+    assert math.isnan(report["group_residual"]) and math.isnan(report["rotation_residual"])
+
+
+def test_curvature_point_shares_read_only_frames():
+    a, b = N.build_curvature(1.0, 2.0), N.build_curvature(-0.5, 0.25)
+    assert a.g is b.g and a.J is b.J
+    assert not a.g.flags.writeable and not a.J.flags.writeable
