@@ -41,16 +41,19 @@ from .structure import StructureSystem
 lam, sig, mup, mum, mus = eqs.lam, eqs.sig, eqs.mup, eqs.mum, eqs.mus
 
 
-@dataclass
-class Step:
-    tag: str
-    description: str
-    ok: bool
-    detail: str = ""
+def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -> bool:
+    """Append one report record {id, label, status, detail}; returns ok."""
+    checks.append(
+        {"id": check_id, "label": label, "status": "pass" if ok else "fail", "detail": detail}
+    )
+    return ok
 
 
 @dataclass
 class PipelineReport:
+    """A pipeline's assumptions, its steps as `check` records, and the final
+    conclusion."""
+
     name: str
     assumptions: list
     steps: list = field(default_factory=list)
@@ -58,13 +61,13 @@ class PipelineReport:
 
     @property
     def ok(self) -> bool:
-        return all(s.ok for s in self.steps)
+        return all(s["status"] == "pass" for s in self.steps)
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "assumptions": list(self.assumptions),
-            "steps": [vars(s) for s in self.steps],
+            "steps": list(self.steps),
             "final": self.final,
             "ok": self.ok,
         }
@@ -90,12 +93,11 @@ class FactStore:
         return self.ctx.substitute(_coerce_frac(expr), self.facts)
 
 
-def _check(report: PipelineReport, tag: str, description: str, value: LocFrac, expected):
-    expected = _coerce_frac(expected)
-    residual = value - expected
+def _expect(report: PipelineReport, tag: str, description: str, value: LocFrac, expected) -> bool:
+    """Record the step `tag`: value equals expected, else its residual."""
+    residual = value - _coerce_frac(expected)
     ok = residual.is_zero()
-    report.steps.append(Step(tag, description, ok, "" if ok else f"residual {residual}"))
-    return ok
+    return check(report.steps, tag, description, ok, "" if ok else f"residual {residual}")
 
 
 def reduce_square(expr: LocFrac, name: str, replacement: LocFrac) -> LocFrac:
@@ -140,8 +142,8 @@ def run_const_lambda(sys: StructureSystem) -> PipelineReport:
     zero = LocFrac(Poly.zero())
     for name in ("F", "G"):
         for i in DIRECTIONS:
-            _check(report, f"{name}{i}=0", f"component {name}{i} under d lam = 0",
-                   store.reduce(SOL[f"{name}{i}"]), zero)
+            _expect(report, f"{name}{i}=0", f"component {name}{i} under d lam = 0",
+                    store.reduce(SOL[f"{name}{i}"]), zero)
     # the dF rule then reads 0 = sig (A^C - D^B)
     comp = {
         "F": DForm(sys.basis, 1),
@@ -155,9 +157,9 @@ def run_const_lambda(sys: StructureSystem) -> PipelineReport:
     residual = rhs - lhs
     coeff_ac = residual.coefficient("A", "C")
     coeff_bd = residual.coefficient("B", "D")
-    _check(report, "dF-rule", "residual 2-form is sig (A^C + B^D)",
-           coeff_ac, LocFrac(sig))
-    _check(report, "dF-rule-bd", "B^D coefficient", coeff_bd, LocFrac(sig))
+    _expect(report, "dF-rule", "residual 2-form is sig (A^C + B^D)",
+            coeff_ac, LocFrac(sig))
+    _expect(report, "dF-rule-bd", "B^D coefficient", coeff_bd, LocFrac(sig))
     report.final = {
         "forced": "sig = 0",
         "contradiction": "sig is a declared nonzero atom",
@@ -188,52 +190,52 @@ def run_case_ii(sys: StructureSystem) -> PipelineReport:
     lam3p = Poly.var("lam3")
 
     # (suc): four successive consequences of the b-family
-    _check(report, "suc-1", "b reduces to -4 sig lam31",
-           store.reduce(EQ36["b"]), -4 * sig * Poly.var("lam31"))
+    _expect(report, "suc-1", "b reduces to -4 sig lam31",
+            store.reduce(EQ36["b"]), -4 * sig * Poly.var("lam31"))
     store.add("lam31", 0)
-    _check(report, "suc-2", "b1 reduces to -4 sig lam32",
-           store.reduce(EQ36["b1"]), -4 * sig * Poly.var("lam32"))
+    _expect(report, "suc-2", "b1 reduces to -4 sig lam32",
+            store.reduce(EQ36["b1"]), -4 * sig * Poly.var("lam32"))
     store.add("lam32", 0)
-    _check(report, "suc-3", "b2 reduces to lam3 (2 sig S1 + sig2)",
-           store.reduce(EQ36["b2"]), LocFrac(lam3p) * LocFrac(SUC[2]))
+    _expect(report, "suc-3", "b2 reduces to lam3 (2 sig S1 + sig2)",
+            store.reduce(EQ36["b2"]), LocFrac(lam3p) * LocFrac(SUC[2]))
     store.add("S1", LocFrac(-Poly.var("sig2") * Fraction(1, 2), {"sig": 1}), with_derivatives=True)
-    _check(report, "suc-4", "b3 reduces to lam3 (2 sig S2 - sig1)",
-           store.reduce(EQ36["b3"]), LocFrac(lam3p) * LocFrac(SUC[3]))
+    _expect(report, "suc-4", "b3 reduces to lam3 (2 sig S2 - sig1)",
+            store.reduce(EQ36["b3"]), LocFrac(lam3p) * LocFrac(SUC[3]))
     store.add("S2", LocFrac(Poly.var("sig1") * Fraction(1, 2), {"sig": 1}), with_derivatives=True)
 
     # (c) and (c1) force sig2 = sig1 = 0 since lam sig lam3 != 0
-    _check(report, "c", "c reduces to 64 lam^2 sig lam3 sig2",
-           store.reduce(EQ36["c"]), 64 * lam**2 * sig * lam3p * Poly.var("sig2"))
+    _expect(report, "c", "c reduces to 64 lam^2 sig lam3 sig2",
+            store.reduce(EQ36["c"]), 64 * lam**2 * sig * lam3p * Poly.var("sig2"))
     store.add("sig2", 0, with_derivatives=True)
-    _check(report, "c1", "c1 reduces to -64 lam^2 sig lam3 sig1",
-           store.reduce(EQ36["c1"]), -64 * lam**2 * sig * lam3p * Poly.var("sig1"))
+    _expect(report, "c1", "c1 reduces to -64 lam^2 sig lam3 sig1",
+            store.reduce(EQ36["c1"]), -64 * lam**2 * sig * lam3p * Poly.var("sig1"))
     store.add("sig1", 0, with_derivatives=True)
-    _check(report, "S1=S2=0", "the trace components vanish with sig1, sig2",
-           store.reduce(Poly.var("S1") ** 2 + Poly.var("S2") ** 2), 0)
+    _expect(report, "S1=S2=0", "the trace components vanish with sig1, sig2",
+            store.reduce(Poly.var("S1") ** 2 + Poly.var("S2") ** 2), 0)
 
     # (j): lam3 S4 = 2 lam^2
-    _check(report, "j", "j reduces to -16 sig^2 (lam3 S4 - 2 lam^2)",
-           store.reduce(EQ36["j"]), LocFrac(-16 * sig**2) * LocFrac(CASE2_J))
+    _expect(report, "j", "j reduces to -16 sig^2 (lam3 S4 - 2 lam^2)",
+            store.reduce(EQ36["j"]), LocFrac(-16 * sig**2) * LocFrac(CASE2_J))
     store.add("S4", LocFrac(2 * lam**2, {"lam3": 1}), with_derivatives=True)
 
     # (h): 3 mu* lam3^2 = 8 lam sig (lam3 sig3 + 4 lam^2 sig)
-    _check(report, "h", "h reduces to 16 sig^2 times the lam3^2 relation",
-           store.reduce(EQ36["h"]), LocFrac(16 * sig**2) * LocFrac(CASE2_H))
+    _expect(report, "h", "h reduces to 16 sig^2 times the lam3^2 relation",
+            store.reduce(EQ36["h"]), LocFrac(16 * sig**2) * LocFrac(CASE2_H))
 
     # combined with (d2): lam3 sig3 = -4 sig mu*
     r2 = store.reduce(EQ36["d2"])
     combo = LocFrac(mum) * store.reduce(CASE2_H) - r2
-    _check(report, "lts-1", "mu- * (h-relation) - d2 is -16 lam^2 sig (lam3 sig3 + 4 sig mu*)",
-           combo, LocFrac(-16 * lam**2 * sig) * LocFrac(LTS_1))
+    _expect(report, "lts-1", "mu- * (h-relation) - d2 is -16 lam^2 sig (lam3 sig3 + 4 sig mu*)",
+            combo, LocFrac(-16 * lam**2 * sig) * LocFrac(LTS_1))
     sig3_fact = LocFrac(-4 * sig * mus, {"lam3": 1})
-    _check(report, "lts-2", "eliminating sig3 turns the h-relation into the lam3^2 value",
-           ctx.substitute(CASE2_H, {"sig3": sig3_fact}), LocFrac(LTS_2))
+    _expect(report, "lts-2", "eliminating sig3 turns the h-relation into the lam3^2 value",
+            ctx.substitute(CASE2_H, {"sig3": sig3_fact}), LocFrac(LTS_2))
 
     # (els): d and d1 divided by 4 sig
-    _check(report, "els-i", "d, divided by 4 sig",
-           atom_divide(store.reduce(EQ36["d"]) * Fraction(1, 4), "sig"), LocFrac(ELS_I))
-    _check(report, "els-ii", "d1, divided by 4 sig",
-           atom_divide(store.reduce(EQ36["d1"]) * Fraction(1, 4), "sig"), LocFrac(ELS_II))
+    _expect(report, "els-i", "d, divided by 4 sig",
+            atom_divide(store.reduce(EQ36["d"]) * Fraction(1, 4), "sig"), LocFrac(ELS_I))
+    _expect(report, "els-ii", "d1, divided by 4 sig",
+            atom_divide(store.reduce(EQ36["d1"]) * Fraction(1, 4), "sig"), LocFrac(ELS_II))
 
     # final combination with coefficients 3 mu* mu+ and -3 mu* mu-
     combo = LocFrac(3 * mus * mup) * LocFrac(ELS_I) - LocFrac(3 * mus * mum) * LocFrac(ELS_II)
@@ -242,8 +244,8 @@ def run_case_ii(sys: StructureSystem) -> PipelineReport:
     combo = reduce_square(combo, "lam3", lts2_value)
     final = atom_divide(atom_divide(combo * Fraction(1, 512), "lam", 2), "sig", 2)
     # the combination of (lhs - rhs) forms is minus the displayed quartic
-    _check(report, "final", "combination, divided by 512 lam^2 sig^2, reads 0 = quartic",
-           final, LocFrac(-CASE2_FINAL))
+    _expect(report, "final", "combination, divided by 512 lam^2 sig^2, reads 0 = quartic",
+            final, LocFrac(-CASE2_FINAL))
 
     cert = sos_certificate(CASE2_FINAL)
     report.final = {
@@ -285,21 +287,21 @@ def run_case_iii(sys: StructureSystem) -> PipelineReport:
             )
 
     # the first-order constraints factor through 8 lam sig sig' = 12 sig^2 - lam^2
-    _check(report, "fsq-i-a", "constraint (a) becomes -lam2 lam3 times the sig' relation",
-           store.reduce(INTRO_A), LocFrac(-Poly.var("lam2") * Poly.var("lam3")) * LocFrac(FSQ_I))
-    _check(report, "fsq-i-b", "constraint (b) becomes -lam1 lam3 times the sig' relation",
-           store.reduce(INTRO_B), LocFrac(-Poly.var("lam1") * Poly.var("lam3")) * LocFrac(FSQ_I))
+    _expect(report, "fsq-i-a", "constraint (a) becomes -lam2 lam3 times the sig' relation",
+            store.reduce(INTRO_A), LocFrac(-Poly.var("lam2") * Poly.var("lam3")) * LocFrac(FSQ_I))
+    _expect(report, "fsq-i-b", "constraint (b) becomes -lam1 lam3 times the sig' relation",
+            store.reduce(INTRO_B), LocFrac(-Poly.var("lam1") * Poly.var("lam3")) * LocFrac(FSQ_I))
     sigp_fact = LocFrac((12 * sig**2 - lam**2) * Fraction(1, 8), {"lam": 1, "sig": 1})
 
     # differentiating the sig' relation yields the sig'' relation
     d3 = ctx.derive(FSQ_I, 3)
     d3 = store.reduce(d3)
     core = 8 * lam * sig * sigpp + 8 * lam * sigp**2 - 16 * sig * sigp + 2 * lam
-    _check(report, "fsq-ii-a", "d_3 of the sig' relation factors through lam3",
-           d3, LocFrac(Poly.var("lam3")) * LocFrac(core))
+    _expect(report, "fsq-ii-a", "d_3 of the sig' relation factors through lam3",
+            d3, LocFrac(Poly.var("lam3")) * LocFrac(core))
     scaled = ctx.substitute(8 * lam * sig**2 * core, {"sigp": sigp_fact})
-    _check(report, "fsq-ii-b", "8 lam sig^2 times the core, with sig' eliminated",
-           scaled, LocFrac(FSQ_II))
+    _expect(report, "fsq-ii-b", "8 lam sig^2 times the core, with sig' eliminated",
+            scaled, LocFrac(FSQ_II))
     sigpp_fact = LocFrac(
         (4 * sig**2 - lam**2) * (12 * sig**2 + lam**2) * Fraction(1, 64), {"lam": 2, "sig": 3}
     )
@@ -322,9 +324,9 @@ def run_case_iii(sys: StructureSystem) -> PipelineReport:
                 - (4 * sig**2 - lam**2) * (12 * sig**2 + lam**2) * li * Poly.var(f"lam{j}")
             )
             ok3 &= r3.is_zero()
-    report.steps.append(Step("rule-1", "8 lam sig sig_i -> (12 sig^2 - lam^2) lam_i", ok1))
-    report.steps.append(Step("rule-2", "8 lam sig sig_i - mu* lam_i -> 8 sig^2 lam_i", ok2))
-    report.steps.append(Step("rule-3", "second-order replacement rule", ok3))
+    check(report.steps, "rule-1", "8 lam sig sig_i -> (12 sig^2 - lam^2) lam_i", ok1)
+    check(report.steps, "rule-2", "8 lam sig sig_i - mu* lam_i -> 8 sig^2 lam_i", ok2)
+    check(report.steps, "rule-3", "second-order replacement rule", ok3)
 
     # the six rewritten equations; the d-family substitutes to 4 x its
     # rewritten form, while in h and h4 the second-order replacement also
@@ -332,17 +334,17 @@ def run_case_iii(sys: StructureSystem) -> PipelineReport:
     sources = ("d", "d1", "d2", "d3", "h", "h4")
     factors = (4, 4, 4, 4, -32 * sig**2, -32 * sig**2)
     for idx, (label, factor) in enumerate(zip(sources, factors)):
-        _check(report, f"rewrite-{label}",
-               f"{label} substitutes to ({factor}) x its rewritten form",
-               store.reduce(EQ36[label]), LocFrac(Poly.const(1) * factor) * LocFrac(CASE3_REWRITTEN[idx]))
+        _expect(report, f"rewrite-{label}",
+                f"{label} substitutes to ({factor}) x its rewritten form",
+                store.reduce(EQ36[label]), LocFrac(Poly.const(1) * factor) * LocFrac(CASE3_REWRITTEN[idx]))
 
     # final combination: sum of the first four minus 4 sig times the last two
     total = Poly.zero()
     for p in CASE3_REWRITTEN[:4]:
         total = total + p
     total = total - 4 * sig * (CASE3_REWRITTEN[4] + CASE3_REWRITTEN[5])
-    _check(report, "final", "the combination is -(8 lam^2 sig (lam1^2+lam2^2+lam3^2))",
-           LocFrac(total), LocFrac(-CASE3_FINAL))
+    _expect(report, "final", "the combination is -(8 lam^2 sig (lam1^2+lam2^2+lam3^2))",
+            LocFrac(total), LocFrac(-CASE3_FINAL))
 
     cert = sos_certificate(
         Poly.var("lam1") ** 2 + Poly.var("lam2") ** 2 + Poly.var("lam3") ** 2

@@ -21,6 +21,7 @@ import time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import cases, derive, numeric
+from .cases import check
 from .equations import EQ36
 from .forms import DForm, ext_d, wedge
 from .structure import (
@@ -33,47 +34,27 @@ from .structure import (
     verify_parallel_g_J,
 )
 
-SUITES = (
-    "structure",
-    "nel",
-    "sol",
-    "equations36",
-    "combos",
-    "symmetry",
-    "case-const-lambda",
-    "case-ii",
-    "case-iii",
-    "numeric",
-    "all",
-)
-
-
-def _check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -> None:
-    checks.append(
-        {"id": check_id, "label": label, "status": "pass" if ok else "fail", "detail": detail}
-    )
-
 
 def run_structure(sys_, args) -> list:
     checks = []
     grid_report = verify_parallel_g_J(sys_.connection())
-    _check(checks, "connection-pattern", "mtx", grid_report["ok"],
-           f"free 1-forms: {grid_report['free_count']}")
+    check(checks, "connection-pattern", "mtx", grid_report["ok"],
+          f"free 1-forms: {grid_report['free_count']}")
     for k, resid in enumerate(torsion_equations(sys_), start=1):
-        _check(checks, f"torsion-{k}", f"de^{k}", resid.is_zero(),
-               "0" if resid.is_zero() else str(resid))
+        check(checks, f"torsion-{k}", f"de^{k}", resid.is_zero(),
+              "0" if resid.is_zero() else str(resid))
     R = curvature_forms(sys_)
     X = expected_curvature(sys_)
     bad = [(k + 1, l + 1) for k in range(4) for l in range(4) if not (R[k][l] - X[k][l]).is_zero()]
-    _check(checks, "curvature-table", "R_k^l", not bad, f"mismatches: {bad}" if bad else "0")
+    check(checks, "curvature-table", "R_k^l", not bad, f"mismatches: {bad}" if bad else "0")
     cov = verify_covariant_derivatives(sys_)
-    _check(checks, "covariant-derivatives", "lmn", cov["ok"], "; ".join(cov["failures"][:4]))
+    check(checks, "covariant-derivatives", "lmn", cov["ok"], "; ".join(cov["failures"][:4]))
     for name in ("A", "B", "C", "D"):
         dd = ext_d(sys_.d_rule(name), sys_)
-        _check(checks, f"d2-{name}", f"d^2 {name}", dd.is_zero())
+        check(checks, f"d2-{name}", f"d^2 {name}", dd.is_zero())
     A, B, C, D = (DForm.one_form(sys_.basis, n) for n in "ABCD")
     omega = wedge(A, B) + wedge(C, D)
-    _check(checks, "kahler-closed", "d omega", ext_d(omega, sys_).is_zero())
+    check(checks, "kahler-closed", "d omega", ext_d(omega, sys_).is_zero())
     return checks
 
 
@@ -82,8 +63,8 @@ def run_nel(sys_, args) -> list:
     _, report = derive.derive_nel(sys_)
     for label in sorted(report):
         entry = report[label]
-        _check(checks, label, label, entry.get("matched", False),
-               entry.get("multiplier", entry.get("residual", "")))
+        check(checks, label, label, entry["matched"],
+              entry["multiplier"] if entry["matched"] else f"residual {entry['residual']}")
     return checks
 
 
@@ -91,78 +72,78 @@ def run_sol(sys_, args) -> list:
     from .equations import SOL
 
     checks = []
-    nel_set, _ = derive.derive_nel(sys_)
+    rows, _ = derive.derive_nel(sys_)
     try:
-        assignment = derive.solve_sol(nel_set)
+        assignment = derive.solve_sol(rows, sys_.ctx)
     except Exception as exc:  # noqa: BLE001 - reported, not raised
-        _check(checks, "solve", "sol", False, str(exc))
+        check(checks, "solve", "sol", False, str(exc))
         return checks
-    _check(checks, "solve", "sol", True, "12x12 solve, residual 0")
+    check(checks, "solve", "sol", True, "12x12 solve, residual 0")
     for name in sorted(SOL):
         ok = (assignment[name] - SOL[name]).is_zero()
-        _check(checks, f"component-{name}", name, ok, str(assignment[name]))
+        check(checks, f"component-{name}", name, ok, str(assignment[name]))
     for idx, ok in enumerate(derive.verify_inp(assignment), start=1):
-        _check(checks, f"inp-{idx}", f"inp-{idx}", ok)
+        check(checks, f"inp-{idx}", f"inp-{idx}", ok)
     return checks
 
 
 def run_equations36(sys_, args) -> list:
     checks = []
-    eqset, report = derive.derive_36(sys_)
+    rows, report = derive.derive_36(sys_)
     for label in EQ36:
         entry = report[label]
         # a symmetry-generated equation must also agree with the dG identity
         ok = entry["matched"] and entry.get("dG_cross_check", True)
-        _check(checks, f"eq-{label}", label, ok,
-               f"{entry['source']}; multiplier {entry.get('multiplier', '?')}")
+        found = (f"multiplier {entry['multiplier']}" if entry["matched"]
+                 else f"residual {entry['residual']}")
+        check(checks, f"eq-{label}", label, ok, f"{entry['source']}; {found}")
         # derivation trace: label -> {source identity, multiplier, matched,
         # residual, and dG_cross_check for the symmetry-generated six}
-        checks[-1]["trace"] = {"multiplier": None, **entry}
-    vm = derive.verify_multipliers(eqset)
-    _check(checks, "multipliers", "stated clearing factors",
-           all(v["ok"] for v in vm.values()),
-           "; ".join(f"{k}:{v['recovered']}" for k, v in sorted(vm.items()) if not v["ok"]))
+        checks[-1]["trace"] = entry
+    vm = derive.verify_multipliers(rows)
+    check(checks, "multipliers", "stated clearing factors",
+          all(v["ok"] for v in vm.values()),
+          "; ".join(f"{k}:{v['recovered']}" for k, v in sorted(vm.items()) if not v["ok"]))
     sv = derive.verify_symmetry_variants()
-    _check(checks, "variants", "rpl images", all(v["ok"] for v in sv.values()))
+    check(checks, "variants", "rpl images", all(v["ok"] for v in sv.values()))
     integ = derive.integrability_criterion(sys_)
-    _check(checks, "integrability", "inp", integ["ok"],
-           f"span(e1,e2): {integ['span12_coefficients']}")
+    check(checks, "integrability", "inp", integ["ok"],
+          f"span(e1,e2): {integ['span12_coefficients']}")
     return checks
 
 
 def run_combos(sys_, args) -> list:
     checks = []
     for name, entry in derive.verify_dependence_relations().items():
-        _check(checks, f"combo-{name}", name, entry["ok"], entry["residual"])
+        check(checks, f"combo-{name}", name, entry["ok"], entry["residual"])
     return checks
 
 
 def run_symmetry(sys_, args) -> list:
     checks = []
     _, grp = derive.symmetry_group()
-    _check(checks, "order", "group order", grp["order"] == 32, str(grp["order"]))
-    _check(checks, "conjugation", "cng", grp["cng_conjugation"])
-    _check(checks, "composition", "cng", grp["cng_composition"])
+    check(checks, "order", "group order", grp["order"] == 32, str(grp["order"]))
+    check(checks, "conjugation", "cng", grp["cng_conjugation"])
+    check(checks, "composition", "cng", grp["cng_composition"])
     closure = derive.verify_group_closure()
-    _check(checks, "closure", "orbit of the 36", closure["closure_ok"],
-           str(closure["failures"]) if closure["failures"] else "")
+    check(checks, "closure", "orbit of the 36", closure["closure_ok"],
+          str(closure["failures"]) if closure["failures"] else "")
     invariance = derive.verify_system_invariance(sys_)
-    _check(checks, "system-invariance", "swp", invariance["ok"],
-           str(invariance["failures"]) if invariance["failures"] else "")
+    check(checks, "system-invariance", "swp", invariance["ok"],
+          str(invariance["failures"]) if invariance["failures"] else "")
     rot = derive.rotation_invariance()
-    _check(checks, "rotation", "rce", rot["ok"],
-           "R(c e1 + s e2, ...) = (c^2+s^2)^2 sigma")
+    check(checks, "rotation", "rce", rot["ok"],
+          "R(c e1 + s e2, ...) = (c^2+s^2)^2 sigma")
     return checks
 
 
 def _pipeline_checks(report) -> list:
     checks = []
-    _check(checks, "assumptions", "declared nonzero/vanishing data", True,
-           "; ".join(report.assumptions))
-    for step in report.steps:
-        _check(checks, step.tag, step.description, step.ok, step.detail)
-    _check(checks, "conclusion", report.final.get("identity", report.final.get("forced", "")),
-           bool(report.final.get("ok")), report.final.get("contradiction", ""))
+    check(checks, "assumptions", "declared nonzero/vanishing data", True,
+          "; ".join(report.assumptions))
+    checks += report.steps
+    check(checks, "conclusion", report.final.get("identity", report.final.get("forced", "")),
+          bool(report.final.get("ok")), report.final.get("contradiction", ""))
     return checks
 
 
@@ -173,8 +154,8 @@ def run_case_const_lambda(sys_, args) -> list:
 def run_case_ii(sys_, args) -> list:
     report = cases.run_case_ii(sys_)
     checks = _pipeline_checks(report)
-    _check(checks, "sos", "positivity certificate",
-           report.final.get("sos_ok", False), report.final.get("sos_certificate") or "")
+    check(checks, "sos", "positivity certificate",
+          report.final.get("sos_ok", False), report.final.get("sos_certificate") or "")
     return checks
 
 
@@ -186,13 +167,13 @@ def run_numeric(sys_, args) -> list:
     checks = []
     sw = numeric.sweep(points=args.points, seed=args.seed, tol=args.tol)
     for name, value in sorted(sw["worst"].items()):
-        _check(checks, f"sweep-{name}", name, value < args.tol, f"{value:.3e}")
+        check(checks, f"sweep-{name}", name, value < args.tol, f"{value:.3e}")
     pt = numeric.build_curvature(1.25, -0.75)
     orbit = numeric.symmetry_orbit_check(pt, seed=args.seed)
-    _check(checks, "orbit-group", "32 elements",
-           orbit["group_residual"] < args.tol, f"{orbit['group_residual']:.3e}")
-    _check(checks, "orbit-rotations", "16 angles",
-           orbit["rotation_residual"] < args.tol, f"{orbit['rotation_residual']:.3e}")
+    check(checks, "orbit-group", "32 elements",
+          orbit["group_residual"] < args.tol, f"{orbit['group_residual']:.3e}")
+    check(checks, "orbit-rotations", "16 angles",
+          orbit["rotation_residual"] < args.tol, f"{orbit['rotation_residual']:.3e}")
     return checks
 
 
@@ -208,6 +189,8 @@ RUNNERS = {
     "case-iii": run_case_iii,
     "numeric": run_numeric,
 }
+
+SUITES = (*RUNNERS, "all")
 
 
 def _checked(convert, valid, need: str):
@@ -254,7 +237,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read {args.eds}: {exc}", file=sys.stderr)
         return 2
-    names = [s for s in SUITES if s != "all"] if args.suite == "all" else [args.suite]
+    names = list(RUNNERS) if args.suite == "all" else [args.suite]
     suites = []
     overall_ok = True
     for name in names:
@@ -263,7 +246,7 @@ def main(argv=None) -> int:
             checks = RUNNERS[name](sys_, args)
         except Exception as exc:  # a non-shipped --eds system may break a suite
             checks = []
-            _check(checks, "suite-error", name, False, f"{type(exc).__name__}: {exc}")
+            check(checks, "suite-error", name, False, f"{type(exc).__name__}: {exc}")
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         ok = all(c["status"] == "pass" for c in checks)
         overall_ok = overall_ok and ok

@@ -17,7 +17,7 @@ from itertools import product
 
 from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
-from .equations import EQ36, INP, NEL, NEL_UNKNOWNS, SECOND_ORDER, SOL
+from .equations import EQ36, INP, NEL, NEL_UNKNOWNS, SOL
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, JetContext, standard_context
 from .structure import (
@@ -47,19 +47,6 @@ SYMMETRY_GENERATED = ("c1", "c5", "d1", "d2", "e1", "e2")
 
 class DeriveError(Exception):
     pass
-
-
-@dataclass
-class EquationSet:
-    equations: dict[str, Equation]
-    ring: JetContext
-    second_order_symbols: tuple = SECOND_ORDER
-
-    def __getitem__(self, label: str) -> Equation:
-        return self.equations[label]
-
-    def labels(self):
-        return tuple(self.equations)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +82,38 @@ def multiplier_text(mult) -> str:
     if not den_mono:
         return str(factor)
     return f"({factor})/({Poly({den_mono: 1})})"
+
+
+def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source: dict[str, str]):
+    """Match each transcription against its derived coefficient `raw[label]`.
+
+    Returns (rows, report).  rows maps the label of each matched transcription
+    to its Equation, with the source identity and the recovered multiplier as
+    provenance; an unmatched one is left out.  report has one entry per
+    label, in the order of `transcriptions`: source, matched, multiplier
+    (None when unmatched) and residual, the difference of the two primitive
+    parts ("0" on a match).
+    """
+    rows, report = {}, {}
+    for label, transcribed in transcriptions.items():
+        r = raw[label]
+        mult = match_transcription(transcribed, r)
+        matched = mult is not None
+        residual = 0 if matched else transcribed.normalized()[2] - r.num.normalized()[2]
+        report[label] = entry = {
+            "source": source[label],
+            "matched": matched,
+            "multiplier": multiplier_text(mult) if matched else None,
+            "residual": str(residual),
+        }
+        if matched:
+            rows[label] = Equation(label, transcribed, provenance={
+                "source": entry["source"],
+                "multiplier": entry["multiplier"],
+                "multiplier_value": mult,
+                "raw_denominator": dict(r.den),
+            })
+    return rows, report
 
 
 # ---------------------------------------------------------------------------
@@ -137,57 +156,42 @@ def identity_forms(sys: StructureSystem, which=("d2lam", "d2sig", "dF", "dL", "d
 def derive_nel(sys: StructureSystem):
     """Twelve first-order rows from d applied to the dF, d(S-L), d(S+L) rules.
 
-    Free components this time: the rows constrain F_i, G_i, L_i.  Returns an
-    EquationSet labeled nel-i .. nel-xii plus the match report.
+    Free components this time: the rows constrain F_i, G_i, L_i.  Returns
+    `match_rows` over the labels nel-i .. nel-xii: the matched rows, and a
+    report in which an unmatched row carries its residual.
     """
     comp = sys.free_components()
-    half_sum = sys.d_rule("S") + sys.d_rule("L")
-    half_diff = sys.d_rule("S") - sys.d_rule("L")
     three_forms = {
-        "d(dF)": ext_d(sys.d_rule("F"), sys),
-        "d(dS-dL)": ext_d(half_diff, sys),
-        "d(dS+dL)": ext_d(half_sum, sys),
-    }
-    row_order = {
-        "d(dF)": ("i", "ii", "iii", "iv"),
-        "d(dS-dL)": ("v", "vi", "vii", "viii"),
-        "d(dS+dL)": ("ix", "x", "xi", "xii"),
+        "d(dF)": (sys.d_rule("F"), ("i", "ii", "iii", "iv")),
+        "d(dS-dL)": (sys.d_rule("S") - sys.d_rule("L"), ("v", "vi", "vii", "viii")),
+        "d(dS+dL)": (sys.d_rule("S") + sys.d_rule("L"), ("ix", "x", "xi", "xii")),
     }
     slots = (("A", "B", "C"), ("A", "B", "D"), ("A", "C", "D"), ("B", "C", "D"))
-    out = {}
-    report = {}
-    for src, form in three_forms.items():
-        expanded = substitute_one_forms(form, comp)
-        for names, row in zip(slots, row_order[src]):
-            raw = expanded.coefficient(*names)
+    transcriptions, raw, source = {}, {}, {}
+    for src, (two_form, row_names) in three_forms.items():
+        expanded = substitute_one_forms(ext_d(two_form, sys), comp)
+        for names, row in zip(slots, row_names):
             label = f"nel-{row}"
-            mult = match_transcription(NEL[row], raw)
-            if mult is None:
-                residual = (NEL[row].normalized()[2] - raw.num.normalized()[2])
-                report[label] = {"matched": False, "residual": str(residual)}
-                continue
-            out[label] = Equation(
-                label,
-                NEL[row],
-                provenance={
-                    "source": f"{src} @ {'^'.join(names)}",
-                    "multiplier": multiplier_text(mult),
-                },
-            )
-            report[label] = {"matched": True, "multiplier": multiplier_text(mult)}
-    if len(out) != 12:
-        missing = [f"nel-{r}" for rows in row_order.values() for r in rows if f"nel-{r}" not in out]
-        raise DeriveError(f"unmatched first-order rows: {missing}; report={report}")
-    return EquationSet(out, sys.ctx, tuple(NEL_UNKNOWNS)), report
+            transcriptions[label] = NEL[row]
+            raw[label] = expanded.coefficient(*names)
+            source[label] = f"{src} @ {'^'.join(names)}"
+    return match_rows(transcriptions, raw, source)
 
 
-def solve_sol(nel_set: EquationSet):
-    """Solve the twelve rows for L_i, F_i, G_i over the localized ring."""
+def solve_sol(rows: dict[str, Equation], ctx: JetContext):
+    """Solve the twelve nel rows for L_i, F_i, G_i over the localized ring.
+
+    A row set that lacks any of the twelve is refused with DeriveError
+    naming the missing labels.
+    """
+    missing = [f"nel-{row}" for row in NEL if f"nel-{row}" not in rows]
+    if missing:
+        raise DeriveError(f"unmatched first-order rows: {', '.join(missing)}")
     unknowns = NEL_UNKNOWNS
     matrix = []
     rhs = []
-    for label in sorted(nel_set.equations):
-        p = nel_set.equations[label].poly
+    for label in sorted(rows):
+        p = rows[label].poly
         row = []
         const = p
         for u in unknowns:
@@ -203,8 +207,8 @@ def solve_sol(nel_set: EquationSet):
     solution = linear_solve(matrix, rhs)
     assignment = dict(zip(unknowns, solution))
     # back-substitution leaves every row identically zero
-    for label, eq in nel_set.equations.items():
-        if not nel_set.ring.substitute(eq.poly, assignment).is_zero():
+    for label, eq in rows.items():
+        if not ctx.substitute(eq.poly, assignment).is_zero():
             raise DeriveError(f"back-substitution residual in {label}")
     return assignment
 
@@ -396,12 +400,12 @@ def symmetry_group():
 def derive_36(sys: StructureSystem):
     """Engine-derived equation set matched against all 36 transcriptions.
 
-    Returns (EquationSet, report) where report[label] records the source
-    identity, the recovered multiplier, and the match status.  The six
-    symmetry-generated equations are additionally cross-checked against the
-    dG-rule identity.
+    Returns `match_rows` over EQ36: the matched rows, and a report whose
+    entry for each label records the source identity, the recovered
+    multiplier, the match status and, for an unmatched row, its residual.
+    The six symmetry-generated equations are additionally cross-checked
+    against the dG-rule identity (`dG_cross_check` in their entries).
     """
-    ctx = sys.ctx
     forms = identity_forms(sys)
     raw: dict[str, LocFrac] = {}
     source: dict[str, str] = {}
@@ -415,48 +419,13 @@ def derive_36(sys: StructureSystem):
         base, case = eqs.VARIANTS[label]
         raw[label] = RPL_CASES[case].apply(raw[base])
         source[label] = f"{source[base]} via replacement {case}"
+    rows, report = match_rows(EQ36, raw, source)
     # cross-check those six against the dG identity
     g_coeffs = dict(zip(IDENTITY_SLOTS["dG"], coeff6(forms["dG"])))
-    cross_check = {}
     for label in SYMMETRY_GENERATED:
-        cross_check[label] = match_transcription(raw[label].num, g_coeffs[label]) is not None
-    equations = {}
-    report = {}
-    for label, transcribed in EQ36.items():
-        r = raw[label]
-        mult = match_transcription(transcribed, r)
-        if mult is None:
-            residual = transcribed.normalized()[2] - r.num.normalized()[2]
-            report[label] = {
-                "source": source[label],
-                "matched": False,
-                "residual": str(residual),
-            }
-            continue
-        equations[label] = Equation(
-            label,
-            transcribed,
-            provenance={
-                "source": source[label],
-                "multiplier": multiplier_text(mult),
-                "multiplier_value": mult,
-                "raw_denominator": dict(r.den),
-            },
-        )
-        report[label] = {
-            "source": source[label],
-            "matched": True,
-            "multiplier": multiplier_text(mult),
-            "residual": "0",
-        }
-    for label, ok in cross_check.items():
-        report[label]["dG_cross_check"] = bool(ok)
-    if len(equations) != 36:
-        raise DeriveError(
-            "unmatched transcriptions: "
-            + ", ".join(l for l in EQ36 if l not in equations)
-        )
-    return EquationSet(equations, ctx), report
+        cross = match_transcription(raw[label].num, g_coeffs[label])
+        report[label]["dG_cross_check"] = cross is not None
+    return rows, report
 
 
 def expected_multipliers():
@@ -483,7 +452,7 @@ def family(label: str) -> str:
     return label[0]
 
 
-def verify_multipliers(eqset: EquationSet) -> dict:
+def verify_multipliers(rows: dict[str, Equation]) -> dict:
     """Assert the stated clearing factors against the recovered ones.
 
     For the bracket families the stated factor 16 lam sig^2 must also clear
@@ -491,7 +460,7 @@ def verify_multipliers(eqset: EquationSet) -> dict:
     """
     expect = expected_multipliers()
     out = {}
-    for label, eq in eqset.equations.items():
+    for label, eq in rows.items():
         factor, den_mono = eq.provenance["multiplier_value"]
         target = expect[family(label)]
         ok = not den_mono and (factor == target or factor == -target)

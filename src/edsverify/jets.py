@@ -37,7 +37,11 @@ class SubstitutionError(JetError):
 
 
 class JetContext:
-    """Registered function symbols, their derivative links and nonzero atoms."""
+    """Registered function symbols and their derivative links.
+
+    The nonzero atoms a denominator may hold are not kept here: they are the
+    module-global `algebra.ATOMS`, shared by every context.
+    """
 
     def __init__(self):
         self.symbols: set[str] = set()

@@ -496,8 +496,8 @@ def test_coefficients_are_canonical(system):
     assert_canonical(*EQ36.values(), *SOL.values())
     for form in identity_forms(system).values():
         assert_canonical(*form.terms.values())
-    eqset, _ = derive_36(system)
-    assert_canonical(*(e.provenance["multiplier_value"][0] for e in eqset.equations.values()))
+    rows, _ = derive_36(system)
+    assert_canonical(*(e.provenance["multiplier_value"][0] for e in rows.values()))
 
 
 def test_constructors_refuse_float_coefficients():

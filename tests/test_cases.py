@@ -37,15 +37,15 @@ def case_iii(system):
 
 def test_const_lambda_pipeline(const_lambda):
     assert const_lambda.ok
-    tags = [s.tag for s in const_lambda.steps]
+    tags = [s["id"] for s in const_lambda.steps]
     for name in ("F1=0", "F2=0", "G3=0", "G4=0"):
         assert name in tags
     assert const_lambda.final["forced"] == "sig = 0"
 
 
 def test_case_ii_pipeline(case_ii):
-    assert case_ii.ok, [s for s in case_ii.steps if not s.ok]
-    tags = [s.tag for s in case_ii.steps]
+    assert case_ii.ok, [s for s in case_ii.steps if s["status"] != "pass"]
+    tags = [s["id"] for s in case_ii.steps]
     assert tags[:4] == ["suc-1", "suc-2", "suc-3", "suc-4"]
     assert "lts-1" in tags and "els-i" in tags and "final" in tags
 
@@ -66,8 +66,8 @@ def test_case_ii_quartic_certificate(case_ii):
 
 
 def test_case_iii_pipeline(case_iii):
-    assert case_iii.ok, [s for s in case_iii.steps if not s.ok]
-    tags = [s.tag for s in case_iii.steps]
+    assert case_iii.ok, [s for s in case_iii.steps if s["status"] != "pass"]
+    tags = [s["id"] for s in case_iii.steps]
     for name in ("fsq-i-a", "fsq-ii-b", "rule-1", "rule-3", "rewrite-h4", "final"):
         assert name in tags
 
@@ -158,9 +158,10 @@ def test_reports_serialize(const_lambda, case_ii, case_iii):
 
 def test_failed_step_reports_residual():
     report = C.PipelineReport("demo", assumptions=[])
-    ok = C._check(report, "mismatch", "deliberately wrong expectation",
-                  C._coerce_frac(Poly.var("lam")), 0)
+    ok = C._expect(report, "mismatch", "deliberately wrong expectation",
+                   C._coerce_frac(Poly.var("lam")), 0)
     assert not ok
     assert not report.ok
-    assert "residual" in report.steps[0].detail
-    assert "lam" in report.steps[0].detail
+    assert report.steps[0]["status"] == "fail"
+    assert "residual" in report.steps[0]["detail"]
+    assert "lam" in report.steps[0]["detail"]

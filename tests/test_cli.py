@@ -136,6 +136,59 @@ def test_equations36_fails_on_a_changed_dG_rule(rule, tmp_path):
     assert all(c["trace"]["matched"] and not c["trace"]["dG_cross_check"] for c in failed)
 
 
+#: the single-term mutants of the shipped `d F`, `d L` and `d S` rules: each
+#: term doubled or sign-flipped in turn
+FLS_MUTANTS = (
+    ("F", "2 sigma A^C + sigma B^D - G^L"),
+    ("F", "-sigma A^C + sigma B^D - G^L"),
+    ("F", "sigma A^C + 2 sigma B^D - G^L"),
+    ("F", "sigma A^C - sigma B^D - G^L"),
+    ("F", "sigma A^C + sigma B^D - 2 G^L"),
+    ("F", "sigma A^C + sigma B^D + G^L"),
+    ("L", "-2 lambda A^B - lambda C^D - 4 F^G"),
+    ("L", "lambda A^B - lambda C^D - 4 F^G"),
+    ("L", "-lambda A^B - 2 lambda C^D - 4 F^G"),
+    ("L", "-lambda A^B + lambda C^D - 4 F^G"),
+    ("L", "-lambda A^B - lambda C^D - 8 F^G"),
+    ("L", "-lambda A^B - lambda C^D + 4 F^G"),
+    ("S", "-2 lambda A^B + lambda C^D"),
+    ("S", "lambda A^B + lambda C^D"),
+    ("S", "-lambda A^B + 2 lambda C^D"),
+    ("S", "-lambda A^B - lambda C^D"),
+)
+
+
+@pytest.mark.parametrize("name,rule", FLS_MUTANTS)
+def test_unmatched_rows_are_failed_checks_with_residuals(name, rule, tmp_path):
+    """A changed d F, d L or d S rule leaves derived rows unmatched.  Each
+    one is its own failed check carrying its residual, no suite collapses
+    into a suite-error, and sol refuses to solve, naming exactly the nel rows
+    that failed."""
+    import re
+    from importlib import resources
+
+    shipped = resources.files("edsverify").joinpath("data", "weakly-einstein.eds").read_text()
+    line = next(l for l in shipped.splitlines(keepends=True) if l.startswith(f"d {name} = "))
+    eds = tmp_path / "mutant.eds"
+    eds.write_text(shipped.replace(line, f"d {name} = {rule}\n"))
+    checks = {}
+    for suite in ("nel", "sol", "equations36"):
+        out = tmp_path / f"{suite}.json"
+        assert main([suite, "--eds", str(eds), "--json", str(out)]) == 1
+        checks[suite] = json.loads(out.read_text())["checks"]
+        assert all(c["id"] != "suite-error" for c in checks[suite]), suite
+    failed = [c for c in checks["nel"] + checks["equations36"]
+              if c["status"] == "fail" and c["id"].startswith(("nel-", "eq-"))]
+    failed_nel = {c["id"] for c in failed if c["id"].startswith("nel-")}
+    assert failed_nel and len(failed) > len(failed_nel)
+    for c in failed:
+        residual = re.search(r"residual (.+)$", c["detail"])
+        assert residual and residual.group(1) != "0", c
+    solve = checks["sol"][0]
+    assert solve["id"] == "solve" and solve["status"] == "fail"
+    assert set(re.findall(r"nel-[ivx]+", solve["detail"])) == failed_nel
+
+
 TASKS = "/proc/self/task"
 #: run in a fresh interpreter: import the CLI, print the BLAS thread setting
 #: and the number of threads the process holds (-1 without TASKS)

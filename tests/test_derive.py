@@ -21,8 +21,8 @@ def nel(system):
 
 @pytest.fixture(scope="module")
 def solution(system, nel):
-    nel_set, _ = nel
-    return D.solve_sol(nel_set)
+    rows, _ = nel
+    return D.solve_sol(rows, system.ctx)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +31,8 @@ def derived36(system):
 
 
 def test_nel_row_count(nel):
-    nel_set, report = nel
-    assert len(nel_set.equations) == 12
+    rows, report = nel
+    assert len(rows) == 12
     assert all(entry["matched"] for entry in report.values())
 
 
@@ -58,14 +58,14 @@ def test_inp_identities(solution):
 
 
 def test_back_substitution_zero(system, nel, solution):
-    nel_set, _ = nel
-    for eq in nel_set.equations.values():
+    rows, _ = nel
+    for eq in rows.values():
         assert system.ctx.substitute(eq.poly, solution).is_zero()
 
 
 def test_all_36_matched(derived36):
-    eqset, report = derived36
-    assert len(eqset.equations) == 36
+    rows, report = derived36
+    assert len(rows) == 36
     assert all(entry["matched"] for entry in report.values())
     assert all(entry["residual"] == "0" for entry in report.values())
 
@@ -81,8 +81,8 @@ def test_equation_sources(derived36):
 
 
 def test_multipliers_recovered(derived36):
-    eqset, _ = derived36
-    table = D.verify_multipliers(eqset)
+    rows, _ = derived36
+    table = D.verify_multipliers(rows)
     assert all(entry["ok"] for entry in table.values())
     assert table["c"]["recovered"] == "256*lam^2*sig^3"
     assert table["j"]["recovered"] == "32*lam*sig^2"
@@ -188,7 +188,7 @@ def test_generated_coefficients_are_reference_images(system, derived36):
     """Each symmetry-generated coefficient of derive_36, read back from its
     transcription and multiplier, is the substitution image of its base
     coefficient, sign included."""
-    eqset, _ = derived36
+    rows, _ = derived36
     forms = D.identity_forms(system)
     raw = {}
     for ident, labels in D.IDENTITY_SLOTS.items():
@@ -197,8 +197,8 @@ def test_generated_coefficients_are_reference_images(system, derived36):
     for label in D.SYMMETRY_GENERATED:
         base, case = VARIANTS[label]
         want = system.ctx.substitute(raw[base], jet_substitution(D.RPL_CASES[case]))
-        factor, den_mono = eqset[label].provenance["multiplier_value"]
-        got = LocFrac(eqset[label].poly * Poly({den_mono: 1})) / LocFrac(factor)
+        factor, den_mono = rows[label].provenance["multiplier_value"]
+        got = LocFrac(rows[label].poly * Poly({den_mono: 1})) / LocFrac(factor)
         assert got == want, label
 
 
@@ -364,14 +364,17 @@ def test_equations_affine_linear_in_second_order_jets():
             assert weight <= 1, (label, mono)
 
 
-def test_equation_set_labels_unique(derived36):
-    eqset, _ = derived36
-    assert len(set(eqset.labels())) == 36
-    assert eqset.second_order_symbols and len(eqset.second_order_symbols) == 48
+def test_derived_rows_follow_the_transcriptions(derived36):
+    from edsverify.equations import SECOND_ORDER
+
+    rows, report = derived36
+    assert list(rows) == list(report) == list(EQ36)
+    assert len(SECOND_ORDER) == 48
 
 
 def test_tampered_system_is_caught(system):
-    """Mutation check: flipping one sign in the dF rule must break matching."""
+    """Mutation check: flipping one sign in the dF rule must break matching,
+    and each broken row is reported with its residual, not raised."""
     from edsverify.forms import DForm, wedge
     from edsverify.structure import StructureSystem
 
@@ -380,5 +383,12 @@ def test_tampered_system_is_caught(system):
     rules = dict(system.d_rules)
     rules["F"] = rules["F"] - wedge(A, C).scale(2 * sig)  # sigma A^C -> -sigma A^C
     broken = StructureSystem(system.basis, system.ctx, rules, system.nonzero)
-    with pytest.raises(D.DeriveError):
-        D.derive_nel(broken)
+    rows, report = D.derive_nel(broken)
+    unmatched = [label for label, entry in report.items() if not entry["matched"]]
+    assert len(report) == 12 and unmatched
+    for label in unmatched:
+        assert report[label]["multiplier"] is None
+        assert report[label]["residual"] != "0"
+    assert list(rows) == [label for label in report if label not in unmatched]
+    with pytest.raises(D.DeriveError, match=f"rows: {', '.join(unmatched)}$"):
+        D.solve_sol(rows, broken.ctx)
