@@ -6,6 +6,10 @@ off coefficients on the six basis 2-forms, and matches every transcribed
 display as an exact rational-monomial multiple of the derived identity.  The
 frame-replacement symmetries act on jet symbols by signed permutation and
 generate the subscripted variants the identities do not cover directly.
+
+The transcriptions (`equations`) are read inside the routines that compare
+against them, so importing this module, as `numeric` does for the symmetry
+group, does not build them.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
-from .equations import EQ36, INP, NEL, NEL_UNKNOWNS, SOL
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, JetContext, standard_context
 from .structure import (
@@ -123,6 +125,8 @@ def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source:
 
 def sol_component_map(sys: StructureSystem) -> dict[str, DForm]:
     """F, G, L expanded with the closed-form components; S stays free."""
+    from .equations import SOL
+
     out = sys.free_components()
     for name in ("F", "G", "L"):
         out[name] = DForm(
@@ -160,6 +164,8 @@ def derive_nel(sys: StructureSystem):
     `match_rows` over the labels nel-i .. nel-xii: the matched rows, and a
     report in which an unmatched row carries its residual.
     """
+    from .equations import NEL
+
     comp = sys.free_components()
     three_forms = {
         "d(dF)": (sys.d_rule("F"), ("i", "ii", "iii", "iv")),
@@ -184,10 +190,11 @@ def solve_sol(rows: dict[str, Equation], ctx: JetContext):
     A row set that lacks any of the twelve is refused with DeriveError
     naming the missing labels.
     """
+    from .equations import NEL, NEL_UNKNOWNS as unknowns
+
     missing = [f"nel-{row}" for row in NEL if f"nel-{row}" not in rows]
     if missing:
         raise DeriveError(f"unmatched first-order rows: {', '.join(missing)}")
-    unknowns = NEL_UNKNOWNS
     matrix = []
     rhs = []
     for label in sorted(rows):
@@ -215,10 +222,12 @@ def solve_sol(rows: dict[str, Equation], ctx: JetContext):
 
 def verify_inp(assignment) -> list[bool]:
     """8 lam sig (G1+F2) = -4 sig lam4 and 8 lam sig (G2-F1) = 4 sig lam3."""
+    from .equations import INP, lam, sig
+
     ctx_free = standard_context()
     results = []
     for expr, rhs in INP:
-        lhs = ctx_free.substitute(8 * eqs.lam * eqs.sig * expr, assignment)
+        lhs = ctx_free.substitute(8 * lam * sig * expr, assignment)
         results.append((lhs - LocFrac(rhs)).is_zero())
     return results
 
@@ -406,6 +415,8 @@ def derive_36(sys: StructureSystem):
     The six symmetry-generated equations are additionally cross-checked
     against the dG-rule identity (`dG_cross_check` in their entries).
     """
+    from .equations import EQ36, VARIANTS
+
     forms = identity_forms(sys)
     raw: dict[str, LocFrac] = {}
     source: dict[str, str] = {}
@@ -416,7 +427,7 @@ def derive_36(sys: StructureSystem):
             source[label] = f"{ident} @ {slot}"
     # symmetry-generated equations from the derived base coefficients
     for label in SYMMETRY_GENERATED:
-        base, case = eqs.VARIANTS[label]
+        base, case = VARIANTS[label]
         raw[label] = RPL_CASES[case].apply(raw[base])
         source[label] = f"{source[base]} via replacement {case}"
     rows, report = match_rows(EQ36, raw, source)
@@ -428,24 +439,39 @@ def derive_36(sys: StructureSystem):
     return rows, report
 
 
+#: labels whose display is the negative of the clearing factor times the raw
+#: coefficient: the sign convention of each display (LHS - RHS) against the
+#: derived identity
+NEGATIVE_MULTIPLIERS = frozenset(
+    ("a", "a4", "b", "b1", "b2", "b3", "c1", "e1", "f", "g", "h", "i", "i1", "i2")
+)
+
+
 def expected_multipliers():
-    """Magnitude of the factor linking each raw identity coefficient to its
+    """The signed factor linking each label's raw identity coefficient to its
     display.
 
     The bracket-derived families carry 2 * 16 lam sig^2 (the doubled bracket
     times the stated clearing factor); the a/b displays are further reduced by
     the content 8 lam sig, leaving 4 sig.  The remaining families are the
     stated clearing factors verbatim: 256 lam^2 sig^3 for the dF rows,
-    512 lam^2 sig^4 for the dL rows, 32 lam sig^2 for the dS rows.
+    512 lam^2 sig^4 for the dL rows, 32 lam sig^2 for the dS rows.  The
+    labels in NEGATIVE_MULTIPLIERS carry the factor's negative.
     """
-    lam, sig = eqs.lam, eqs.sig
-    return {
+    from .equations import EQ36, lam, sig
+
+    magnitude = {
         "a": 4 * sig, "b": 4 * sig,
         "f": 32 * lam * sig**2, "g": 32 * lam * sig**2,
         "c": 256 * lam**2 * sig**3, "d": 256 * lam**2 * sig**3, "e": 256 * lam**2 * sig**3,
         "h": 512 * lam**2 * sig**4, "i": 512 * lam**2 * sig**4,
         "j": 32 * lam * sig**2, "k": 32 * lam * sig**2,
     }
+    signed = {}
+    for label in EQ36:
+        factor = magnitude[family(label)]
+        signed[label] = -factor if label in NEGATIVE_MULTIPLIERS else factor
+    return signed
 
 
 def family(label: str) -> str:
@@ -453,7 +479,8 @@ def family(label: str) -> str:
 
 
 def verify_multipliers(rows: dict[str, Equation]) -> dict:
-    """Assert the stated clearing factors against the recovered ones.
+    """Assert the stated clearing factors, with their signs, against the
+    recovered ones.
 
     For the bracket families the stated factor 16 lam sig^2 must also clear
     the raw coefficient's denominator (checked on the recorded denominator).
@@ -462,8 +489,8 @@ def verify_multipliers(rows: dict[str, Equation]) -> dict:
     out = {}
     for label, eq in rows.items():
         factor, den_mono = eq.provenance["multiplier_value"]
-        target = expect[family(label)]
-        ok = not den_mono and (factor == target or factor == -target)
+        target = expect[label]
+        ok = not den_mono and factor == target
         if family(label) in ("a", "b", "f", "g"):
             den = eq.provenance["raw_denominator"]
             cleared = set(den) <= {"lam", "sig"} and den.get("lam", 0) <= 1 and den.get("sig", 0) <= 2
@@ -473,7 +500,7 @@ def verify_multipliers(rows: dict[str, Equation]) -> dict:
             out[label] = {}
         out[label].update({
             "recovered": multiplier_text((factor, den_mono)),
-            "expected_magnitude": str(target),
+            "expected": str(target),
             "ok": ok,
         })
     return out
@@ -482,8 +509,10 @@ def verify_multipliers(rows: dict[str, Equation]) -> dict:
 def verify_symmetry_variants() -> dict:
     """Each subscripted transcription equals (up to a rational multiple) the
     replacement-case image of its base transcription."""
+    from .equations import EQ36, VARIANTS
+
     out = {}
-    for label, (base, case) in eqs.VARIANTS.items():
+    for label, (base, case) in VARIANTS.items():
         image = RPL_CASES[case].apply(EQ36[base])
         mult = match_transcription(EQ36[label], LocFrac(image))
         out[label] = {
@@ -498,6 +527,8 @@ def verify_symmetry_variants() -> dict:
 def verify_group_closure() -> dict:
     """The group permutes the 36 transcriptions up to multiples: each
     generator maps them bijectively onto themselves."""
+    from .equations import EQ36
+
     primitive = {label: p.normalized()[2] for label, p in EQ36.items()}
     lookup = {q: label for label, q in primitive.items()}
     failures = []
@@ -524,6 +555,8 @@ def verify_group_closure() -> dict:
 
 def check_combination(target: Poly, sources, coefficients, catalog=None):
     """Does sum(coefficients[i] * catalog[sources[i]]) equal target exactly?"""
+    from .equations import EQ36
+
     catalog = catalog or EQ36
     acc = Poly.zero()
     for label, coeff in zip(sources, coefficients):
@@ -533,14 +566,16 @@ def check_combination(target: Poly, sources, coefficients, catalog=None):
 
 
 def verify_dependence_relations() -> dict:
+    from .equations import DEPENDENCE_RELATIONS, EQ36, INTRO_COMBINATIONS, lam, sig
+
     out = {}
-    for target, combo in eqs.DEPENDENCE_RELATIONS.items():
+    for target, combo in DEPENDENCE_RELATIONS.items():
         ok, residual = check_combination(
             EQ36[target], [l for l, _ in combo], [c for _, c in combo]
         )
         out[target] = {"ok": ok, "residual": str(residual)}
-    for name, (intro, combo) in eqs.INTRO_COMBINATIONS.items():
-        target = 32 * eqs.lam * eqs.sig * intro
+    for name, (intro, combo) in INTRO_COMBINATIONS.items():
+        target = 32 * lam * sig * intro
         ok, residual = check_combination(target, [l for l, _ in combo], [c for _, c in combo])
         out[name] = {"ok": ok, "residual": str(residual)}
     return out
@@ -555,7 +590,6 @@ def integrability_criterion(sys: StructureSystem) -> dict:
     comp = sol_component_map(sys)
     b12 = lie_bracket(1, 2, sys, comp)
     b34 = lie_bracket(3, 4, sys, comp)
-    lam = eqs.lam
     doubled12 = [2 * c for c in b12[2:]]
     doubled34 = [2 * c for c in b34[:2]]
     expected12 = [
@@ -587,7 +621,9 @@ def integrability_criterion(sys: StructureSystem) -> dict:
 def rotation_invariance() -> dict:
     """Simultaneous rotation of (e1,e2) and (e3,e4) by an unconstrained angle
     pair (c, s): every curvature component transforms by (c^2+s^2)^2."""
-    table = eqs.curvature_table()
+    from .structure import curvature_table
+
+    table = curvature_table()
     c, s = Poly.var("c"), Poly.var("s")
     zero = Poly.zero()
     M = (
@@ -609,7 +645,7 @@ def rotation_invariance() -> dict:
     failures = [tuple(x + 1 for x in ix) for ix in slots if R[ix] != factor * T[ix]]
     # the headline component: R(ce1+se2, ce3+se4, ce1+se2, ce3+se4)
     acc = R[0, 2, 0, 2]
-    headline = acc == factor * eqs.sig
+    headline = acc == factor * Poly.var("sig")
     ident = acc.evaluate({"c": 1, "s": 0, "lam": 3, "sig": 5}) == Fraction(5)
     return {
         "all_components_scale": not failures,

@@ -15,9 +15,18 @@ front of its index axes, and every residual reduces over the index axes only,
 giving one value per point.  The Weyl tensor acts on the six 2-forms it is
 checked on in one contraction, against the stack `WEYL_FORMS`, and a change
 of frame contracts one index at a time (`transform`).  The sweep evaluates
-its points in fixed blocks of `BLOCK` = 4, so its heap is bounded by the
-block, not by the number of points: about 70 KiB, some eight curvature
-tensors of the block counting numpy's iteration buffers.
+its points in fixed blocks of `BLOCK` = 8, so its heap is bounded by the
+block, not by the number of points: about 71 KiB, some four curvature
+tensors of the block and numpy's iteration buffers.  A block makes about 64
+numpy calls whatever its size: sums are formed in place or in one scratch
+buffer, renamed indices are plain transposes, and the scaled tables are
+einsum products, which sum into a zeroed output and need no broadcast
+buffer.  Each element goes through the same operations in the same order
+whatever the batch, so a point's residuals do not depend on its block.
+
+This module reads the curvature table from `structure` and the symmetry
+group from `derive`, and loads neither the transcriptions nor the case
+pipelines.
 """
 
 from __future__ import annotations
@@ -31,14 +40,14 @@ from typing import ClassVar
 import numpy as np
 
 from .derive import symmetry_group
-from .equations import curvature_table
+from .structure import curvature_table
 
 #: points per block of `sweep`; a constant, so the sweep's heap (about
-#: 70 KiB under tracemalloc) does not grow with the number of points.  At 4
-#: the block fits in the heap the CLI already holds, so its peak RSS stays
-#: where the per-point loop had it; with 8-point blocks it read about 0.1 MiB
-#: higher, with 32-point blocks more.
-BLOCK = 4
+#: 71 KiB under tracemalloc) does not grow with the number of points.  Each
+#: block makes the same numpy calls whatever its size, so 8-point blocks
+#: take about 0.6 times as long per point as 4-point ones; the 4-point
+#: blocks' heap is about 38 KiB and their peak RSS about 0.1 MiB lower.
+BLOCK = 8
 
 
 def _constant(a) -> np.ndarray:
@@ -57,7 +66,7 @@ def _coefficient_arrays():
     )
 
 
-#: R = lam * R_LAM + sig * R_SIG, read once from equations.curvature_table
+#: R = lam * R_LAM + sig * R_SIG, read once from structure.curvature_table
 R_LAM, R_SIG = _coefficient_arrays()
 
 #: the flat metric g_ij in the orthonormal frame
@@ -124,8 +133,9 @@ class CurvaturePoint:
 
     @property
     def rho(self) -> np.ndarray:
-        """Ricci form lam * ZETA; the + 0.0 keeps its zero entries at +0.0."""
-        return np.asarray(self.lam)[..., None, None] * ZETA + 0.0
+        """Ricci form lam * ZETA; einsum sums into a zeroed output, so its
+        zero entries read +0.0."""
+        return np.einsum("...,kl->...kl", self.lam, ZETA)
 
     @cached_property
     def norm2(self) -> np.ndarray:
@@ -135,43 +145,45 @@ class CurvaturePoint:
 
 def build_curvature(lam, sig) -> CurvaturePoint:
     """Curvature tensor of the exact component table at (lam, sig), scalars
-    or arrays of one shape; the trailing + 0.0 keeps entries the table leaves
-    at zero at +0.0."""
-    lam_b, sig_b = (np.asarray(v, dtype=float)[..., None, None, None, None] for v in (lam, sig))
-    return CurvaturePoint(lam, sig, lam_b * R_LAM + sig_b * R_SIG + 0.0)
+    or arrays of one shape.  Each scaled table is an einsum, which sums into
+    a zeroed output: entries the table leaves at zero read +0.0, and no
+    broadcast operand needs an iteration buffer."""
+    R = np.einsum("...,ijkl->...ijkl", lam, R_LAM)
+    R += np.einsum("...,ijkl->...ijkl", sig, R_SIG)
+    return CurvaturePoint(lam, sig, R)
 
 
 def curvature_symmetry_residual(pt: CurvaturePoint) -> np.ndarray:
     """Largest violation of the pair antisymmetries, the pair symmetry and
-    the first Bianchi identity."""
+    the first Bianchi identity.  The four residual sums are formed two at a
+    time in one scratch buffer, each starting from a copy of R."""
     R = pt.R
-
-    def perm(indices):
-        return np.einsum("...ijkl->..." + indices, R)
-
-    return np.maximum.reduce([
-        _max_abs(R + perm("jikl"), 4),
-        _max_abs(R + perm("ijlk"), 4),
-        _max_abs(R - perm("klij"), 4),
-        _max_abs(R + perm("iklj") + perm("iljk"), 4),
-    ])
+    sums = np.empty((2, *R.shape))
+    np.copyto(sums, R)
+    sums[0] += R.swapaxes(-4, -3)  # R_ijkl + R_jikl
+    sums[1] += R.swapaxes(-2, -1)  # R_ijkl + R_ijlk
+    worst = np.abs(sums, out=sums).max(axis=(0, -4, -3, -2, -1))
+    np.copyto(sums, R)
+    sums[0] -= R.swapaxes(-4, -2).swapaxes(-3, -1)  # R_ijkl - R_klij
+    sums[1] += R.swapaxes(-3, -2).swapaxes(-2, -1)  # R_ijkl + R_iklj + R_iljk
+    sums[1] += R.swapaxes(-3, -1).swapaxes(-2, -1)
+    return np.maximum(worst, np.abs(sums, out=sums).max(axis=(0, -4, -3, -2, -1)))
 
 
 def ricci_weyl_scalar(pt: CurvaturePoint):
     """(ricci, weyl, scalar) with the g^pq R_ipjq convention, n = 4."""
     R = pt.R
     ric = np.einsum("...ipjp->...ij", R)
-    s = np.trace(ric, axis1=-2, axis2=-1)
+    s = ric.trace(axis1=-2, axis2=-1)
     # gr[..., i, j, p, q] = g_ip ric_jq; the other three terms of the formula
-    # are views of it with its indices renamed
-    gr = pt.g[:, None, :, None] * ric[..., None, :, None, :]
-    W = R - 0.5 * (
-        gr
-        + np.einsum("...jiqp->...ijpq", gr)
-        - np.einsum("...jipq->...ijpq", gr)
-        - np.einsum("...ijqp->...ijpq", gr)
-    )
-    W = W + s[..., None, None, None, None] / 6.0 * METRIC_WEDGE
+    # are transposes of it
+    gr = np.einsum("ip,...jq->...ijpq", pt.g, ric)
+    W = gr + gr.swapaxes(-4, -3).swapaxes(-2, -1)  # + g_jq ric_ip
+    W -= gr.swapaxes(-4, -3)  # - g_jp ric_iq
+    W -= gr.swapaxes(-2, -1)  # - g_iq ric_jp
+    W *= 0.5
+    np.subtract(R, W, out=W)
+    W += np.einsum("...,ijpq->...ijpq", s / 6.0, METRIC_WEDGE, out=gr)
     return ric, W, s
 
 
@@ -195,17 +207,22 @@ def weakly_einstein_residual(pt: CurvaturePoint) -> np.ndarray:
 
 
 def weyl_action(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("...ijkl,...kl->...ij", W, phi)
+    image = np.einsum("...ijkl,...kl->...ij", W, phi)
+    image *= 0.5
+    return image
 
 
 def weyl_on_2forms(pt: CurvaturePoint, W: np.ndarray) -> dict:
     """Eigen-data of the Weyl tensor W of `pt` acting on 2-forms, and the
     self-dual annihilation."""
-    images = 0.5 * np.einsum("...ijkl,fkl->...fij", W, WEYL_FORMS)
-    errors = _max_abs(images - np.asarray(pt.sig)[..., None, None, None] * WEYL_IMAGES, 2)
+    images = np.einsum("...ijkl,fkl->...fij", W, WEYL_FORMS)
+    images *= 0.5
+    images -= np.einsum("...,fij->...fij", pt.sig, WEYL_IMAGES)
+    errors = np.abs(images, out=images).max(axis=(-2, -1))
+    rho_image = weyl_action(W, pt.rho)
     return {
         "eigen_errors": (errors[..., 0], errors[..., 1], errors[..., 2]),
-        "rho_error": _max_abs(weyl_action(W, pt.rho), 2),
+        "rho_error": np.abs(rho_image, out=rho_image).max(axis=(-2, -1)),
         "w_plus_norm": errors[..., 3:].max(axis=-1),
     }
 
@@ -263,6 +280,40 @@ def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0, angles: int = 16) ->
     }
 
 
+#: the sweep's residuals, in the order `_block_residuals` returns them
+RESIDUALS = (
+    "curvature_symmetry",
+    "scalar",
+    "ricci_spectrum",
+    "weakly_einstein",
+    "eigenvalues",
+    "rho",
+    "w_plus",
+    "norm2",
+)
+
+
+def _block_residuals(lam: np.ndarray, sig: np.ndarray) -> list:
+    """The residuals of RESIDUALS at the points (lam, sig), one array each.
+    A function, so that a block's tensors are freed before the next block
+    is built."""
+    pt = build_curvature(lam, sig)
+    symmetry = curvature_symmetry_residual(pt)
+    ric, W, s = ricci_weyl_scalar(pt)
+    spectrum = np.linalg.eigvalsh(ric)  # ascending, as LAPACK returns it
+    w = weyl_on_2forms(pt, W)
+    return [
+        symmetry,
+        np.abs(s),
+        _max_abs(spectrum - np.abs(lam)[:, None] * SPECTRUM_SIGNS, 1),
+        weakly_einstein_residual(pt),
+        np.maximum.reduce(w["eigen_errors"]),
+        w["rho_error"],
+        w["w_plus_norm"],
+        norm_residual(pt),
+    ]
+
+
 def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
     """Seeded random sweep over (lam, sig) in [-2, 2]^2, evaluated in blocks
     of `BLOCK` points; each point draws lam, then sig."""
@@ -271,28 +322,14 @@ def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
     if not 0 < tol < math.inf:
         raise ValueError(f"a sweep needs a finite tolerance > 0, got {tol}")
     rng = random.Random(seed)
-    worst = 0.0
+    worst = np.zeros(len(RESIDUALS))
     for start in range(0, points, BLOCK):
         drawn = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
                  for _ in range(min(BLOCK, points - start))]
         lam, sig = np.array(drawn).T
-        pt = build_curvature(lam, sig)
-        ric, W, s = ricci_weyl_scalar(pt)
-        spectrum = np.linalg.eigvalsh(ric)  # ascending, as LAPACK returns it
-        w = weyl_on_2forms(pt, W)
-        block = {
-            "curvature_symmetry": curvature_symmetry_residual(pt),
-            "scalar": np.abs(s),
-            "ricci_spectrum": _max_abs(spectrum - np.abs(lam)[:, None] * SPECTRUM_SIGNS, 1),
-            "weakly_einstein": weakly_einstein_residual(pt),
-            "eigenvalues": np.maximum.reduce(w["eigen_errors"]),
-            "rho": w["rho_error"],
-            "w_plus": w["w_plus_norm"],
-            "norm2": norm_residual(pt),
-        }
         # one maximum per residual; np.maximum keeps a NaN, which max() drops
-        worst = np.maximum(worst, np.max(list(block.values()), axis=1))
-    worst = dict(zip(block, worst.tolist()))
+        np.maximum(worst, np.max(_block_residuals(lam, sig), axis=1), out=worst)
+    worst = dict(zip(RESIDUALS, worst.tolist()))
     return {
         "points": points,
         "seed": seed,

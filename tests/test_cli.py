@@ -68,6 +68,22 @@ def test_parse_failure_exits_3(tmp_path):
     assert "line 4" in result.stderr
 
 
+def test_non_utf8_eds_is_a_parse_error_at_the_bad_byte(tmp_path):
+    bad = tmp_path / "latin1.eds"
+    bad.write_bytes(b"frame A B C D\nscalars lambda sigma\n# caf\xe9\n")
+    result = run_cli("combos", "--eds", str(bad))
+    assert result.returncode == 3
+    assert "line 3, column 6" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "r.json"
+    assert main(["combos", "--json", str(target)]) == 2
+    assert f"cannot write {target}: " in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_seeded_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["numeric", "--seed", "7", "--points", "25", "--json", str(a)]) == 0
@@ -190,12 +206,15 @@ def test_unmatched_rows_are_failed_checks_with_residuals(name, rule, tmp_path):
 
 
 TASKS = "/proc/self/task"
-#: run in a fresh interpreter: import the CLI, print the BLAS thread setting
-#: and the number of threads the process holds (-1 without TASKS)
+#: run in a fresh interpreter: run the numeric suite through the CLI, which
+#: imports numpy, then print the BLAS thread setting, the number of threads
+#: the process holds (-1 without TASKS) and whether numpy was loaded
 _THREAD_PROBE = (
-    "import os, edsverify.cli\n"
+    "import contextlib, io, os, sys, edsverify.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    edsverify.cli.main(['numeric', '--points', '1'])\n"
     f"tasks = len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else -1\n"
-    "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'], tasks, 'numpy' in sys.modules)\n"
 )
 
 
@@ -203,7 +222,8 @@ def _probe_threads(**env):
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=base | env,
                           capture_output=True, text=True, check=True)
-    setting, threads = done.stdout.split()
+    setting, threads, numpy_loaded = done.stdout.split()
+    assert numpy_loaded == "True"
     return setting, int(threads)
 
 
@@ -215,3 +235,50 @@ def test_cli_import_starts_no_blas_threads():
 def test_cli_keeps_a_user_blas_thread_setting():
     setting, _ = _probe_threads(OPENBLAS_NUM_THREADS="2")
     assert setting == "2"
+
+
+#: run in a fresh interpreter: the CLI on the given arguments, then every
+#: module in the order it was first loaded, and whether numpy was loaded
+#: when the EDS parser was first called
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+seen = {}
+def probe(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "parse_eds":
+        seen["numpy_at_parse"] = "numpy" in sys.modules
+        sys.setprofile(None)
+sys.setprofile(probe)
+from edsverify.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "modules": list(sys.modules), **seen}))
+"""
+
+
+def _loaded(*argv):
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["exit"] == 0
+    return probe
+
+
+def test_numeric_loads_neither_transcriptions_nor_case_pipelines():
+    modules = _loaded("numeric", "--points", "1")["modules"]
+    assert "edsverify.numeric" in modules and "numpy" in modules
+    assert "edsverify.equations" not in modules
+    assert "edsverify.cases" not in modules
+
+
+def test_a_symbolic_suite_loads_no_numpy():
+    modules = _loaded("structure")["modules"]
+    assert "numpy" not in modules and "edsverify.numeric" not in modules
+
+
+def test_all_loads_transcriptions_then_numpy_then_parses():
+    """The load order of `all` sets its peak RSS: the transcriptions before
+    numpy, and numpy before the EDS is parsed."""
+    probe = _loaded("all", "--points", "1")
+    modules = probe["modules"]
+    assert modules.index("edsverify.equations") < modules.index("numpy")
+    assert probe["numpy_at_parse"] is True

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,8 @@ from edsverify.algebra import ATOMS, AlgebraError, LocFrac, Poly
 from edsverify.equations import EQ36, NEL, SOL, VARIANTS, lam, sig, mup, mum
 from edsverify.forms import coeff6
 from edsverify.jets import SubstitutionError
-from edsverify.structure import load_system
+from edsverify.cli import main
+from edsverify.structure import Equation, curvature_table, load_system
 
 from conftest import random_locfrac
 
@@ -86,7 +88,24 @@ def test_multipliers_recovered(derived36):
     assert all(entry["ok"] for entry in table.values())
     assert table["c"]["recovered"] == "256*lam^2*sig^3"
     assert table["j"]["recovered"] == "32*lam*sig^2"
-    assert table["h"]["recovered"] in ("512*lam^2*sig^4", "-512*lam^2*sig^4")
+    assert table["h"]["recovered"] == "-512*lam^2*sig^4"
+    negative = {label for label, entry in table.items() if entry["recovered"].startswith("-")}
+    assert negative == D.NEGATIVE_MULTIPLIERS
+
+
+@pytest.mark.parametrize("label", ["a", "c"])
+def test_a_negated_multiplier_fails(derived36, label, monkeypatch, tmp_path):
+    """A recovered multiplier of the wrong sign fails the `multipliers` check."""
+    rows, report = derived36
+    factor, den_mono = rows[label].provenance["multiplier_value"]
+    flipped = Equation(label, rows[label].poly,
+                       {**rows[label].provenance, "multiplier_value": (-factor, den_mono)})
+    monkeypatch.setattr(D, "derive_36", lambda sys_: ({**rows, label: flipped}, report))
+    out = tmp_path / "r.json"
+    assert main(["equations36", "--json", str(out)]) == 1
+    failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] != "pass"]
+    assert [c["id"] for c in failed] == ["multipliers"]
+    assert failed[0]["detail"].startswith(f"{label}:")
 
 
 def test_dG_cross_checks(derived36):
@@ -233,7 +252,7 @@ def tampered_eq36():
 
 def test_group_closure_catches_a_tampered_equation(monkeypatch):
     """Changing one coefficient of one equation must break the closure."""
-    monkeypatch.setattr(D, "EQ36", tampered_eq36())
+    monkeypatch.setattr("edsverify.equations.EQ36", tampered_eq36())
     report = D.verify_group_closure()
     assert report["closure_ok"] is False
     assert any(failed == "c" for _, failed in report["failures"]), report["failures"]
@@ -251,7 +270,7 @@ def test_generators_decide_like_the_whole_group(system, monkeypatch):
         invariance = [D.verify_system_invariance(s)["ok"] for s in systems]
         closure = []
         for catalog in (EQ36, tampered_eq36()):
-            monkeypatch.setattr(D, "EQ36", catalog)
+            monkeypatch.setattr("edsverify.equations.EQ36", catalog)
             closure.append(D.verify_group_closure()["closure_ok"])
         return invariance, closure
 
@@ -337,9 +356,9 @@ def test_rotation_invariance():
 
 
 def test_rotation_invariance_catches_a_perturbed_entry(monkeypatch):
-    table = D.eqs.curvature_table()
+    table = curvature_table()
     table[0][1][0][1] = 2 * table[0][1][0][1]
-    monkeypatch.setattr(D.eqs, "curvature_table", lambda: table)
+    monkeypatch.setattr("edsverify.structure.curvature_table", lambda: table)
     report = D.rotation_invariance()
     assert not report["ok"] and not report["all_components_scale"]
     assert (1, 2, 1, 2) in report["failures"]

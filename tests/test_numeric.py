@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import edsverify.numeric as N
-from edsverify.equations import curvature_table
+from edsverify.structure import curvature_table
 
 TOL = 1e-12
 
@@ -336,7 +336,7 @@ def test_sweep_heap_is_bounded_by_the_block():
         _, many = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about seven curvature tensors of a 4-point block; an 8-point block goes over
+    # about four curvature tensors of an 8-point block and numpy's iteration buffers
     assert many < 80 * 1024, many
     assert abs(many - few) <= 0.1 * few, (few, many)
 
