@@ -36,9 +36,17 @@ from .equations import (
 )
 from .forms import DForm, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, JetContext
-from .structure import StructureSystem, check
+from .structure import StructureSystem
 
 lam, sig, mup, mum, mus = eqs.lam, eqs.sig, eqs.mup, eqs.mum, eqs.mus
+
+
+def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -> bool:
+    """Append one report record {id, label, status, detail}; returns ok."""
+    checks.append(
+        {"id": check_id, "label": label, "status": "pass" if ok else "fail", "detail": detail}
+    )
+    return ok
 
 
 @dataclass

@@ -4,11 +4,6 @@ reports.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (or a file
 that cannot be read or written), 3 EDS parse failure.  JSON output is
 deterministic for a fixed seed (timings appear only on stdout).
-
-Loading this module imports no edsverify module.  Each runner imports what
-it calls, and `main` imports the selected suites' modules (`SUITE_MODULES`)
-before it parses the EDS: `numeric` never loads the transcriptions or the
-case pipelines, and a symbolic suite alone never loads numpy.
 """
 
 from __future__ import annotations
@@ -25,18 +20,22 @@ import time
 # core.  Set before numpy's first import; a value the user set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import cases, derive, numeric
+from .cases import check
+from .equations import EQ36
+from .forms import DForm, ext_d, wedge
+from .structure import (
+    EdsParseError,
+    curvature_forms,
+    expected_curvature,
+    load_system,
+    torsion_equations,
+    verify_covariant_derivatives,
+    verify_parallel_g_J,
+)
+
 
 def run_structure(sys_, args) -> list:
-    from .forms import DForm, ext_d, wedge
-    from .structure import (
-        check,
-        curvature_forms,
-        expected_curvature,
-        torsion_equations,
-        verify_covariant_derivatives,
-        verify_parallel_g_J,
-    )
-
     checks = []
     grid_report = verify_parallel_g_J(sys_.connection())
     check(checks, "connection-pattern", "mtx", grid_report["ok"],
@@ -60,9 +59,6 @@ def run_structure(sys_, args) -> list:
 
 
 def run_nel(sys_, args) -> list:
-    from . import derive
-    from .structure import check
-
     checks = []
     _, report = derive.derive_nel(sys_)
     for label in sorted(report):
@@ -73,9 +69,7 @@ def run_nel(sys_, args) -> list:
 
 
 def run_sol(sys_, args) -> list:
-    from . import derive
     from .equations import SOL
-    from .structure import check
 
     checks = []
     rows, _ = derive.derive_nel(sys_)
@@ -94,10 +88,6 @@ def run_sol(sys_, args) -> list:
 
 
 def run_equations36(sys_, args) -> list:
-    from . import derive
-    from .equations import EQ36
-    from .structure import check
-
     checks = []
     rows, report = derive.derive_36(sys_)
     for label in EQ36:
@@ -123,9 +113,6 @@ def run_equations36(sys_, args) -> list:
 
 
 def run_combos(sys_, args) -> list:
-    from . import derive
-    from .structure import check
-
     checks = []
     for name, entry in derive.verify_dependence_relations().items():
         check(checks, f"combo-{name}", name, entry["ok"], entry["residual"])
@@ -133,9 +120,6 @@ def run_combos(sys_, args) -> list:
 
 
 def run_symmetry(sys_, args) -> list:
-    from . import derive
-    from .structure import check
-
     checks = []
     _, grp = derive.symmetry_group()
     check(checks, "order", "group order", grp["order"] == 32, str(grp["order"]))
@@ -154,8 +138,6 @@ def run_symmetry(sys_, args) -> list:
 
 
 def _pipeline_checks(report) -> list:
-    from .structure import check
-
     checks = []
     check(checks, "assumptions", "declared nonzero/vanishing data", True,
           "; ".join(report.assumptions))
@@ -166,15 +148,10 @@ def _pipeline_checks(report) -> list:
 
 
 def run_case_const_lambda(sys_, args) -> list:
-    from . import cases
-
     return _pipeline_checks(cases.run_const_lambda(sys_))
 
 
 def run_case_ii(sys_, args) -> list:
-    from . import cases
-    from .structure import check
-
     report = cases.run_case_ii(sys_)
     checks = _pipeline_checks(report)
     check(checks, "sos", "positivity certificate",
@@ -183,15 +160,10 @@ def run_case_ii(sys_, args) -> list:
 
 
 def run_case_iii(sys_, args) -> list:
-    from . import cases
-
     return _pipeline_checks(cases.run_case_iii(sys_))
 
 
 def run_numeric(sys_, args) -> list:
-    from . import numeric
-    from .structure import check
-
     checks = []
     sw = numeric.sweep(points=args.points, seed=args.seed, tol=args.tol)
     for name, value in sorted(sw["worst"].items()):
@@ -219,17 +191,6 @@ RUNNERS = {
 }
 
 SUITES = (*RUNNERS, "all")
-
-#: module -> the suites that call into it (`numeric` reads the symmetry group
-#: from `derive`).  `main` imports the selected suites' modules in this order
-#: before it parses the EDS, so the transcriptions load before numpy and
-#: numpy before the parse; the peak RSS of `all` and `numeric` depends on
-#: that order.
-SUITE_MODULES = {
-    "cases": ("case-const-lambda", "case-ii", "case-iii"),
-    "derive": ("nel", "sol", "equations36", "combos", "symmetry", "numeric"),
-    "numeric": ("numeric",),
-}
 
 
 def _checked(convert, valid, need: str):
@@ -268,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    names = list(RUNNERS) if args.suite == "all" else [args.suite]
-    for module, suites in SUITE_MODULES.items():
-        if any(name in suites for name in names):
-            __import__(f"{__package__}.{module}")
-    from .structure import EdsParseError, check, load_system
-
     try:
         sys_ = load_system(args.eds)
     except EdsParseError as exc:
@@ -282,6 +237,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read {args.eds}: {exc}", file=sys.stderr)
         return 2
+    names = list(RUNNERS) if args.suite == "all" else [args.suite]
     suites = []
     overall_ok = True
     for name in names:

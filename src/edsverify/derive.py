@@ -6,10 +6,6 @@ off coefficients on the six basis 2-forms, and matches every transcribed
 display as an exact rational-monomial multiple of the derived identity.  The
 frame-replacement symmetries act on jet symbols by signed permutation and
 generate the subscripted variants the identities do not cover directly.
-
-The transcriptions (`equations`) are read inside the routines that compare
-against them, so importing this module, as `numeric` does for the symmetry
-group, does not build them.
 """
 
 from __future__ import annotations
@@ -19,7 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
+from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
+from .equations import EQ36, INP, NEL, NEL_UNKNOWNS, SOL
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, JetContext, standard_context
 from .structure import (
@@ -125,8 +123,6 @@ def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source:
 
 def sol_component_map(sys: StructureSystem) -> dict[str, DForm]:
     """F, G, L expanded with the closed-form components; S stays free."""
-    from .equations import SOL
-
     out = sys.free_components()
     for name in ("F", "G", "L"):
         out[name] = DForm(
@@ -164,8 +160,6 @@ def derive_nel(sys: StructureSystem):
     `match_rows` over the labels nel-i .. nel-xii: the matched rows, and a
     report in which an unmatched row carries its residual.
     """
-    from .equations import NEL
-
     comp = sys.free_components()
     three_forms = {
         "d(dF)": (sys.d_rule("F"), ("i", "ii", "iii", "iv")),
@@ -190,11 +184,10 @@ def solve_sol(rows: dict[str, Equation], ctx: JetContext):
     A row set that lacks any of the twelve is refused with DeriveError
     naming the missing labels.
     """
-    from .equations import NEL, NEL_UNKNOWNS as unknowns
-
     missing = [f"nel-{row}" for row in NEL if f"nel-{row}" not in rows]
     if missing:
         raise DeriveError(f"unmatched first-order rows: {', '.join(missing)}")
+    unknowns = NEL_UNKNOWNS
     matrix = []
     rhs = []
     for label in sorted(rows):
@@ -222,12 +215,10 @@ def solve_sol(rows: dict[str, Equation], ctx: JetContext):
 
 def verify_inp(assignment) -> list[bool]:
     """8 lam sig (G1+F2) = -4 sig lam4 and 8 lam sig (G2-F1) = 4 sig lam3."""
-    from .equations import INP, lam, sig
-
     ctx_free = standard_context()
     results = []
     for expr, rhs in INP:
-        lhs = ctx_free.substitute(8 * lam * sig * expr, assignment)
+        lhs = ctx_free.substitute(8 * eqs.lam * eqs.sig * expr, assignment)
         results.append((lhs - LocFrac(rhs)).is_zero())
     return results
 
@@ -415,8 +406,6 @@ def derive_36(sys: StructureSystem):
     The six symmetry-generated equations are additionally cross-checked
     against the dG-rule identity (`dG_cross_check` in their entries).
     """
-    from .equations import EQ36, VARIANTS
-
     forms = identity_forms(sys)
     raw: dict[str, LocFrac] = {}
     source: dict[str, str] = {}
@@ -427,7 +416,7 @@ def derive_36(sys: StructureSystem):
             source[label] = f"{ident} @ {slot}"
     # symmetry-generated equations from the derived base coefficients
     for label in SYMMETRY_GENERATED:
-        base, case = VARIANTS[label]
+        base, case = eqs.VARIANTS[label]
         raw[label] = RPL_CASES[case].apply(raw[base])
         source[label] = f"{source[base]} via replacement {case}"
     rows, report = match_rows(EQ36, raw, source)
@@ -458,8 +447,7 @@ def expected_multipliers():
     512 lam^2 sig^4 for the dL rows, 32 lam sig^2 for the dS rows.  The
     labels in NEGATIVE_MULTIPLIERS carry the factor's negative.
     """
-    from .equations import EQ36, lam, sig
-
+    lam, sig = eqs.lam, eqs.sig
     magnitude = {
         "a": 4 * sig, "b": 4 * sig,
         "f": 32 * lam * sig**2, "g": 32 * lam * sig**2,
@@ -509,10 +497,8 @@ def verify_multipliers(rows: dict[str, Equation]) -> dict:
 def verify_symmetry_variants() -> dict:
     """Each subscripted transcription equals (up to a rational multiple) the
     replacement-case image of its base transcription."""
-    from .equations import EQ36, VARIANTS
-
     out = {}
-    for label, (base, case) in VARIANTS.items():
+    for label, (base, case) in eqs.VARIANTS.items():
         image = RPL_CASES[case].apply(EQ36[base])
         mult = match_transcription(EQ36[label], LocFrac(image))
         out[label] = {
@@ -527,8 +513,6 @@ def verify_symmetry_variants() -> dict:
 def verify_group_closure() -> dict:
     """The group permutes the 36 transcriptions up to multiples: each
     generator maps them bijectively onto themselves."""
-    from .equations import EQ36
-
     primitive = {label: p.normalized()[2] for label, p in EQ36.items()}
     lookup = {q: label for label, q in primitive.items()}
     failures = []
@@ -555,8 +539,6 @@ def verify_group_closure() -> dict:
 
 def check_combination(target: Poly, sources, coefficients, catalog=None):
     """Does sum(coefficients[i] * catalog[sources[i]]) equal target exactly?"""
-    from .equations import EQ36
-
     catalog = catalog or EQ36
     acc = Poly.zero()
     for label, coeff in zip(sources, coefficients):
@@ -566,16 +548,14 @@ def check_combination(target: Poly, sources, coefficients, catalog=None):
 
 
 def verify_dependence_relations() -> dict:
-    from .equations import DEPENDENCE_RELATIONS, EQ36, INTRO_COMBINATIONS, lam, sig
-
     out = {}
-    for target, combo in DEPENDENCE_RELATIONS.items():
+    for target, combo in eqs.DEPENDENCE_RELATIONS.items():
         ok, residual = check_combination(
             EQ36[target], [l for l, _ in combo], [c for _, c in combo]
         )
         out[target] = {"ok": ok, "residual": str(residual)}
-    for name, (intro, combo) in INTRO_COMBINATIONS.items():
-        target = 32 * lam * sig * intro
+    for name, (intro, combo) in eqs.INTRO_COMBINATIONS.items():
+        target = 32 * eqs.lam * eqs.sig * intro
         ok, residual = check_combination(target, [l for l, _ in combo], [c for _, c in combo])
         out[name] = {"ok": ok, "residual": str(residual)}
     return out
@@ -590,6 +570,7 @@ def integrability_criterion(sys: StructureSystem) -> dict:
     comp = sol_component_map(sys)
     b12 = lie_bracket(1, 2, sys, comp)
     b34 = lie_bracket(3, 4, sys, comp)
+    lam = eqs.lam
     doubled12 = [2 * c for c in b12[2:]]
     doubled34 = [2 * c for c in b34[:2]]
     expected12 = [
@@ -621,9 +602,7 @@ def integrability_criterion(sys: StructureSystem) -> dict:
 def rotation_invariance() -> dict:
     """Simultaneous rotation of (e1,e2) and (e3,e4) by an unconstrained angle
     pair (c, s): every curvature component transforms by (c^2+s^2)^2."""
-    from .structure import curvature_table
-
-    table = curvature_table()
+    table = eqs.curvature_table()
     c, s = Poly.var("c"), Poly.var("s")
     zero = Poly.zero()
     M = (
@@ -645,7 +624,7 @@ def rotation_invariance() -> dict:
     failures = [tuple(x + 1 for x in ix) for ix in slots if R[ix] != factor * T[ix]]
     # the headline component: R(ce1+se2, ce3+se4, ce1+se2, ce3+se4)
     acc = R[0, 2, 0, 2]
-    headline = acc == factor * Poly.var("sig")
+    headline = acc == factor * eqs.sig
     ident = acc.evaluate({"c": 1, "s": 0, "lam": 3, "sig": 5}) == Fraction(5)
     return {
         "all_components_scale": not failures,

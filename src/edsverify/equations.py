@@ -398,3 +398,46 @@ CASE3_REWRITTEN = (
 )
 
 CASE3_FINAL = 8 * lam**2 * sig * (l(1)**2 + l(2)**2 + l(3)**2)
+
+
+# ---------------------------------------------------------------------------
+# The curvature component table: the only hand-typed curvature data; the
+# structure, rotation and numeric checks all read it
+# ---------------------------------------------------------------------------
+
+#: 1-based (i, j, k, l, value) generators; all other components are the ones
+#: algebraically related to these, or zero
+ROT_COMPONENTS = (
+    (1, 2, 1, 2, -lam),
+    (3, 4, 3, 4, lam),
+    (1, 3, 1, 3, sig),
+    (2, 4, 2, 4, sig),
+    (1, 4, 1, 4, -sig),
+    (2, 3, 2, 3, -sig),
+    (1, 4, 2, 3, sig),
+    (1, 3, 4, 2, -sig),
+)
+
+
+def curvature_table():
+    """Full 4^4 component table of Poly values generated from ROT_COMPONENTS
+    by the pair-skew and pair-exchange symmetries."""
+    T = [[[[Poly.zero() for _ in range(4)] for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    assigned = {}
+
+    def put(i, j, k, l, v):
+        key = (i, j, k, l)
+        if key in assigned:
+            if assigned[key] != v:
+                raise ValueError(f"inconsistent curvature assignment at {key}")
+            return
+        assigned[key] = v
+        T[i - 1][j - 1][k - 1][l - 1] = v
+
+    for i, j, k, l, v in ROT_COMPONENTS:
+        for (a, b, c, d, w) in (
+            (i, j, k, l, v), (j, i, k, l, -v), (i, j, l, k, -v), (j, i, l, k, v),
+            (k, l, i, j, v), (l, k, i, j, -v), (k, l, j, i, -v), (l, k, j, i, v),
+        ):
+            put(a, b, c, d, w)
+    return T

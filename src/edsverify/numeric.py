@@ -16,17 +16,13 @@ giving one value per point.  The Weyl tensor acts on the six 2-forms it is
 checked on in one contraction, against the stack `WEYL_FORMS`, and a change
 of frame contracts one index at a time (`transform`).  The sweep evaluates
 its points in fixed blocks of `BLOCK` = 8, so its heap is bounded by the
-block, not by the number of points: about 71 KiB, some four curvature
+block, not by the number of points: about 77 KiB, some four curvature
 tensors of the block and numpy's iteration buffers.  A block makes about 64
 numpy calls whatever its size: sums are formed in place or in one scratch
 buffer, renamed indices are plain transposes, and the scaled tables are
 einsum products, which sum into a zeroed output and need no broadcast
 buffer.  Each element goes through the same operations in the same order
 whatever the batch, so a point's residuals do not depend on its block.
-
-This module reads the curvature table from `structure` and the symmetry
-group from `derive`, and loads neither the transcriptions nor the case
-pipelines.
 """
 
 from __future__ import annotations
@@ -40,13 +36,13 @@ from typing import ClassVar
 import numpy as np
 
 from .derive import symmetry_group
-from .structure import curvature_table
+from .equations import curvature_table
 
 #: points per block of `sweep`; a constant, so the sweep's heap (about
-#: 71 KiB under tracemalloc) does not grow with the number of points.  Each
+#: 77 KiB under tracemalloc) does not grow with the number of points.  Each
 #: block makes the same numpy calls whatever its size, so 8-point blocks
-#: take about 0.6 times as long per point as 4-point ones; the 4-point
-#: blocks' heap is about 38 KiB and their peak RSS about 0.1 MiB lower.
+#: take about 0.6 times as long per point as 4-point ones, whose heap is
+#: about 42 KiB.
 BLOCK = 8
 
 
@@ -66,7 +62,7 @@ def _coefficient_arrays():
     )
 
 
-#: R = lam * R_LAM + sig * R_SIG, read once from structure.curvature_table
+#: R = lam * R_LAM + sig * R_SIG, read once from equations.curvature_table
 R_LAM, R_SIG = _coefficient_arrays()
 
 #: the flat metric g_ij in the orthonormal frame
@@ -280,38 +276,26 @@ def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0, angles: int = 16) ->
     }
 
 
-#: the sweep's residuals, in the order `_block_residuals` returns them
-RESIDUALS = (
-    "curvature_symmetry",
-    "scalar",
-    "ricci_spectrum",
-    "weakly_einstein",
-    "eigenvalues",
-    "rho",
-    "w_plus",
-    "norm2",
-)
-
-
-def _block_residuals(lam: np.ndarray, sig: np.ndarray) -> list:
-    """The residuals of RESIDUALS at the points (lam, sig), one array each.
-    A function, so that a block's tensors are freed before the next block
-    is built."""
+def _block_residuals(lam: np.ndarray, sig: np.ndarray) -> dict:
+    """The sweep's residuals at the points (lam, sig), one array each.  A
+    function, so that a block's tensors are freed before the next block is
+    built."""
     pt = build_curvature(lam, sig)
+    # first, so that its scratch buffer is freed before W is built
     symmetry = curvature_symmetry_residual(pt)
     ric, W, s = ricci_weyl_scalar(pt)
     spectrum = np.linalg.eigvalsh(ric)  # ascending, as LAPACK returns it
     w = weyl_on_2forms(pt, W)
-    return [
-        symmetry,
-        np.abs(s),
-        _max_abs(spectrum - np.abs(lam)[:, None] * SPECTRUM_SIGNS, 1),
-        weakly_einstein_residual(pt),
-        np.maximum.reduce(w["eigen_errors"]),
-        w["rho_error"],
-        w["w_plus_norm"],
-        norm_residual(pt),
-    ]
+    return {
+        "curvature_symmetry": symmetry,
+        "scalar": np.abs(s),
+        "ricci_spectrum": _max_abs(spectrum - np.abs(lam)[:, None] * SPECTRUM_SIGNS, 1),
+        "weakly_einstein": weakly_einstein_residual(pt),
+        "eigenvalues": np.maximum.reduce(w["eigen_errors"]),
+        "rho": w["rho_error"],
+        "w_plus": w["w_plus_norm"],
+        "norm2": norm_residual(pt),
+    }
 
 
 def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
@@ -322,14 +306,15 @@ def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
     if not 0 < tol < math.inf:
         raise ValueError(f"a sweep needs a finite tolerance > 0, got {tol}")
     rng = random.Random(seed)
-    worst = np.zeros(len(RESIDUALS))
+    worst = 0.0
     for start in range(0, points, BLOCK):
         drawn = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
                  for _ in range(min(BLOCK, points - start))]
         lam, sig = np.array(drawn).T
+        block = _block_residuals(lam, sig)
         # one maximum per residual; np.maximum keeps a NaN, which max() drops
-        np.maximum(worst, np.max(_block_residuals(lam, sig), axis=1), out=worst)
-    worst = dict(zip(RESIDUALS, worst.tolist()))
+        worst = np.maximum(worst, np.max(list(block.values()), axis=1))
+    worst = dict(zip(block, worst.tolist()))
     return {
         "points": points,
         "seed": seed,

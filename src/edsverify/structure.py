@@ -1,7 +1,6 @@
 """Machine form of the frame formalism: the u(2)-patterned connection matrix,
-the shipped exterior system, torsion and curvature residuals, the hand-typed
-curvature component table, Lie brackets, covariant derivatives, the
-line-oriented EDS text format, and `check`, the writer of one report record.
+the shipped exterior system, torsion and curvature residuals, Lie brackets,
+covariant derivatives, and the line-oriented EDS text format.
 
 Index conventions: grid[k][l] with 1-based accessors gamma(j, k) = the
 connection 1-form with lower index j and upper index k; the displayed pattern
@@ -22,6 +21,7 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 from .algebra import LocFrac, Poly
+from .equations import curvature_table
 from .forms import (
     COFRAME,
     DForm,
@@ -54,14 +54,6 @@ class EdsParseError(Exception):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -> bool:
-    """Append one report record {id, label, status, detail}; returns ok."""
-    checks.append(
-        {"id": check_id, "label": label, "status": "pass" if ok else "fail", "detail": detail}
-    )
-    return ok
 
 
 @dataclass
@@ -285,54 +277,9 @@ def curvature_forms(sys: StructureSystem, grid=None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# The curvature component table: the only hand-typed curvature data; the
-# structure, rotation and numeric checks all read it
-# ---------------------------------------------------------------------------
-
-_LAM, _SIG = Poly.var("lam"), Poly.var("sig")
-
-#: 1-based (i, j, k, l, value) generators; all other components are the ones
-#: algebraically related to these, or zero
-ROT_COMPONENTS = (
-    (1, 2, 1, 2, -_LAM),
-    (3, 4, 3, 4, _LAM),
-    (1, 3, 1, 3, _SIG),
-    (2, 4, 2, 4, _SIG),
-    (1, 4, 1, 4, -_SIG),
-    (2, 3, 2, 3, -_SIG),
-    (1, 4, 2, 3, _SIG),
-    (1, 3, 4, 2, -_SIG),
-)
-
-
-def curvature_table():
-    """Full 4^4 component table of Poly values generated from ROT_COMPONENTS
-    by the pair-skew and pair-exchange symmetries."""
-    T = [[[[Poly.zero() for _ in range(4)] for _ in range(4)] for _ in range(4)] for _ in range(4)]
-    assigned = {}
-
-    def put(i, j, k, l, v):
-        key = (i, j, k, l)
-        if key in assigned:
-            if assigned[key] != v:
-                raise ValueError(f"inconsistent curvature assignment at {key}")
-            return
-        assigned[key] = v
-        T[i - 1][j - 1][k - 1][l - 1] = v
-
-    for i, j, k, l, v in ROT_COMPONENTS:
-        for (a, b, c, d, w) in (
-            (i, j, k, l, v), (j, i, k, l, -v), (i, j, l, k, -v), (j, i, l, k, v),
-            (k, l, i, j, v), (l, k, i, j, -v), (k, l, j, i, -v), (l, k, j, i, v),
-        ):
-            put(a, b, c, d, w)
-    return T
-
-
 def expected_curvature(sys: StructureSystem):
     """The curvature 2-forms the last four exterior equations encode,
-    R_k^l = sum_{i<j} T_klij e^i ^ e^j over `curvature_table`."""
+    R_k^l = sum_{i<j} T_klij e^i ^ e^j over equations.curvature_table."""
     T = curvature_table()
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     return [

@@ -237,9 +237,9 @@ def test_cli_keeps_a_user_blas_thread_setting():
     assert setting == "2"
 
 
-#: run in a fresh interpreter: the CLI on the given arguments, then every
-#: module in the order it was first loaded, and whether numpy was loaded
-#: when the EDS parser was first called
+#: run in a fresh interpreter: the CLI on the given arguments, then its exit
+#: code, every module in the order it was first loaded, and whether numpy was
+#: loaded when the EDS parser was first called
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 seen = {}
@@ -255,30 +255,13 @@ print(json.dumps({"exit": code, "modules": list(sys.modules), **seen}))
 """
 
 
-def _loaded(*argv):
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
-                          capture_output=True, text=True, check=True)
-    probe = json.loads(done.stdout.splitlines()[-1])
-    assert probe["exit"] == 0
-    return probe
-
-
-def test_numeric_loads_neither_transcriptions_nor_case_pipelines():
-    modules = _loaded("numeric", "--points", "1")["modules"]
-    assert "edsverify.numeric" in modules and "numpy" in modules
-    assert "edsverify.equations" not in modules
-    assert "edsverify.cases" not in modules
-
-
-def test_a_symbolic_suite_loads_no_numpy():
-    modules = _loaded("structure")["modules"]
-    assert "numpy" not in modules and "edsverify.numeric" not in modules
-
-
 def test_all_loads_transcriptions_then_numpy_then_parses():
     """The load order of `all` sets its peak RSS: the transcriptions before
     numpy, and numpy before the EDS is parsed."""
-    probe = _loaded("all", "--points", "1")
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "all", "--points", "1"],
+                          capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["exit"] == 0
     modules = probe["modules"]
     assert modules.index("edsverify.equations") < modules.index("numpy")
     assert probe["numpy_at_parse"] is True

@@ -11,7 +11,7 @@ from edsverify.equations import EQ36, NEL, SOL, VARIANTS, lam, sig, mup, mum
 from edsverify.forms import coeff6
 from edsverify.jets import SubstitutionError
 from edsverify.cli import main
-from edsverify.structure import Equation, curvature_table, load_system
+from edsverify.structure import Equation, load_system
 
 from conftest import random_locfrac
 
@@ -252,7 +252,7 @@ def tampered_eq36():
 
 def test_group_closure_catches_a_tampered_equation(monkeypatch):
     """Changing one coefficient of one equation must break the closure."""
-    monkeypatch.setattr("edsverify.equations.EQ36", tampered_eq36())
+    monkeypatch.setattr(D, "EQ36", tampered_eq36())
     report = D.verify_group_closure()
     assert report["closure_ok"] is False
     assert any(failed == "c" for _, failed in report["failures"]), report["failures"]
@@ -270,7 +270,7 @@ def test_generators_decide_like_the_whole_group(system, monkeypatch):
         invariance = [D.verify_system_invariance(s)["ok"] for s in systems]
         closure = []
         for catalog in (EQ36, tampered_eq36()):
-            monkeypatch.setattr("edsverify.equations.EQ36", catalog)
+            monkeypatch.setattr(D, "EQ36", catalog)
             closure.append(D.verify_group_closure()["closure_ok"])
         return invariance, closure
 
@@ -356,9 +356,9 @@ def test_rotation_invariance():
 
 
 def test_rotation_invariance_catches_a_perturbed_entry(monkeypatch):
-    table = curvature_table()
+    table = D.eqs.curvature_table()
     table[0][1][0][1] = 2 * table[0][1][0][1]
-    monkeypatch.setattr("edsverify.structure.curvature_table", lambda: table)
+    monkeypatch.setattr(D.eqs, "curvature_table", lambda: table)
     report = D.rotation_invariance()
     assert not report["ok"] and not report["all_components_scale"]
     assert (1, 2, 1, 2) in report["failures"]

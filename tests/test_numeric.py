@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import edsverify.numeric as N
-from edsverify.structure import curvature_table
+from edsverify.equations import curvature_table
 
 TOL = 1e-12
 

@@ -10,8 +10,7 @@ from fractions import Fraction
 import pytest
 
 from edsverify.algebra import Poly
-from edsverify.equations import lam, sig
-from edsverify.structure import curvature_table
+from edsverify.equations import curvature_table, lam, sig
 
 HALF = Fraction(1, 2)
 SIXTH = Fraction(1, 6)
