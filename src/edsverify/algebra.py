@@ -1,7 +1,11 @@
 """Exact scalar arithmetic: sparse multivariate polynomials over Q and
 localized fractions whose denominators are monomials in declared-nonzero atoms.
 
-A monomial is a sorted tuple of (variable-name, exponent) pairs; a Poly maps
+A monomial is a tuple of (variable-name, exponent) pairs, canonical: sorted
+by name, each name once, every exponent positive.  `Poly(terms)` brings any
+input to that form (repeated names merge, zero exponents drop, coefficients
+of monomials that become equal add up) and refuses a negative exponent;
+internal builders that already hold canonical terms use `_poly`.  A Poly maps
 monomials to nonzero rationals, an int when integral and else a Fraction, so
 integer arithmetic carries nearly every coefficient.  Monomials are ordered
 graded-lex (variables in name order) through a sort key.  LocFrac is Poly /
@@ -9,6 +13,14 @@ product of atom powers, normalized so that no atom divides numerator and
 denominator at once: a variable atom (lam, sig, lam3) cancels by subtracting
 exponents, a binomial atom (mu+, mu-) by exact division.  Equality of
 fractions is decided by cross-multiplication.
+
+Arithmetic skips work whose answer is known.  A zero operand of a sum
+returns the other operand, and of a product gives zero (a Poly is never
+mutated after construction, so sharing is safe).  A one-term factor maps
+distinct monomials to distinct monomials and nonzero coefficients to nonzero
+ones, so its product is one pass over the other operand's terms, with
+nothing to collect or cancel.  Fractions on equal denominators add their
+numerators.
 """
 
 from __future__ import annotations
@@ -70,6 +82,18 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # insert the one pair by scanning a; exponents are positive, so a
+        # shared name never drops out
+        (name, e), = b
+        for i, (n, x) in enumerate(a):
+            if n == name:
+                return a[:i] + ((n, x + e),) + a[i + 1:]
+            if n > name:
+                return a[:i] + b + a[i:]
+        return a + b
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
@@ -111,8 +135,18 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
-        self.terms = {tuple(sorted(m)): k for m, c in (terms or {}).items()
-                      if (k := _coeff(c))}
+        self.terms = t = {}
+        for m, c in (terms or {}).items():
+            exps = {}
+            for name, e in m:
+                if e < 0:
+                    raise AlgebraError(f"negative exponent {e} of {name!r}")
+                exps[name] = exps.get(name, 0) + e
+            m = tuple(sorted((n, e) for n, e in exps.items() if e))
+            if s := t.get(m, 0) + _coeff(c):
+                t[m] = _coeff(s)
+            else:
+                t.pop(m, None)
 
     # -- constructors ------------------------------------------------------
 
@@ -127,7 +161,9 @@ class Poly:
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
-        return _poly({((name, exp),): 1})
+        if exp < 0:
+            raise AlgebraError(f"negative exponent {exp} of {name!r}")
+        return _poly({((name, exp),) if exp else ONE_MONO: 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -135,6 +171,10 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
         t = dict(self.terms)
         for m, c in other.terms.items():
             s = t.get(m)
@@ -164,6 +204,14 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.terms or not other.terms:
+            return _poly({})
+        if len(self.terms) == 1:
+            (m1, c1), = self.terms.items()
+            return _poly({mono_mul(m1, m2): _coeff(c1 * c2) for m2, c2 in other.terms.items()})
+        if len(other.terms) == 1:
+            (m2, c2), = other.terms.items()
+            return _poly({mono_mul(m1, m2): _coeff(c1 * c2) for m1, c1 in self.terms.items()})
         t = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -419,6 +467,8 @@ class LocFrac:
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return _frac(self.num + other.num, self.den)
         den = dict(self.den)
         for n, e in other.den.items():
             den[n] = max(den.get(n, 0), e)
@@ -551,8 +601,11 @@ def _cancel_atom(p: Poly, name: str, most=inf):
         return p, k
     k = most
     for m in p.terms:
-        k = min(k, dict(m).get(name, 0))
-        if not k:
+        for n, e in m:
+            if n == name:
+                k = min(k, e)
+                break
+        else:
             return p, 0
     return _poly({
         tuple((n, e - k if n == name else e) for n, e in m if n != name or e != k): c

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import equations as eqs
-from .algebra import LocFrac, Poly, _coerce_frac, _grlex_key, _quotient, atom_divide, eliminate, mono_mul
+from .algebra import LocFrac, Poly, _coerce_frac, _grlex_key, _poly, _quotient, atom_divide, eliminate, mono_mul
 from .equations import (
     CASE2_FINAL,
     CASE2_H,
@@ -114,10 +114,10 @@ def reduce_square(expr: LocFrac, name: str, replacement: LocFrac) -> LocFrac:
                 d[name] = e - 2
                 if not d[name]:
                     del d[name]
-                rest = Poly({tuple(sorted(d.items())): coeff})
+                rest = _poly({tuple(sorted(d.items())): coeff})
                 total = total + LocFrac(rest, current.den) * replacement
             else:
-                total = total + LocFrac(Poly({mono: coeff}), current.den)
+                total = total + LocFrac(_poly({mono: coeff}), current.den)
         current = total
         if not hit:
             return current

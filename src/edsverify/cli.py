@@ -4,6 +4,12 @@ reports.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (or a file
 that cannot be read or written), 3 EDS parse failure.  JSON output is
 deterministic for a fixed seed (timings appear only on stdout).
+
+`main()` returns the exit code, for in-process callers.  The command line
+(`python -m edsverify.cli` and the `edsverify` script) goes through `run()`,
+which flushes stdout and stderr and then ends the process with `os._exit`,
+skipping interpreter teardown: the report is written and closed by then,
+and nothing registers an `atexit` hook or starts a thread.
 """
 
 from __future__ import annotations
@@ -273,5 +279,20 @@ def main(argv=None) -> int:
     return 0 if overall_ok else 1
 
 
+def run():
+    """The command line: `main()`, then exit without interpreter teardown.
+
+    When a flush fails, as on a closed pipe, `run` exits through `SystemExit`
+    instead, and the interpreter reports the failure as it would without `run`.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

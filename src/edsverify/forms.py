@@ -69,6 +69,16 @@ def _merge_sign(a: tuple, b: tuple):
     return sign, tuple(out)
 
 
+def _accumulate(terms: dict, idx: tuple, c: LocFrac) -> None:
+    """Add c to terms[idx], dropping the entry when the sum is zero."""
+    s = terms.get(idx)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(idx, None)
+    else:
+        terms[idx] = s
+
+
 class DForm:
     """Graded exterior form with LocFrac coefficients."""
 
@@ -108,12 +118,7 @@ class DForm:
         self._check_compatible(other)
         t = dict(self.terms)
         for idx, c in other.terms.items():
-            s = t.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(idx, None)
-            else:
-                t[idx] = s
+            _accumulate(t, idx, c)
         out = DForm(self.basis, self.degree)
         out.terms = t
         return out
@@ -187,14 +192,7 @@ def wedge(a: DForm, b: DForm) -> DForm:
             if sign == 0:
                 continue
             c = ca * cb
-            if sign < 0:
-                c = -c
-            s = t.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(idx, None)
-            else:
-                t[idx] = s
+            _accumulate(t, idx, c if sign > 0 else -c)
     out.terms = t
     return out
 
@@ -224,7 +222,14 @@ def ext_d(form: DForm, sys) -> DForm:
     """Exterior derivative with the graded Leibniz rule.
 
     0-form coefficients differentiate through the jet context; each basis
-    1-form rewrites via the system's d-rule.
+    1-form rewrites via the system's d-rule.  A term c e^I of degree k gives
+
+        d(c e^I) = dc ^ e^I + sum_p (-1)^p c e^{I_0} ^ ... ^ d(e^{I_p}) ^ ... ^ e^{I_k-1},
+
+    and d(e^{I_p}) = sum_J r_J e^J is a 2-form, which passes the first p
+    factors without a sign.  So the term adds (d_i c) on the merged index of
+    (i) and I, and (-1)^p (r_J c) on the merged index of J and I without
+    I_p, each with the sign of its merge.
     """
     basis = form.basis
     if form.degree == 0:
@@ -232,16 +237,19 @@ def ext_d(form: DForm, sys) -> DForm:
         return d_scalar(sys.ctx, basis, coeff)
     out = DForm(basis, form.degree + 1)
     for idx, c in form.terms.items():
-        base = DForm(basis, form.degree, {idx: 1})
-        out = out + wedge(d_scalar(sys.ctx, basis, c), base)
+        for i in range(4):
+            dc = sys.ctx.derive(c, i + 1)
+            sign, merged = _merge_sign((i,), idx)
+            if dc and sign:
+                _accumulate(out.terms, merged, dc if sign > 0 else -dc)
         for pos, i in enumerate(idx):
-            prefix = DForm(basis, pos, {idx[:pos]: 1}) if pos else DForm.scalar(basis, 1)
-            suffix_idx = idx[pos + 1 :]
-            suffix = DForm(basis, len(suffix_idx), {suffix_idx: 1})
-            piece = wedge(wedge(prefix, sys.d_rule(basis.names[i])), suffix)
-            if pos % 2:
-                piece = -piece
-            out = out + piece.scale(c)
+            rest = idx[:pos] + idx[pos + 1:]
+            parity = -1 if pos % 2 else 1
+            for jdx, r in sys.d_rule(basis.names[i]).terms.items():
+                sign, merged = _merge_sign(jdx, rest)
+                if sign:
+                    rc = r * c
+                    _accumulate(out.terms, merged, rc if sign == parity else -rc)
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly, _coerce_frac
+from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly, _coeff, _coerce_frac, _poly
 
 DIRECTIONS = (1, 2, 3, 4)
 
@@ -110,9 +110,18 @@ class JetContext:
         All keys are replaced at once, and a key in a value is not replaced
         again, so a layered fact map must be closed first (no value mentions
         a key), as cases.FactStore keeps it.
+
+        When no key occurs in the numerator, nor in the polynomial of any
+        denominator atom (`lam` occurs in `mu+`), the substitution is the
+        identity and the coerced `expr` itself is returned.
         """
-        assignment = {k: _coerce_frac(v) for k, v in assignment.items()}
         expr = _coerce_frac(expr)
+        names = expr.num.variables()
+        for atom in expr.den:
+            names |= ATOMS[atom].variables()
+        if names.isdisjoint(assignment):
+            return expr
+        assignment = {k: _coerce_frac(v) for k, v in assignment.items()}
         out = _subst_poly(expr.num, assignment)
         for atom, e in expr.den.items():
             value = _subst_poly(ATOMS[atom], assignment)
@@ -147,7 +156,7 @@ def _dpoly(ctx: JetContext, p: Poly, direction: int) -> LocFrac:
                 rest[name] = e - 1
             else:
                 del rest[name]
-            partial = Poly({tuple(sorted(rest.items())): coeff * e})
+            partial = _poly({tuple(sorted(rest.items())): _coeff(coeff * e)})
             out = out + LocFrac(partial) * ctx.derive_var(name, direction)
     return out
 
@@ -164,7 +173,7 @@ def _subst_poly(p: Poly, assignment: Mapping[str, LocFrac]) -> LocFrac:
                     factor = factor * v
             else:
                 kept.append((name, e))
-        out = out + factor * LocFrac(Poly({tuple(kept): 1}))
+        out = out + factor * LocFrac(_poly({tuple(kept): 1}))
     return out
 
 

@@ -509,6 +509,24 @@ def test_constructors_refuse_float_coefficients():
         lam * 0.1
 
 
+def test_poly_puts_monomials_in_canonical_form():
+    x, y = Poly.var("x"), Poly.var("y")
+    p = Poly({(("x", 1), ("y", 1)): 1, (("y", 1), ("x", 1)): 2})
+    assert p == 3 * x * y and list(p.terms) == [(("x", 1), ("y", 1))]
+    assert Poly({(("x", 1), ("x", 1)): 1}) == Poly.var("x", 2)
+    assert Poly({(("x", 2), ("y", 0)): 5}) == 5 * Poly.var("x", 2)
+    assert Poly({(("x", 1), ("y", 1)): 1, (("y", 1), ("x", 1)): -1}).is_zero()
+    assert Poly({(("x", 0),): Fraction(1, 2), (): Fraction(1, 2)}) == 1
+    assert Poly.var("x", 0) == 1
+
+
+def test_negative_exponents_are_refused():
+    with pytest.raises(AlgebraError):
+        Poly.var("x", -1)
+    with pytest.raises(AlgebraError):
+        Poly({(("x", 2), ("x", -1)): 1})
+
+
 def test_whole_fraction_and_int_build_the_same_poly():
     for two in (2, Fraction(2), Fraction(6, 3)):
         p = Poly({(("lam", 1),): two, (): Fraction(1, 2)})

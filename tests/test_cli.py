@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+from pathlib import Path
+
 import pytest
 
-from edsverify.cli import main
+from edsverify.cli import RUNNERS, main
 
 
 def run_cli(*argv):
@@ -265,3 +267,67 @@ def test_all_loads_transcriptions_then_numpy_then_parses():
     modules = probe["modules"]
     assert modules.index("edsverify.equations") < modules.index("numpy")
     assert probe["numpy_at_parse"] is True
+
+
+GOLDEN = Path(__file__).parent / "data" / "all-seed0.symbolic.json"
+MUTANT = Path(__file__).parent / "data" / "mutant-F.1.double.eds"
+
+
+def run_process(*argv, unbuffered=False, **kwargs):
+    """`python -m edsverify.cli` with stdout block-buffered unless
+    `unbuffered`, so the output must survive the process's flush and exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env |= {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "edsverify.cli", *argv],
+                          stderr=subprocess.PIPE, text=True, env=env, **kwargs)
+
+
+def test_all_process_flushes_its_output_before_exiting(tmp_path):
+    out = tmp_path / "all.json"
+    done = run_process("all", "--seed", "0", "--json", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    suites = [line.split(":")[0] for line in lines if line.startswith("[")]
+    assert suites == [f"[PASS] {name}" for name in RUNNERS]
+    assert lines[-1].startswith("[PASS] numeric: ") and done.stdout.endswith("\n")
+    report = json.loads(out.read_text(encoding="utf-8"))
+    report["suites"] = [s for s in report["suites"] if s["suite"] != "numeric"]
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_a_mutant_process_exits_1(tmp_path):
+    out = tmp_path / "mutant.json"
+    done = run_process("all", "--eds", str(MUTANT), "--seed", "0", "--json", str(out))
+    assert (done.returncode, done.stderr) == (1, "")
+    assert "FAIL" in done.stdout
+    assert json.loads(out.read_text(encoding="utf-8"))["overall"] == "fail"
+
+
+def test_usage_and_parse_errors_reach_stderr_with_their_exit_codes(tmp_path):
+    bad = tmp_path / "bad.eds"
+    bad.write_text("frame A B C D\nscalars lambda sigma\noneforms F G L S\nd A = B^\n")
+    unwritable = tmp_path / "no-such-dir" / "r.json"
+    for argv, code, message in (
+        (("combos", "--frobnicate"), 2, "unrecognized arguments"),
+        (("combos", "--json", str(unwritable)), 2, f"cannot write {unwritable}: "),
+        (("combos", "--eds", str(bad)), 3, "line 4"),
+    ):
+        done = run_process(*argv)
+        assert done.returncode == code, argv
+        assert message in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered, code, message", [
+    (True, 1, "BrokenPipeError"),  # the first print raises inside main
+    (False, 120, "Exception ignored"),  # the exit's own flush fails
+])
+def test_a_closed_stdout_pipe_fails_as_an_ordinary_exit_would(unbuffered, code, message):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        done = run_process("all", "--points", "1", unbuffered=unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert message in done.stderr and "BrokenPipeError" in done.stderr

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edsverify.algebra import LocFrac, Poly
+from edsverify.algebra import ATOMS, LocFrac, Poly
 from edsverify.derive import match_transcription
 from edsverify.equations import EQ36
 from edsverify.forms import (
@@ -210,3 +213,68 @@ def test_coeff6_rejects_auxiliary_indices(system):
     mixed = wedge(DForm.one_form(system.basis, "A"), DForm.one_form(system.basis, "F"))
     with pytest.raises(FormError):
         coeff6(mixed)
+
+
+def reference_ext_d(form, sys):
+    """ext_d by wedging unit forms and scaling: d(c e^I) is dc ^ e^I plus,
+    for each position p, (-1)^p c (e^{I_0..I_p-1} ^ d e^{I_p} ^ e^{I_p+1..})."""
+    basis = form.basis
+    if form.degree == 0:
+        return d_scalar(sys.ctx, basis, form.terms.get((), 0))
+    out = DForm(basis, form.degree + 1)
+    for idx, c in form.terms.items():
+        out = out + wedge(d_scalar(sys.ctx, basis, c), DForm(basis, form.degree, {idx: 1}))
+        for pos, i in enumerate(idx):
+            prefix = DForm(basis, pos, {idx[:pos]: 1})
+            suffix = DForm(basis, len(idx) - pos - 1, {idx[pos + 1:]: 1})
+            piece = wedge(wedge(prefix, sys.d_rule(basis.names[i])), suffix)
+            out = out + (-piece if pos % 2 else piece).scale(c)
+    return out
+
+
+def stored(form):
+    """Every term of form as stored: index, numerator terms and denominator
+    atoms, in dict order."""
+    return [(idx, list(c.num.terms.items()), list(c.den.items())) for idx, c in form.terms.items()]
+
+
+def test_ext_d_matches_reference_on_the_shipped_rules(system):
+    for name in system.d_rules:
+        rule = system.d_rule(name)
+        assert stored(ext_d(rule, system)) == stored(reference_ext_d(rule, system))
+
+
+def test_ext_d_matches_reference_on_the_component_rules(system):
+    from edsverify.derive import sol_component_map
+
+    rules = system.component_rules(sol_component_map(system))
+    for name in rules.d_rules:
+        rule = rules.d_rule(name)
+        assert stored(ext_d(rule, rules)) == stored(reference_ext_d(rule, rules))
+
+
+NAMES = ("lam", "sig", "lam1", "lam3", "sig2", "S1")
+monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 2), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+coeffs = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
+fracs = st.builds(
+    LocFrac,
+    st.dictionaries(monomials, coeffs, max_size=3).map(Poly),
+    st.dictionaries(st.sampled_from(sorted(ATOMS)), st.integers(1, 2), max_size=2),
+)
+
+
+@st.composite
+def forms(draw):
+    degree = draw(st.integers(1, 3))
+    size = len(DEFAULT_BASIS.names)
+    index = st.sets(st.integers(0, size - 1), min_size=degree, max_size=degree)
+    terms = draw(st.dictionaries(index.map(lambda s: tuple(sorted(s))), fracs, max_size=3))
+    return DForm(DEFAULT_BASIS, degree, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=forms())
+def test_ext_d_matches_reference_on_drawn_forms(system, form):
+    assert stored(ext_d(form, system)) == stored(reference_ext_d(form, system))

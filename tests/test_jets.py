@@ -98,3 +98,22 @@ def test_substitute_rejects_denominator_escape(ctx):
         ctx.substitute(bad, {"sig": LocFrac(P("lam") + P("sig"))})
     assert err.value.factor is not None
 
+
+
+def test_substitute_of_absent_keys_is_the_identity(ctx):
+    rng = random.Random(5)
+    absent = {"S3": LocFrac(P("lam")), "sig44": 0}
+    for _ in range(40):
+        a = random_locfrac(rng)
+        b = ctx.substitute(a, absent)
+        assert b == a and (b.num, b.den) == (a.num, a.den)
+    assert ctx.substitute(P("lam") + 1, absent) == LocFrac(P("lam") + 1)
+
+
+def test_substitute_reaches_a_key_inside_a_denominator_atom(ctx):
+    # lam occurs in the fraction only through mu+ = 2 sig + lam
+    expr = LocFrac(P("sig"), {"mu+": 1})
+    assert ctx.substitute(expr, {"lam": 0}) == LocFrac(Poly.const(Fraction(1, 2)))
+    assert ctx.substitute(expr, {"lam": LocFrac(2 * P("sig"))}) == LocFrac(Poly.const(Fraction(1, 4)))
+    with pytest.raises(SubstitutionError):
+        ctx.substitute(expr, {"lam": LocFrac(-2 * P("sig"))})

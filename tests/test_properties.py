@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edsverify.algebra import ATOMS, LocFrac, Poly
@@ -20,6 +20,8 @@ monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 2), max_size=
 polys = st.dictionaries(monomials, coeffs, max_size=4).map(Poly)
 denominators = st.dictionaries(st.sampled_from(sorted(ATOMS)), st.integers(1, 2), max_size=2)
 fracs = st.builds(LocFrac, polys, denominators)
+#: zero or one term: the operands the product takes a shortcut for
+short_polys = st.dictionaries(monomials, coeffs, max_size=1).map(Poly)
 
 CTX = standard_context()
 
@@ -64,3 +66,36 @@ def test_one_form_wedge_anticommutes(a, b):
 @given(one_forms, one_forms, one_forms)
 def test_wedge_associates(a, b, c):
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+def reference_product(a: Poly, b: Poly) -> Poly:
+    """a * b by the double loop over terms, a outer, b inner."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exps = dict(m1)
+            for name, e in m2:
+                exps[name] = exps.get(name, 0) + e
+            m = tuple(sorted(exps.items()))
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return Poly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, short_polys)
+def test_products_with_a_short_operand_match_the_double_loop(a, b):
+    for x, y in ((a, b), (b, a), (b, b)):
+        product, reference = x * y, reference_product(x, y)
+        assert product == reference
+        assert list(product.terms) == list(reference.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, denominators)
+def test_sums_on_equal_denominators_match_cross_multiplication(p, q, den):
+    a, b = LocFrac(p, den), LocFrac(q, den)
+    assume(a.den == b.den)
+    total = a + b
+    den_sum = {n: a.den.get(n, 0) + b.den.get(n, 0) for n in a.den.keys() | b.den.keys()}
+    reference = LocFrac(a.num * b.den_poly() + b.num * a.den_poly(), den_sum)
+    assert (total.num, total.den) == (reference.num, reference.den)
