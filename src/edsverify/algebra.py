@@ -708,16 +708,17 @@ def _clear_rows(matrix, rhs):
     return cleared, vec
 
 
-def linear_solve(matrix, rhs):
+def linear_solve(matrix, rhs, nonzero):
     """Solve matrix @ x == rhs exactly over the localized ring.
 
     `eliminate` on the cleared augmented matrix leaves an upper-triangular U,
     a right-hand side c and det = u_nn.  Back substitution stays in the
     polynomial ring, y_i = (det c_i - sum_{j>i} u_ij y_j) / u_ii, and x = y / det.
 
-    The determinant must be a unit (rational times atom monomial); a zero
-    determinant raises SingularMatrixError, a non-unit one NonUnitError with
-    the offending factor.  The returned solution satisfies the system exactly.
+    The determinant must be a unit (rational times atom monomial) whose atoms
+    all lie in `nonzero`, the atoms declared nonzero; a zero determinant raises
+    SingularMatrixError, any other NonUnitError with the offending factor or
+    atoms.  The returned solution satisfies the system exactly.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
@@ -731,6 +732,12 @@ def linear_solve(matrix, rhs):
     if c is None:
         raise NonUnitError(
             f"determinant has a factor outside the atom set: {exps}", factor=exps
+        )
+    undeclared = [name for name in exps if name not in nonzero]
+    if undeclared:
+        raise NonUnitError(
+            f"determinant {det} divides by atoms not declared nonzero: {', '.join(undeclared)}",
+            factor=undeclared,
         )
     y = [Poly.zero()] * n
     for i in reversed(range(n)):

@@ -24,17 +24,14 @@ from .equations import (
     CASE3_REWRITTEN,
     ELS_I,
     ELS_II,
-    EQ36,
     FSQ_I,
     FSQ_II,
-    INTRO_A,
-    INTRO_B,
+    INTRO_COMBINATIONS,
     LTS_1,
     LTS_2,
-    SOL,
     SUC,
 )
-from .forms import DForm, ext_d, substitute_one_forms
+from .forms import COFRAME, DForm, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, JetContext
 from .structure import StructureSystem
 
@@ -51,11 +48,12 @@ def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -
 
 @dataclass
 class PipelineReport:
-    """A pipeline's assumptions, its steps as `check` records, and the final
-    conclusion."""
+    """A pipeline's assumptions, the atoms it divides by, its steps as
+    `check` records, and the final conclusion."""
 
     name: str
     assumptions: list
+    divides_by: tuple
     steps: list = field(default_factory=list)
     final: dict = field(default_factory=dict)
 
@@ -128,32 +126,33 @@ def reduce_square(expr: LocFrac, name: str, replacement: LocFrac) -> LocFrac:
 # ---------------------------------------------------------------------------
 
 
-def run_const_lambda(sys: StructureSystem) -> PipelineReport:
+def run_const_lambda(sys: StructureSystem, comp: dict[str, DForm]) -> PipelineReport:
     """d lam = 0 forces F = G = 0, and then the dF rule forces sig = 0,
-    contradicting lam sig != 0."""
+    contradicting lam sig != 0.  `comp` is the derived component map."""
     report = PipelineReport(
         "const-lambda",
         assumptions=["lam sig != 0", "d lam = 0 (all lam_i = 0)"],
+        divides_by=("lam", "sig"),
     )
     store = FactStore(sys.ctx)
     for i in DIRECTIONS:
         store.add(f"lam{i}", 0, with_derivatives=True)
-    # F and G vanish by the closed-form components
+    # F and G vanish by the solved components
     zero = LocFrac(Poly.zero())
     for name in ("F", "G"):
         for i in DIRECTIONS:
             _expect(report, f"{name}{i}=0", f"component {name}{i} under d lam = 0",
-                    store.reduce(SOL[f"{name}{i}"]), zero)
+                    store.reduce(comp[name].coefficient(COFRAME[i - 1])), zero)
     # the dF rule then reads 0 = sig (A^C - D^B)
-    comp = {
+    reduced = {
         "F": DForm(sys.basis, 1),
         "G": DForm(sys.basis, 1),
-        "L": DForm(sys.basis, 1, {(i,): store.reduce(SOL[f"L{i + 1}"]) for i in range(4)}),
-        "S": sys.free_components()["S"],
+        "L": DForm(sys.basis, 1, {idx: store.reduce(c) for idx, c in comp["L"].terms.items()}),
+        "S": comp["S"],
     }
-    rules = sys.component_rules(comp)
-    lhs = ext_d(comp["F"], rules)  # d of the zero 1-form
-    rhs = substitute_one_forms(sys.d_rule("F"), comp)
+    rules = sys.component_rules(reduced)
+    lhs = ext_d(reduced["F"], rules)  # d of the zero 1-form
+    rhs = substitute_one_forms(sys.d_rule("F"), reduced)
     residual = rhs - lhs
     coeff_ac = residual.coefficient("A", "C")
     coeff_bd = residual.coefficient("B", "D")
@@ -173,8 +172,9 @@ def run_const_lambda(sys: StructureSystem) -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
-def run_case_ii(sys: StructureSystem) -> PipelineReport:
-    """The chain from lam1 = lam2 = lam4 = 0 to lam^4 - 5 lam^2 sig^2 + 12 sig^4 = 0."""
+def run_case_ii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
+    """The chain from lam1 = lam2 = lam4 = 0 to lam^4 - 5 lam^2 sig^2 + 12 sig^4 = 0,
+    read off the derived 36 `rows`."""
     report = PipelineReport(
         "case-ii",
         assumptions=[
@@ -182,6 +182,7 @@ def run_case_ii(sys: StructureSystem) -> PipelineReport:
             "lam4 = 0, lam3 > 0 (normalized gradient)",
             "lam1 = lam2 = 0 (span(e3,e4) integrable)",
         ],
+        divides_by=("lam", "sig", "lam3", "mu+", "mu-"),
     )
     store = FactStore(sys.ctx)
     ctx = sys.ctx
@@ -191,39 +192,39 @@ def run_case_ii(sys: StructureSystem) -> PipelineReport:
 
     # (suc): four successive consequences of the b-family
     _expect(report, "suc-1", "b reduces to -4 sig lam31",
-            store.reduce(EQ36["b"]), -4 * sig * Poly.var("lam31"))
+            store.reduce(rows["b"]), -4 * sig * Poly.var("lam31"))
     store.add("lam31", 0)
     _expect(report, "suc-2", "b1 reduces to -4 sig lam32",
-            store.reduce(EQ36["b1"]), -4 * sig * Poly.var("lam32"))
+            store.reduce(rows["b1"]), -4 * sig * Poly.var("lam32"))
     store.add("lam32", 0)
     _expect(report, "suc-3", "b2 reduces to lam3 (2 sig S1 + sig2)",
-            store.reduce(EQ36["b2"]), LocFrac(lam3p) * LocFrac(SUC[2]))
+            store.reduce(rows["b2"]), LocFrac(lam3p) * LocFrac(SUC[2]))
     store.add("S1", LocFrac(-Poly.var("sig2") * Fraction(1, 2), {"sig": 1}), with_derivatives=True)
     _expect(report, "suc-4", "b3 reduces to lam3 (2 sig S2 - sig1)",
-            store.reduce(EQ36["b3"]), LocFrac(lam3p) * LocFrac(SUC[3]))
+            store.reduce(rows["b3"]), LocFrac(lam3p) * LocFrac(SUC[3]))
     store.add("S2", LocFrac(Poly.var("sig1") * Fraction(1, 2), {"sig": 1}), with_derivatives=True)
 
     # (c) and (c1) force sig2 = sig1 = 0 since lam sig lam3 != 0
     _expect(report, "c", "c reduces to 64 lam^2 sig lam3 sig2",
-            store.reduce(EQ36["c"]), 64 * lam**2 * sig * lam3p * Poly.var("sig2"))
+            store.reduce(rows["c"]), 64 * lam**2 * sig * lam3p * Poly.var("sig2"))
     store.add("sig2", 0, with_derivatives=True)
     _expect(report, "c1", "c1 reduces to -64 lam^2 sig lam3 sig1",
-            store.reduce(EQ36["c1"]), -64 * lam**2 * sig * lam3p * Poly.var("sig1"))
+            store.reduce(rows["c1"]), -64 * lam**2 * sig * lam3p * Poly.var("sig1"))
     store.add("sig1", 0, with_derivatives=True)
     _expect(report, "S1=S2=0", "the trace components vanish with sig1, sig2",
             store.reduce(Poly.var("S1") ** 2 + Poly.var("S2") ** 2), 0)
 
     # (j): lam3 S4 = 2 lam^2
     _expect(report, "j", "j reduces to -16 sig^2 (lam3 S4 - 2 lam^2)",
-            store.reduce(EQ36["j"]), LocFrac(-16 * sig**2) * LocFrac(CASE2_J))
+            store.reduce(rows["j"]), LocFrac(-16 * sig**2) * LocFrac(CASE2_J))
     store.add("S4", LocFrac(2 * lam**2, {"lam3": 1}), with_derivatives=True)
 
     # (h): 3 mu* lam3^2 = 8 lam sig (lam3 sig3 + 4 lam^2 sig)
     _expect(report, "h", "h reduces to 16 sig^2 times the lam3^2 relation",
-            store.reduce(EQ36["h"]), LocFrac(16 * sig**2) * LocFrac(CASE2_H))
+            store.reduce(rows["h"]), LocFrac(16 * sig**2) * LocFrac(CASE2_H))
 
     # combined with (d2): lam3 sig3 = -4 sig mu*
-    r2 = store.reduce(EQ36["d2"])
+    r2 = store.reduce(rows["d2"])
     combo = LocFrac(mum) * store.reduce(CASE2_H) - r2
     _expect(report, "lts-1", "mu- * (h-relation) - d2 is -16 lam^2 sig (lam3 sig3 + 4 sig mu*)",
             combo, LocFrac(-16 * lam**2 * sig) * LocFrac(LTS_1))
@@ -233,9 +234,9 @@ def run_case_ii(sys: StructureSystem) -> PipelineReport:
 
     # (els): d and d1 divided by 4 sig
     _expect(report, "els-i", "d, divided by 4 sig",
-            atom_divide(store.reduce(EQ36["d"]) * Fraction(1, 4), "sig"), LocFrac(ELS_I))
+            atom_divide(store.reduce(rows["d"]) * Fraction(1, 4), "sig"), LocFrac(ELS_I))
     _expect(report, "els-ii", "d1, divided by 4 sig",
-            atom_divide(store.reduce(EQ36["d1"]) * Fraction(1, 4), "sig"), LocFrac(ELS_II))
+            atom_divide(store.reduce(rows["d1"]) * Fraction(1, 4), "sig"), LocFrac(ELS_II))
 
     # final combination with coefficients 3 mu* mu+ and -3 mu* mu-
     combo = LocFrac(3 * mus * mup) * LocFrac(ELS_I) - LocFrac(3 * mus * mum) * LocFrac(ELS_II)
@@ -263,9 +264,19 @@ def run_case_ii(sys: StructureSystem) -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
-def run_case_iii(sys: StructureSystem) -> PipelineReport:
+def constraint(rows: dict[str, Poly], name: str) -> LocFrac:
+    """The first-order constraint `name` of INTRO_COMBINATIONS read off the
+    rows: its combination of them, divided by 32 lam sig."""
+    total = Poly.zero()
+    for label, coeff in INTRO_COMBINATIONS[name][1]:
+        total = total + coeff * rows[label]
+    return LocFrac(total * Fraction(1, 32), {"lam": 1, "sig": 1})
+
+
+def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
     """sig a function of lam: the six rewritten equations and the final
-    combination 8 lam^2 sig (lam1^2 + lam2^2 + lam3^2) = 0 against (nbl)."""
+    combination 8 lam^2 sig (lam1^2 + lam2^2 + lam3^2) = 0 against (nbl),
+    read off the derived 36 `rows`."""
     report = PipelineReport(
         "case-iii",
         assumptions=[
@@ -273,6 +284,7 @@ def run_case_iii(sys: StructureSystem) -> PipelineReport:
             "lam4 = 0",
             "sig_i = sig' lam_i, sig_ij = sig' lam_ij + sig'' lam_i lam_j",
         ],
+        divides_by=("lam", "sig"),
     )
     store = FactStore(sys.ctx)
     ctx = sys.ctx
@@ -288,9 +300,11 @@ def run_case_iii(sys: StructureSystem) -> PipelineReport:
 
     # the first-order constraints factor through 8 lam sig sig' = 12 sig^2 - lam^2
     _expect(report, "fsq-i-a", "constraint (a) becomes -lam2 lam3 times the sig' relation",
-            store.reduce(INTRO_A), LocFrac(-Poly.var("lam2") * Poly.var("lam3")) * LocFrac(FSQ_I))
+            store.reduce(constraint(rows, "intro_a")),
+            LocFrac(-Poly.var("lam2") * Poly.var("lam3")) * LocFrac(FSQ_I))
     _expect(report, "fsq-i-b", "constraint (b) becomes -lam1 lam3 times the sig' relation",
-            store.reduce(INTRO_B), LocFrac(-Poly.var("lam1") * Poly.var("lam3")) * LocFrac(FSQ_I))
+            store.reduce(constraint(rows, "intro_b")),
+            LocFrac(-Poly.var("lam1") * Poly.var("lam3")) * LocFrac(FSQ_I))
     sigp_fact = LocFrac((12 * sig**2 - lam**2) * Fraction(1, 8), {"lam": 1, "sig": 1})
 
     # differentiating the sig' relation yields the sig'' relation
@@ -336,7 +350,7 @@ def run_case_iii(sys: StructureSystem) -> PipelineReport:
     for idx, (label, factor) in enumerate(zip(sources, factors)):
         _expect(report, f"rewrite-{label}",
                 f"{label} substitutes to ({factor}) x its rewritten form",
-                store.reduce(EQ36[label]), LocFrac(Poly.const(1) * factor) * LocFrac(CASE3_REWRITTEN[idx]))
+                store.reduce(rows[label]), LocFrac(Poly.const(1) * factor) * LocFrac(CASE3_REWRITTEN[idx]))
 
     # final combination: sum of the first four minus 4 sig times the last two
     total = Poly.zero()

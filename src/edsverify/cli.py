@@ -28,7 +28,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import cases, derive, numeric
 from .cases import check
-from .equations import EQ36
+from .equations import SOL
 from .forms import DForm, ext_d, wedge
 from .structure import (
     EdsParseError,
@@ -41,7 +41,8 @@ from .structure import (
 )
 
 
-def run_structure(sys_, args) -> list:
+def run_structure(derived, args) -> list:
+    sys_ = derived.sys
     checks = []
     grid_report = verify_parallel_g_J(sys_.connection())
     check(checks, "connection-pattern", "mtx", grid_report["ok"],
@@ -64,9 +65,9 @@ def run_structure(sys_, args) -> list:
     return checks
 
 
-def run_nel(sys_, args) -> list:
+def run_nel(derived, args) -> list:
     checks = []
-    _, report = derive.derive_nel(sys_)
+    _, report = derived.nel
     for label in sorted(report):
         entry = report[label]
         check(checks, label, label, entry["matched"],
@@ -74,17 +75,11 @@ def run_nel(sys_, args) -> list:
     return checks
 
 
-def run_sol(sys_, args) -> list:
-    from .equations import SOL
-
-    checks = []
-    rows, _ = derive.derive_nel(sys_)
-    try:
-        assignment = derive.solve_sol(rows, sys_.ctx)
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
-        check(checks, "solve", "sol", False, str(exc))
+def run_sol(derived, args) -> list:
+    assignment, solved = derived.solve
+    checks = [solved]
+    if assignment is None:
         return checks
-    check(checks, "solve", "sol", True, "12x12 solve, residual 0")
     for name in sorted(SOL):
         ok = (assignment[name] - SOL[name]).is_zero()
         check(checks, f"component-{name}", name, ok, str(assignment[name]))
@@ -93,48 +88,38 @@ def run_sol(sys_, args) -> list:
     return checks
 
 
-def run_equations36(sys_, args) -> list:
-    checks = []
-    rows, report = derive.derive_36(sys_)
-    for label in EQ36:
-        entry = report[label]
-        # a symmetry-generated equation must also agree with the dG identity
-        ok = entry["matched"] and entry.get("dG_cross_check", True)
-        found = (f"multiplier {entry['multiplier']}" if entry["matched"]
-                 else f"residual {entry['residual']}")
-        check(checks, f"eq-{label}", label, ok, f"{entry['source']}; {found}")
-        # derivation trace: label -> {source identity, multiplier, matched,
-        # residual, and dG_cross_check for the symmetry-generated six}
-        checks[-1]["trace"] = entry
+def run_equations36(derived, args) -> list:
+    rows, by_label = derived.eq36
+    checks = list(by_label.values())
     vm = derive.verify_multipliers(rows)
     check(checks, "multipliers", "stated clearing factors",
           all(v["ok"] for v in vm.values()),
           "; ".join(f"{k}:{v['recovered']}" for k, v in sorted(vm.items()) if not v["ok"]))
-    sv = derive.verify_symmetry_variants()
+    sv = derive.verify_symmetry_variants(derived.equations)
     check(checks, "variants", "rpl images", all(v["ok"] for v in sv.values()))
-    integ = derive.integrability_criterion(sys_)
+    integ = derive.integrability_criterion(derived.sys, derived.components)
     check(checks, "integrability", "inp", integ["ok"],
           f"span(e1,e2): {integ['span12_coefficients']}")
     return checks
 
 
-def run_combos(sys_, args) -> list:
+def run_combos(derived, args) -> list:
     checks = []
-    for name, entry in derive.verify_dependence_relations().items():
+    for name, entry in derive.verify_dependence_relations(derived.equations).items():
         check(checks, f"combo-{name}", name, entry["ok"], entry["residual"])
     return checks
 
 
-def run_symmetry(sys_, args) -> list:
+def run_symmetry(derived, args) -> list:
     checks = []
     _, grp = derive.symmetry_group()
     check(checks, "order", "group order", grp["order"] == 32, str(grp["order"]))
     check(checks, "conjugation", "cng", grp["cng_conjugation"])
     check(checks, "composition", "cng", grp["cng_composition"])
-    closure = derive.verify_group_closure()
+    closure = derive.verify_group_closure(derived.equations)
     check(checks, "closure", "orbit of the 36", closure["closure_ok"],
           str(closure["failures"]) if closure["failures"] else "")
-    invariance = derive.verify_system_invariance(sys_)
+    invariance = derive.verify_system_invariance(derived.sys)
     check(checks, "system-invariance", "swp", invariance["ok"],
           str(invariance["failures"]) if invariance["failures"] else "")
     rot = derive.rotation_invariance()
@@ -143,33 +128,35 @@ def run_symmetry(sys_, args) -> list:
     return checks
 
 
-def _pipeline_checks(report) -> list:
+def _pipeline_checks(report, sys_) -> list:
     checks = []
-    check(checks, "assumptions", "declared nonzero/vanishing data", True,
-          "; ".join(report.assumptions))
+    undeclared = [atom for atom in report.divides_by if atom not in sys_.nonzero]
+    check(checks, "assumptions", "declared nonzero/vanishing data", not undeclared,
+          f"divides by atoms not declared nonzero: {', '.join(undeclared)}" if undeclared
+          else "; ".join(report.assumptions))
     checks += report.steps
     check(checks, "conclusion", report.final.get("identity", report.final.get("forced", "")),
           bool(report.final.get("ok")), report.final.get("contradiction", ""))
     return checks
 
 
-def run_case_const_lambda(sys_, args) -> list:
-    return _pipeline_checks(cases.run_const_lambda(sys_))
+def run_case_const_lambda(derived, args) -> list:
+    return _pipeline_checks(cases.run_const_lambda(derived.sys, derived.components), derived.sys)
 
 
-def run_case_ii(sys_, args) -> list:
-    report = cases.run_case_ii(sys_)
-    checks = _pipeline_checks(report)
+def run_case_ii(derived, args) -> list:
+    report = cases.run_case_ii(derived.sys, derived.equations)
+    checks = _pipeline_checks(report, derived.sys)
     check(checks, "sos", "positivity certificate",
           report.final.get("sos_ok", False), report.final.get("sos_certificate") or "")
     return checks
 
 
-def run_case_iii(sys_, args) -> list:
-    return _pipeline_checks(cases.run_case_iii(sys_))
+def run_case_iii(derived, args) -> list:
+    return _pipeline_checks(cases.run_case_iii(derived.sys, derived.equations), derived.sys)
 
 
-def run_numeric(sys_, args) -> list:
+def run_numeric(derived, args) -> list:
     checks = []
     sw = numeric.sweep(points=args.points, seed=args.seed, tol=args.tol)
     for name, value in sorted(sw["worst"].items()):
@@ -244,12 +231,16 @@ def main(argv=None) -> int:
         print(f"cannot read {args.eds}: {exc}", file=sys.stderr)
         return 2
     names = list(RUNNERS) if args.suite == "all" else [args.suite]
+    derived = derive.Derivation(sys_)  # each part is built on its first read
     suites = []
     overall_ok = True
     for name in names:
         t0 = time.perf_counter()
         try:
-            checks = RUNNERS[name](sys_, args)
+            checks = RUNNERS[name](derived, args)
+        except derive.Blocked as exc:  # a derived input this suite reads failed
+            checks = []
+            check(checks, "blocked", exc.check["id"], False, exc.check["detail"])
         except Exception as exc:  # a non-shipped --eds system may break a suite
             checks = []
             check(checks, "suite-error", name, False, f"{type(exc).__name__}: {exc}")

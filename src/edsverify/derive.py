@@ -6,6 +6,7 @@ off coefficients on the six basis 2-forms, and matches every transcribed
 display as an exact rational-monomial multiple of the derived identity.  The
 frame-replacement symmetries act on jet symbols by signed permutation and
 generate the subscripted variants the identities do not cover directly.
+`Derivation` builds each of these once per system, for every suite to read.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from itertools import product
 
 from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
-from .equations import EQ36, INP, NEL, NEL_UNKNOWNS, SOL
+from .cases import check
+from .equations import EQ36, INP, NEL, NEL_UNKNOWNS
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
-from .jets import DIRECTIONS, JetContext, standard_context
+from .jets import DIRECTIONS, standard_context
 from .structure import (
     Equation,
     StructureSystem,
@@ -121,19 +123,10 @@ def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source:
 # ---------------------------------------------------------------------------
 
 
-def sol_component_map(sys: StructureSystem) -> dict[str, DForm]:
-    """F, G, L expanded with the closed-form components; S stays free."""
-    out = sys.free_components()
-    for name in ("F", "G", "L"):
-        out[name] = DForm(
-            sys.basis, 1, {(i,): SOL[f"{name}{i + 1}"] for i in range(4)}
-        )
-    return out
-
-
-def identity_forms(sys: StructureSystem, which=("d2lam", "d2sig", "dF", "dL", "dS", "dG")):
-    """The 2-form identities that vanish on solutions, post-substitution."""
-    comp = sol_component_map(sys)
+def identity_forms(sys: StructureSystem, comp: dict[str, DForm],
+                   which=("d2lam", "d2sig", "dF", "dL", "dS", "dG")):
+    """The 2-form identities that vanish on solutions, with the 1-forms
+    expanded by the component map `comp`."""
     rules = sys.component_rules(comp)
     out = {}
     for name in which:
@@ -178,11 +171,12 @@ def derive_nel(sys: StructureSystem):
     return match_rows(transcriptions, raw, source)
 
 
-def solve_sol(rows: dict[str, Equation], ctx: JetContext):
+def solve_sol(rows: dict[str, Equation], sys: StructureSystem):
     """Solve the twelve nel rows for L_i, F_i, G_i over the localized ring.
 
     A row set that lacks any of the twelve is refused with DeriveError
-    naming the missing labels.
+    naming the missing labels; a determinant that divides by an atom the
+    system does not declare nonzero, with NonUnitError naming the atom.
     """
     missing = [f"nel-{row}" for row in NEL if f"nel-{row}" not in rows]
     if missing:
@@ -204,11 +198,11 @@ def solve_sol(rows: dict[str, Equation], ctx: JetContext):
             raise DeriveError(f"row {label} has nonlinear component terms")
         matrix.append(row)
         rhs.append(LocFrac(-const))
-    solution = linear_solve(matrix, rhs)
+    solution = linear_solve(matrix, rhs, sys.nonzero)
     assignment = dict(zip(unknowns, solution))
     # back-substitution leaves every row identically zero
     for label, eq in rows.items():
-        if not ctx.substitute(eq.poly, assignment).is_zero():
+        if not sys.ctx.substitute(eq.poly, assignment).is_zero():
             raise DeriveError(f"back-substitution residual in {label}")
     return assignment
 
@@ -397,8 +391,9 @@ def symmetry_group():
 # ---------------------------------------------------------------------------
 
 
-def derive_36(sys: StructureSystem):
-    """Engine-derived equation set matched against all 36 transcriptions.
+def derive_36(sys: StructureSystem, comp: dict[str, DForm]):
+    """Engine-derived equation set matched against all 36 transcriptions,
+    with the 1-forms expanded by the component map `comp`.
 
     Returns `match_rows` over EQ36: the matched rows, and a report whose
     entry for each label records the source identity, the recovered
@@ -406,7 +401,7 @@ def derive_36(sys: StructureSystem):
     The six symmetry-generated equations are additionally cross-checked
     against the dG-rule identity (`dG_cross_check` in their entries).
     """
-    forms = identity_forms(sys)
+    forms = identity_forms(sys, comp)
     raw: dict[str, LocFrac] = {}
     source: dict[str, str] = {}
     for ident in ("d2lam", "d2sig", "dF", "dL", "dS"):
@@ -494,13 +489,16 @@ def verify_multipliers(rows: dict[str, Equation]) -> dict:
     return out
 
 
-def verify_symmetry_variants() -> dict:
-    """Each subscripted transcription equals (up to a rational multiple) the
-    replacement-case image of its base transcription."""
+def verify_symmetry_variants(rows: dict[str, Poly]) -> dict:
+    """Each subscripted row equals (up to a rational multiple) the
+    replacement-case image of its base row.  A pair with a row missing from
+    `rows` is left out: that row's own check has failed."""
     out = {}
     for label, (base, case) in eqs.VARIANTS.items():
-        image = RPL_CASES[case].apply(EQ36[base])
-        mult = match_transcription(EQ36[label], LocFrac(image))
+        if label not in rows or base not in rows:
+            continue
+        image = RPL_CASES[case].apply(rows[base])
+        mult = match_transcription(rows[label], LocFrac(image))
         out[label] = {
             "base": base,
             "case": case,
@@ -510,10 +508,10 @@ def verify_symmetry_variants() -> dict:
     return out
 
 
-def verify_group_closure() -> dict:
-    """The group permutes the 36 transcriptions up to multiples: each
-    generator maps them bijectively onto themselves."""
-    primitive = {label: p.normalized()[2] for label, p in EQ36.items()}
+def verify_group_closure(rows: dict[str, Poly]) -> dict:
+    """The group permutes the 36 rows up to multiples: each generator maps
+    them bijectively onto themselves.  Reads every label of EQ36 from `rows`."""
+    primitive = {label: rows[label].normalized()[2] for label in EQ36}
     lookup = {q: label for label, q in primitive.items()}
     failures = []
     for gen, elem in GENERATORS.items():
@@ -537,9 +535,8 @@ def verify_group_closure() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_combination(target: Poly, sources, coefficients, catalog=None):
+def check_combination(target: Poly, sources, coefficients, catalog: dict[str, Poly]):
     """Does sum(coefficients[i] * catalog[sources[i]]) equal target exactly?"""
-    catalog = catalog or EQ36
     acc = Poly.zero()
     for label, coeff in zip(sources, coefficients):
         acc = acc + coeff * catalog[label]
@@ -547,27 +544,28 @@ def check_combination(target: Poly, sources, coefficients, catalog=None):
     return residual.is_zero(), residual
 
 
-def verify_dependence_relations() -> dict:
+def verify_dependence_relations(rows: dict[str, Poly]) -> dict:
+    """The dependence relations among the rows, and the two first-order
+    constraints as combinations of them."""
     out = {}
     for target, combo in eqs.DEPENDENCE_RELATIONS.items():
         ok, residual = check_combination(
-            EQ36[target], [l for l, _ in combo], [c for _, c in combo]
+            rows[target], [l for l, _ in combo], [c for _, c in combo], rows
         )
         out[target] = {"ok": ok, "residual": str(residual)}
     for name, (intro, combo) in eqs.INTRO_COMBINATIONS.items():
         target = 32 * eqs.lam * eqs.sig * intro
-        ok, residual = check_combination(target, [l for l, _ in combo], [c for _, c in combo])
+        ok, residual = check_combination(target, [l for l, _ in combo], [c for _, c in combo], rows)
         out[name] = {"ok": ok, "residual": str(residual)}
     return out
 
 
-def integrability_criterion(sys: StructureSystem) -> dict:
-    """Transverse bracket coefficients under the closed-form components.
+def integrability_criterion(sys: StructureSystem, comp: dict[str, DForm]) -> dict:
+    """Transverse bracket coefficients under the component map `comp`.
 
     span(e1,e2) is involutive iff lam3 = lam4 = 0; the image of the statement
     under replacement iv gives lam1 = lam2 = 0 for span(e3,e4).
     """
-    comp = sol_component_map(sys)
     b12 = lie_bracket(1, 2, sys, comp)
     b34 = lie_bracket(3, 4, sys, comp)
     lam = eqs.lam
@@ -633,3 +631,84 @@ def rotation_invariance() -> dict:
         "identity_rotation_fixes_sigma": ident,
         "ok": not failures and headline and ident,
     }
+
+
+# ---------------------------------------------------------------------------
+# one derivation per system, read by every suite
+# ---------------------------------------------------------------------------
+
+
+class Blocked(Exception):
+    """A derived input was read whose check, the record `check`, failed."""
+
+    def __init__(self, check: dict):
+        super().__init__(check["id"])
+        self.check = check
+
+
+class DerivedRows(dict):
+    """The rows whose check passed; reading a failed one raises Blocked."""
+
+    def __init__(self, rows: dict[str, Poly], failed: dict[str, dict]):
+        super().__init__(rows)
+        self.failed = failed
+
+    def __missing__(self, label: str):
+        raise Blocked(self.failed[label])
+
+
+class Derivation:
+    """The nel rows, the solve, the component map and the 36 rows derived
+    from one system, each built on its first read and then kept.  Reading a
+    part built on a failed check raises Blocked with that check."""
+
+    def __init__(self, sys: StructureSystem):
+        self.sys = sys
+
+    @cached_property
+    def nel(self):
+        """`derive_nel`: the matched rows and their report."""
+        return derive_nel(self.sys)
+
+    @cached_property
+    def solve(self):
+        """(assignment, or None when it failed, and the `solve` check)."""
+        checks = []
+        try:
+            assignment, detail = solve_sol(self.nel[0], self.sys), "12x12 solve, residual 0"
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            assignment, detail = None, str(exc)
+        check(checks, "solve", "sol", assignment is not None, detail)
+        return assignment, checks[0]
+
+    @cached_property
+    def components(self) -> dict[str, DForm]:
+        """F, G, L expanded in the solved components; S stays free."""
+        assignment, solved = self.solve
+        if assignment is None:
+            raise Blocked(solved)
+        out = self.sys.free_components()
+        for name in ("F", "G", "L"):
+            out[name] = DForm(self.sys.basis, 1, {(i,): assignment[f"{name}{i + 1}"] for i in range(4)})
+        return out
+
+    @cached_property
+    def eq36(self):
+        """(rows whose check passed, label -> `eq-` check with its `trace`);
+        a symmetry-generated row must also agree with the dG identity."""
+        rows, report = derive_36(self.sys, self.components)
+        checks = []
+        for label, entry in report.items():
+            ok = entry["matched"] and entry.get("dG_cross_check", True)
+            found = (f"multiplier {entry['multiplier']}" if entry["matched"]
+                     else f"residual {entry['residual']}")
+            check(checks, f"eq-{label}", label, ok, f"{entry['source']}; {found}")
+            checks[-1]["trace"] = entry
+        by_label = dict(zip(report, checks))
+        return {l: row for l, row in rows.items() if by_label[l]["status"] == "pass"}, by_label
+
+    @cached_property
+    def equations(self) -> DerivedRows:
+        """The `eq36` rows as polynomials."""
+        rows, checks = self.eq36
+        return DerivedRows({label: row.poly for label, row in rows.items()}, checks)

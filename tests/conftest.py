@@ -4,12 +4,18 @@ from fractions import Fraction
 import pytest
 
 from edsverify.algebra import ATOMS, LocFrac, Poly
+from edsverify.derive import Derivation
 from edsverify.structure import load_system
 
 
 @pytest.fixture(scope="session")
 def system():
     return load_system()
+
+
+@pytest.fixture(scope="session")
+def derived(system):
+    return Derivation(system)
 
 
 VARS = ("lam", "sig", "lam1", "lam3", "sig2", "S1")

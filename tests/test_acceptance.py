@@ -44,6 +44,11 @@ def system():
     return load_system()
 
 
+@pytest.fixture(scope="module")
+def derived(system):
+    return derive_mod.Derivation(system)
+
+
 def test_structure_suite(system):
     with criterion("structure: torsion, curvature, covariant derivatives exact, < 5 s"):
         t0 = time.perf_counter()
@@ -62,7 +67,7 @@ def test_first_order_rows_and_solution(system):
         rows, report = derive_mod.derive_nel(system)
         assert len(rows) == 12
         assert all(entry["matched"] for entry in report.values())
-        assignment = derive_mod.solve_sol(rows, system.ctx)
+        assignment = derive_mod.solve_sol(rows, system)
         for eq in rows.values():
             assert system.ctx.substitute(eq.poly, assignment).is_zero()
         for name, value in SOL.items():
@@ -70,10 +75,10 @@ def test_first_order_rows_and_solution(system):
         assert derive_mod.verify_inp(assignment) == [True, True]
 
 
-def test_thirty_six_equations(system):
+def test_thirty_six_equations(system, derived):
     with criterion("36 equations: exact membership with stated multipliers, < 60 s"):
         t0 = time.perf_counter()
-        rows, report = derive_mod.derive_36(system)
+        rows, report = derive_mod.derive_36(system, derived.components)
         assert len(rows) == 36
         assert all(entry["matched"] for entry in report.values())
         multipliers = derive_mod.verify_multipliers(rows)
@@ -81,25 +86,25 @@ def test_thirty_six_equations(system):
         stated = {"c": "256*lam^2*sig^3", "h": "512*lam^2*sig^4", "j": "32*lam*sig^2"}
         for label, text in stated.items():
             assert multipliers[label]["recovered"].lstrip("-") == text
-        variants = derive_mod.verify_symmetry_variants()
+        variants = derive_mod.verify_symmetry_variants(derived.equations)
         assert all(entry["ok"] for entry in variants.values())
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"equation suite took {elapsed:.2f} s"
 
 
-def test_dependence_and_constraint_combinations():
+def test_dependence_and_constraint_combinations(derived):
     with criterion("combinations: four dependence relations and both constraints exact"):
-        table = derive_mod.verify_dependence_relations()
+        table = derive_mod.verify_dependence_relations(derived.equations)
         for name in ("e3", "e1", "i1", "i3", "intro_a", "intro_b"):
             assert table[name]["ok"], (name, table[name])
 
 
-def test_case_pipelines(system):
+def test_case_pipelines(system, derived):
     with criterion("cases: const-lambda, integrable case, functional-dependence case"):
-        const = cases_mod.run_const_lambda(system)
+        const = cases_mod.run_const_lambda(system, derived.components)
         assert const.ok and const.final["forced"] == "sig = 0"
 
-        case2 = cases_mod.run_case_ii(system)
+        case2 = cases_mod.run_case_ii(system, derived.equations)
         assert case2.ok, [s for s in case2.steps if s["status"] != "pass"]
         tags = {s["id"] for s in case2.steps}
         assert {"suc-1", "suc-2", "suc-3", "suc-4", "lts-1", "lts-2",
@@ -113,7 +118,7 @@ def test_case_pipelines(system):
         assert acc == lam**4 - 5 * lam**2 * sig**2 + 12 * sig**4
         assert cert[1][0] == Fraction(23, 4)
 
-        case3 = cases_mod.run_case_iii(system)
+        case3 = cases_mod.run_case_iii(system, derived.equations)
         assert case3.ok, [s for s in case3.steps if s["status"] != "pass"]
         tags = {s["id"] for s in case3.steps}
         assert {"fsq-i-a", "fsq-i-b", "fsq-ii-a", "fsq-ii-b", "rule-1", "rule-2",
@@ -146,7 +151,7 @@ def test_numeric_sweep():
         assert elapsed < 2.0, f"numeric sweep took {elapsed:.2f} s"
 
 
-def test_symmetry_claims(system):
+def test_symmetry_claims(system, derived):
     with criterion("symmetry: order 32, conjugation rules, exact rotation expansion"):
         _, group_report = derive_mod.symmetry_group()
         assert group_report["order"] == 32
@@ -154,7 +159,7 @@ def test_symmetry_claims(system):
         assert group_report["cng_composition"]
         rotation = derive_mod.rotation_invariance()
         assert rotation["ok"]
-        closure = derive_mod.verify_group_closure()
+        closure = derive_mod.verify_group_closure(derived.equations)
         assert closure["closure_ok"]
         invariance = derive_mod.verify_system_invariance(system)
         assert invariance["ok"], invariance["failures"]

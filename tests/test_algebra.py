@@ -99,7 +99,7 @@ def test_linear_solve_two_by_two_block():
     lam1 = Poly.var("lam1")
     matrix = [[LocFrac(mup), LocFrac(mum)], [LocFrac(mum), LocFrac(mup)]]
     rhs = [LocFrac(lam1), LocFrac(Poly.zero())]
-    x = linear_solve(matrix, rhs)
+    x = linear_solve(matrix, rhs, ATOMS)
     eighth = Fraction(1, 8)
     assert x[0] == LocFrac(mup * lam1 * eighth, {"lam": 1, "sig": 1})
     assert x[1] == LocFrac(-mum * lam1 * eighth, {"lam": 1, "sig": 1})
@@ -109,7 +109,7 @@ def test_linear_solve_zero_leading_pivot():
     # the first column's pivot is zero, so elimination must swap rows
     matrix = [[LocFrac(Poly.zero()), LocFrac(lam)], [LocFrac(sig), LocFrac(Poly.zero())]]
     rhs = [LocFrac(sig), LocFrac(lam3)]
-    x = linear_solve(matrix, rhs)
+    x = linear_solve(matrix, rhs, ATOMS)
     assert x[0] == LocFrac(lam3, {"sig": 1})
     assert x[1] == LocFrac(sig, {"lam": 1})
 
@@ -121,14 +121,14 @@ def test_linear_solve_identity():
         [LocFrac(Poly.const(1 if i == j else 0)) for j in range(3)]
         for i in range(3)
     ]
-    assert linear_solve(eye, rhs) == rhs
+    assert linear_solve(eye, rhs, ATOMS) == rhs
 
 
 def test_linear_solve_singular_rank_deficient():
     rhs = [LocFrac(lam), LocFrac(sig)]
     matrix = [[LocFrac(lam), LocFrac(sig)], [LocFrac(lam), LocFrac(sig)]]
     with pytest.raises(SingularMatrixError) as err:
-        linear_solve(matrix, rhs)
+        linear_solve(matrix, rhs, ATOMS)
     assert err.value.determinant.is_zero()
 
 
@@ -136,7 +136,17 @@ def test_linear_solve_non_unit_determinant():
     # determinant lam + sig is nonzero but outside the atom monoid
     matrix = [[LocFrac(lam + sig)]]
     with pytest.raises(NonUnitError):
-        linear_solve(matrix, [LocFrac(lam)])
+        linear_solve(matrix, [LocFrac(lam)], ATOMS)
+
+
+def test_linear_solve_refuses_a_determinant_with_an_undeclared_atom():
+    # the determinant is lam sig (the zero-leading-pivot system): both atoms must be allowed
+    matrix = [[LocFrac(Poly.zero()), LocFrac(lam)], [LocFrac(sig), LocFrac(Poly.zero())]]
+    rhs = [LocFrac(sig), LocFrac(lam3)]
+    assert linear_solve(matrix, rhs, ("lam", "sig")) == linear_solve(matrix, rhs, ATOMS)
+    with pytest.raises(NonUnitError, match="not declared nonzero: sig$") as err:
+        linear_solve(matrix, rhs, ("lam", "mu+"))
+    assert err.value.factor == ["sig"]
 
 
 def test_linear_solve_reproduces_rhs():
@@ -157,7 +167,7 @@ def test_linear_solve_reproduces_rhs():
         for i in range(3)
     ]
     rhs = [random_locfrac(rng) for _ in range(3)]
-    x = linear_solve(matrix, rhs)
+    x = linear_solve(matrix, rhs, ATOMS)
     for i in range(3):
         acc = zero
         for j in range(3):
@@ -451,11 +461,11 @@ def test_linear_solve_matches_fraction_reference():
         if len(cols) < n:
             seen.add("singular")
             with pytest.raises(SingularMatrixError) as err:
-                linear_solve(system, values)
+                linear_solve(system, values, ATOMS)
             assert err.value.determinant.is_zero()
             continue
         seen.add("swap" if swapped else "no-swap")
-        got = linear_solve(system, values)
+        got = linear_solve(system, values, ATOMS)
         assert got == [LocFrac(Poly.const(x)) for x in solve_reference(matrix, rhs)]
     assert seen == {"singular", "swap", "no-swap"}
 
@@ -471,7 +481,7 @@ def assert_canonical(*values):
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (v, c)
 
 
-def test_coefficients_are_canonical(system):
+def test_coefficients_are_canonical(system, derived):
     from edsverify.derive import derive_36, identity_forms
     from edsverify.equations import EQ36, SOL
 
@@ -492,11 +502,11 @@ def test_coefficients_are_canonical(system):
     assert_canonical(a + b, a - b, a * b, -a, a * 2, LocFrac(half * lam).inverse(), a / LocFrac(lam))
     assert_canonical(atom_divide(a, "mu-", 2), LocFrac(Fraction(4, 2)))
     matrix = [[LocFrac(half * lam), LocFrac(sig)], [LocFrac(Poly.zero()), LocFrac(Fraction(3, 2))]]
-    assert_canonical(*linear_solve(matrix, [LocFrac(Poly.const(1)), LocFrac(half)]))
+    assert_canonical(*linear_solve(matrix, [LocFrac(Poly.const(1)), LocFrac(half)], ATOMS))
     assert_canonical(*EQ36.values(), *SOL.values())
-    for form in identity_forms(system).values():
+    for form in identity_forms(system, derived.components).values():
         assert_canonical(*form.terms.values())
-    rows, _ = derive_36(system)
+    rows, _ = derive_36(system, derived.components)
     assert_canonical(*(e.provenance["multiplier_value"][0] for e in rows.values()))
 
 

@@ -21,18 +21,18 @@ from edsverify.equations import (
 
 
 @pytest.fixture(scope="module")
-def const_lambda(system):
-    return C.run_const_lambda(system)
+def const_lambda(system, derived):
+    return C.run_const_lambda(system, derived.components)
 
 
 @pytest.fixture(scope="module")
-def case_ii(system):
-    return C.run_case_ii(system)
+def case_ii(system, derived):
+    return C.run_case_ii(system, derived.equations)
 
 
 @pytest.fixture(scope="module")
-def case_iii(system):
-    return C.run_case_iii(system)
+def case_iii(system, derived):
+    return C.run_case_iii(system, derived.equations)
 
 
 def test_const_lambda_pipeline(const_lambda):
@@ -157,7 +157,7 @@ def test_reports_serialize(const_lambda, case_ii, case_iii):
 
 
 def test_failed_step_reports_residual():
-    report = C.PipelineReport("demo", assumptions=[])
+    report = C.PipelineReport("demo", assumptions=[], divides_by=())
     ok = C._expect(report, "mismatch", "deliberately wrong expectation",
                    C._coerce_frac(Poly.var("lam")), 0)
     assert not ok

@@ -137,8 +137,11 @@ G_MUTANTS = (
 
 @pytest.mark.parametrize("rule", G_MUTANTS)
 def test_equations36_fails_on_a_changed_dG_rule(rule, tmp_path):
-    """d G enters the 36 equations only through the cross-check of the six
-    symmetry-generated ones, so that check must decide their status."""
+    """A changed sigma term of d G changes the first-order rows, so the solve
+    fails and blocks the suite.  A changed F^L term leaves them, and the
+    components, as they are: it enters the 36 equations only through the
+    cross-check of the six symmetry-generated ones, so that check must decide
+    their status."""
     from importlib import resources
 
     shipped = resources.files("edsverify").joinpath("data", "weakly-einstein.eds").read_text()
@@ -148,10 +151,15 @@ def test_equations36_fails_on_a_changed_dG_rule(rule, tmp_path):
     eds.write_text(shipped.replace(line, f"d G = {rule}\n"))
     out = tmp_path / "r.json"
     assert main(["equations36", "--eds", str(eds), "--json", str(out)]) == 1
-    failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
-    generated = {"eq-c1", "eq-c5", "eq-d1", "eq-d2", "eq-e1", "eq-e2"}
-    assert failed and {c["id"] for c in failed} <= generated
-    assert all(c["trace"]["matched"] and not c["trace"]["dG_cross_check"] for c in failed)
+    checks = json.loads(out.read_text())["checks"]
+    if rule.startswith("-sigma A^D + sigma B^C "):  # only the F^L term changed
+        generated = {"eq-c1", "eq-c5", "eq-d1", "eq-d2", "eq-e1", "eq-e2"}
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert {c["id"] for c in failed} == generated
+        assert all(c["trace"]["matched"] and not c["trace"]["dG_cross_check"] for c in failed)
+    else:
+        assert [(c["id"], c["label"], c["status"]) for c in checks] == [("blocked", "solve", "fail")]
+        assert "unmatched first-order rows: nel-" in checks[0]["detail"]
 
 
 #: the single-term mutants of the shipped `d F`, `d L` and `d S` rules: each
@@ -180,8 +188,9 @@ FLS_MUTANTS = (
 def test_unmatched_rows_are_failed_checks_with_residuals(name, rule, tmp_path):
     """A changed d F, d L or d S rule leaves derived rows unmatched.  Each
     one is its own failed check carrying its residual, no suite collapses
-    into a suite-error, and sol refuses to solve, naming exactly the nel rows
-    that failed."""
+    into a suite-error, sol refuses to solve, naming exactly the nel rows
+    that failed, and equations36, which reads the solved components, reports
+    itself blocked by that solve."""
     import re
     from importlib import resources
 
@@ -195,16 +204,17 @@ def test_unmatched_rows_are_failed_checks_with_residuals(name, rule, tmp_path):
         assert main([suite, "--eds", str(eds), "--json", str(out)]) == 1
         checks[suite] = json.loads(out.read_text())["checks"]
         assert all(c["id"] != "suite-error" for c in checks[suite]), suite
-    failed = [c for c in checks["nel"] + checks["equations36"]
-              if c["status"] == "fail" and c["id"].startswith(("nel-", "eq-"))]
-    failed_nel = {c["id"] for c in failed if c["id"].startswith("nel-")}
-    assert failed_nel and len(failed) > len(failed_nel)
+    failed = [c for c in checks["nel"] if c["status"] == "fail"]
+    failed_nel = {c["id"] for c in failed}
+    assert failed_nel
     for c in failed:
         residual = re.search(r"residual (.+)$", c["detail"])
         assert residual and residual.group(1) != "0", c
     solve = checks["sol"][0]
     assert solve["id"] == "solve" and solve["status"] == "fail"
     assert set(re.findall(r"nel-[ivx]+", solve["detail"])) == failed_nel
+    assert checks["equations36"] == [{"id": "blocked", "label": "solve", "status": "fail",
+                                      "detail": solve["detail"]}]
 
 
 TASKS = "/proc/self/task"

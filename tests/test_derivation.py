@@ -1,0 +1,116 @@
+"""Custody gates: every suite reads the rows and components derived once from
+the given file, and a suite whose derived input failed reports itself
+`blocked`.
+
+The mutants in `data/mutants.tsv` are the 54 single-term mutants of the
+shipped file (each term of each `d` rule doubled, or its sign flipped), one
+line each: the label, a tab, and the `d` rule line that replaces the shipped
+one.
+"""
+
+import contextlib
+import io
+import json
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import edsverify.derive as D
+from edsverify.cli import RUNNERS, main
+
+SHIPPED = resources.files("edsverify").joinpath("data", "weakly-einstein.eds").read_text()
+MUTANTS = dict(line.split("\t") for line in
+               (Path(__file__).parent / "data" / "mutants.tsv").read_text().splitlines())
+NONZERO_LINE = "nonzero lambda sigma mu+ mu- lambda3\n"
+
+
+def mutant_text(label: str) -> str:
+    rule = MUTANTS[label]
+    shipped_rule = next(l for l in SHIPPED.splitlines() if l.startswith(rule.split("=")[0]))
+    assert shipped_rule != rule
+    return SHIPPED.replace(shipped_rule + "\n", rule + "\n")
+
+
+def run_all(text: str, tmp_path: Path) -> tuple[int, dict]:
+    """`all --points 1` on the EDS text: the exit code and suite -> checks,
+    numeric excluded."""
+    eds, out = tmp_path / "system.eds", tmp_path / "all.json"
+    eds.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["all", "--eds", str(eds), "--points", "1", "--json", str(out)])
+    suites = json.loads(out.read_text())["suites"]
+    return code, {s["suite"]: s["checks"] for s in suites if s["suite"] != "numeric"}
+
+
+def test_mutation_matrix(tmp_path):
+    """Every suite fails or is blocked on every mutant, except nel, sol and
+    case-const-lambda on the two mutants of the F^L term of d G: those leave
+    the first-order rows and the component solve as they are.  A blocked
+    suite reports exactly one check, naming a check that failed upstream."""
+    assert len(MUTANTS) == 54
+    passes = {name: [] for name in RUNNERS if name != "numeric"}
+    for label in MUTANTS:
+        code, suites = run_all(mutant_text(label), tmp_path)
+        assert code == 1, label
+        failed = {c["id"]: c for checks in suites.values() for c in checks if c["status"] == "fail"}
+        for name, checks in suites.items():
+            assert all(c["id"] != "suite-error" for c in checks), (label, name)
+            if all(c["status"] == "pass" for c in checks):
+                passes[name].append(label)
+            elif any(c["id"] == "blocked" for c in checks):
+                [blocked] = checks
+                upstream = failed[blocked["label"]]
+                assert upstream["id"] != "blocked" and blocked["detail"] == upstream["detail"]
+    unaffected = ["G.3.double", "G.3.flip"]
+    assert passes == {
+        "structure": [], "nel": unaffected, "sol": unaffected, "equations36": [],
+        "combos": [], "symmetry": [], "case-const-lambda": unaffected,
+        "case-ii": [], "case-iii": [],
+    }
+
+
+@pytest.mark.parametrize("nonzero, missing", [
+    ("nonzero lambda\n", "sig"),
+    ("", "lam, sig"),
+])
+def test_a_solve_that_divides_by_an_undeclared_atom_fails(nonzero, missing, tmp_path):
+    """The solve divides by its determinant -65536 lam^4 sig^8, so every atom
+    of it must be declared nonzero; every suite that reads the solution is
+    then blocked by the failed solve."""
+    code, suites = run_all(SHIPPED.replace(NONZERO_LINE, nonzero), tmp_path)
+    assert code == 1
+    solve = suites["sol"][0]
+    assert [c["status"] for c in suites["sol"]] == ["fail"]
+    assert solve["detail"] == ("determinant -65536*lam^4*sig^8 divides by atoms "
+                               f"not declared nonzero: {missing}")
+    for name in ("equations36", "combos", "symmetry", "case-const-lambda", "case-ii", "case-iii"):
+        assert suites[name] == [{"id": "blocked", "label": "solve", "status": "fail",
+                                 "detail": solve["detail"]}], name
+
+
+def test_a_pipeline_assumes_only_declared_atoms(tmp_path):
+    """case-ii divides by lam3, mu+ and mu-: a file that declares only lambda
+    and sigma nonzero fails its assumptions check, and only that."""
+    code, suites = run_all(SHIPPED.replace(NONZERO_LINE, "nonzero lambda sigma\n"), tmp_path)
+    assert code == 1
+    failed = [(name, c["id"], c["detail"]) for name, checks in suites.items()
+              for c in checks if c["status"] == "fail"]
+    assert failed == [("case-ii", "assumptions", "divides by atoms not declared nonzero: lam3, mu+, mu-")]
+
+
+def test_derivation_runs_once_per_run(monkeypatch):
+    """One `all` derives the nel rows, the solve and the 36 rows once each;
+    `numeric` derives nothing, and a second run derives again."""
+    calls = []
+    for name in ("derive_nel", "solve_sol", "derive_36"):
+        def counted(*args, _name=name, _fn=getattr(D, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(D, name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["numeric", "--points", "1"]) == 0
+        assert calls == []
+        for _ in range(2):
+            assert main(["all", "--points", "1"]) == 0
+    assert calls == ["derive_nel", "solve_sol", "derive_36"] * 2

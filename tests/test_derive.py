@@ -24,12 +24,12 @@ def nel(system):
 @pytest.fixture(scope="module")
 def solution(system, nel):
     rows, _ = nel
-    return D.solve_sol(rows, system.ctx)
+    return D.solve_sol(rows, system)
 
 
 @pytest.fixture(scope="module")
-def derived36(system):
-    return D.derive_36(system)
+def derived36(system, derived):
+    return D.derive_36(system, derived.components)
 
 
 def test_nel_row_count(nel):
@@ -100,7 +100,7 @@ def test_a_negated_multiplier_fails(derived36, label, monkeypatch, tmp_path):
     factor, den_mono = rows[label].provenance["multiplier_value"]
     flipped = Equation(label, rows[label].poly,
                        {**rows[label].provenance, "multiplier_value": (-factor, den_mono)})
-    monkeypatch.setattr(D, "derive_36", lambda sys_: ({**rows, label: flipped}, report))
+    monkeypatch.setattr(D, "derive_36", lambda *_: ({**rows, label: flipped}, report))
     out = tmp_path / "r.json"
     assert main(["equations36", "--json", str(out)]) == 1
     failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] != "pass"]
@@ -114,8 +114,8 @@ def test_dG_cross_checks(derived36):
         assert report[label]["dG_cross_check"]
 
 
-def test_symmetry_variants():
-    table = D.verify_symmetry_variants()
+def test_symmetry_variants(derived):
+    table = D.verify_symmetry_variants(derived.equations)
     assert all(entry["ok"] for entry in table.values())
     assert table["h4"]["base"] == "h" and table["h4"]["case"] == 4
     assert table["e2"]["base"] == "e" and table["e2"]["case"] == 2
@@ -148,8 +148,8 @@ def test_compose_is_earlier_then_self_on_rename_maps():
             assert h.compose(g).renames() == composed, (h, g)
 
 
-def test_group_closure_on_equations():
-    report = D.verify_group_closure()
+def test_group_closure_on_equations(derived):
+    report = D.verify_group_closure(derived.equations)
     assert report["closure_ok"], report["failures"]
 
 
@@ -159,7 +159,7 @@ def jet_substitution(elem):
     return {name: LocFrac(sign * Poly.var(new)) for name, (sign, new) in elem.renames().items()}
 
 
-def test_rename_matches_jet_substitution(system):
+def test_rename_matches_jet_substitution(system, derived):
     """Differential check: the signed rename of a Poly or a LocFrac equals the
     substitution, and raises exactly where the substitution sends a
     denominator atom outside the atom set."""
@@ -175,7 +175,8 @@ def test_rename_matches_jet_substitution(system):
         - 7 * P("lam") * P("lam1", 2) * P("sig34")
     )
     rng = random.Random(0)
-    fractions = [c for form in D.identity_forms(system).values() for c in form.terms.values()]
+    fractions = [c for form in D.identity_forms(system, derived.components).values()
+                 for c in form.terms.values()]
     fractions += [random_locfrac(rng) for _ in range(200)]
     dens = set()
     raised = 0
@@ -203,12 +204,12 @@ def test_rename_matches_jet_substitution(system):
     assert D.REP_V.apply(hand) != hand
 
 
-def test_generated_coefficients_are_reference_images(system, derived36):
+def test_generated_coefficients_are_reference_images(system, derived, derived36):
     """Each symmetry-generated coefficient of derive_36, read back from its
     transcription and multiplier, is the substitution image of its base
     coefficient, sign included."""
     rows, _ = derived36
-    forms = D.identity_forms(system)
+    forms = D.identity_forms(system, derived.components)
     raw = {}
     for ident, labels in D.IDENTITY_SLOTS.items():
         if ident != "dG":
@@ -250,10 +251,9 @@ def tampered_eq36():
     return {**EQ36, "c": Poly(terms)}
 
 
-def test_group_closure_catches_a_tampered_equation(monkeypatch):
+def test_group_closure_catches_a_tampered_equation():
     """Changing one coefficient of one equation must break the closure."""
-    monkeypatch.setattr(D, "EQ36", tampered_eq36())
-    report = D.verify_group_closure()
+    report = D.verify_group_closure(tampered_eq36())
     assert report["closure_ok"] is False
     assert any(failed == "c" for _, failed in report["failures"]), report["failures"]
 
@@ -270,8 +270,7 @@ def test_generators_decide_like_the_whole_group(system, monkeypatch):
         invariance = [D.verify_system_invariance(s)["ok"] for s in systems]
         closure = []
         for catalog in (EQ36, tampered_eq36()):
-            monkeypatch.setattr(D, "EQ36", catalog)
-            closure.append(D.verify_group_closure()["closure_ok"])
+            closure.append(D.verify_group_closure(catalog)["closure_ok"])
         return invariance, closure
 
     on_generators = verdicts()
@@ -307,8 +306,8 @@ def test_system_invariance_under_group(system):
     assert report["generators"] == ["i", "iv"]
 
 
-def test_dependence_relations():
-    table = D.verify_dependence_relations()
+def test_dependence_relations(derived):
+    table = D.verify_dependence_relations(derived.equations)
     for name in ("e3", "e1", "i1", "i3", "intro_a", "intro_b"):
         assert table[name]["ok"], table[name]
 
@@ -318,21 +317,22 @@ def test_check_combination_example():
         EQ36["e3"],
         ["a", "a4", "e"],
         [8 * lam * sig * mup, -8 * lam * sig * mum, Poly.const(1)],
+        EQ36,
     )
     assert ok and residual.is_zero()
 
 
 def test_check_combination_reports_residual():
-    ok, residual = D.check_combination(EQ36["e3"], ["a"], [Poly.const(1)])
+    ok, residual = D.check_combination(EQ36["e3"], ["a"], [Poly.const(1)], EQ36)
     assert not ok
     assert not residual.is_zero()
 
 
-def test_printed_d2_variant_fails_membership(system):
+def test_printed_d2_variant_fails_membership(system, derived):
     """Regression: the as-printed lam4 sig4 sign in the d2 display is not a
     consequence of the system; the corrected transcription is."""
     printed = EQ36["d2"] - 64 * lam**2 * sig * Poly.var("lam4") * Poly.var("sig4")
-    forms = D.identity_forms(system, which=("dG",))
+    forms = D.identity_forms(system, derived.components, which=("dG",))
     from edsverify.forms import coeff6
 
     raw = dict(zip(D.IDENTITY_SLOTS["dG"], coeff6(forms["dG"])))["d2"]
@@ -340,8 +340,8 @@ def test_printed_d2_variant_fails_membership(system):
     assert D.match_transcription(printed, raw) is None
 
 
-def test_integrability_criterion(system):
-    report = D.integrability_criterion(system)
+def test_integrability_criterion(system, derived):
+    report = D.integrability_criterion(system, derived.components)
     assert report["ok"]
     assert report["span12_coefficients"] == ["(-lam4)/(lam)", "(lam3)/(lam)"]
     assert report["span34_coefficients"] == ["(-lam2)/(lam)", "(lam1)/(lam)"]
@@ -410,4 +410,4 @@ def test_tampered_system_is_caught(system):
         assert report[label]["residual"] != "0"
     assert list(rows) == [label for label in report if label not in unmatched]
     with pytest.raises(D.DeriveError, match=f"rows: {', '.join(unmatched)}$"):
-        D.solve_sol(rows, broken.ctx)
+        D.solve_sol(rows, broken)

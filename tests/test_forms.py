@@ -129,13 +129,10 @@ def test_leibniz_rule_random(system):
         assert lhs == (rhs + tail if da % 2 == 0 else rhs - tail)
 
 
-def test_dd_lambda_reproduces_equation_a(system):
+def test_dd_lambda_reproduces_equation_a(system, derived):
     """Setting the A^B coefficient of d(d lam) to zero reproduces equation (a)
     up to the recorded factor."""
-    from edsverify.derive import sol_component_map
-
-    comp = sol_component_map(system)
-    rules = system.component_rules(comp)
+    rules = system.component_rules(derived.components)
     ddlam = ext_d(d_scalar(system.ctx, system.basis, system.ctx.symbol("lam")), rules)
     raw = ddlam.coefficient("A", "B")
     mult = match_transcription(EQ36["a"], raw)
@@ -151,17 +148,17 @@ def test_dd_coframe_abstract_zero(system):
         assert ext_d(system.d_rule(name), rules).is_zero()
 
 
-def test_dd_coframe_reduces_to_rule_identities(system):
+def test_dd_coframe_reduces_to_rule_identities(system, derived):
     """With the closed-form connection components substituted, d^2 on the
     coframe is exactly the wedge combination of the rule identities, so it
     vanishes on every solution of the system."""
     from fractions import Fraction
 
-    from edsverify.derive import identity_forms, sol_component_map
+    from edsverify.derive import identity_forms
 
-    comp = sol_component_map(system)
+    comp = derived.components
     rules = system.component_rules(comp)
-    idf = identity_forms(system, which=("dF", "dG", "dL", "dS"))
+    idf = identity_forms(system, comp, which=("dF", "dG", "dL", "dS"))
     I_E = (idf["dS"] + idf["dL"]).scale(Fraction(1, 2))
     I_H = (idf["dS"] - idf["dL"]).scale(Fraction(1, 2))
     A, B, C, D = (DForm.one_form(system.basis, n) for n in COFRAME)
@@ -244,10 +241,8 @@ def test_ext_d_matches_reference_on_the_shipped_rules(system):
         assert stored(ext_d(rule, system)) == stored(reference_ext_d(rule, system))
 
 
-def test_ext_d_matches_reference_on_the_component_rules(system):
-    from edsverify.derive import sol_component_map
-
-    rules = system.component_rules(sol_component_map(system))
+def test_ext_d_matches_reference_on_the_component_rules(system, derived):
+    rules = system.component_rules(derived.components)
     for name in rules.d_rules:
         rule = rules.d_rule(name)
         assert stored(ext_d(rule, rules)) == stored(reference_ext_d(rule, rules))
