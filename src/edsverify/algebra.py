@@ -19,8 +19,10 @@ returns the other operand, and of a product gives zero (a Poly is never
 mutated after construction, so sharing is safe).  A one-term factor maps
 distinct monomials to distinct monomials and nonzero coefficients to nonzero
 ones, so its product is one pass over the other operand's terms, with
-nothing to collect or cancel.  Fractions on equal denominators add their
-numerators.
+nothing to collect or cancel, and a unit coefficient is not multiplied at
+all.  A one-term power scales its exponents.  Fractions add through
+`frac_sum`: any number of parts, lifted to one common denominator, their
+terms added into one dict and the sum normalized once.
 """
 
 from __future__ import annotations
@@ -112,6 +114,19 @@ def mono_div(a: Monomial, b: Monomial):
         else:
             d.pop(name, None)
     return tuple(sorted(d.items()))
+
+
+def mono_content(monos) -> Monomial:
+    """The greatest common divisor of the nonempty collection of monomials
+    `monos`; the walk stops once it is 1."""
+    it = iter(monos)
+    common = dict(next(it))
+    for m in it:
+        if not common:
+            break
+        exps = dict(m)
+        common = {n: min(e, exps[n]) for n, e in common.items() if n in exps}
+    return tuple(common.items())
 
 
 def mono_degree(m: Monomial) -> int:
@@ -206,12 +221,13 @@ class Poly:
             return NotImplemented
         if not self.terms or not other.terms:
             return _poly({})
-        if len(self.terms) == 1:
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            if len(self.terms) != 1:
+                self, other = other, self
             (m1, c1), = self.terms.items()
+            if c1 == 1:
+                return _poly({mono_mul(m1, m2): c2 for m2, c2 in other.terms.items()})
             return _poly({mono_mul(m1, m2): _coeff(c1 * c2) for m2, c2 in other.terms.items()})
-        if len(other.terms) == 1:
-            (m2, c2), = other.terms.items()
-            return _poly({mono_mul(m1, m2): _coeff(c1 * c2) for m1, c1 in self.terms.items()})
         t = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -228,16 +244,23 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self**n; a one-term self gives its term with exponents scaled by n,
+        other polynomials square repeatedly, never past the last bit of n."""
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        out = Poly.const(1)
-        base = self
-        while n:
+        if not n:
+            return Poly.const(1)
+        if len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            return _poly({tuple((name, e * n) for name, e in m): c**n})
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     # -- queries -----------------------------------------------------------
 
@@ -358,20 +381,9 @@ class Poly:
         for c in self.terms.values():
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
-        common = None
-        for m in self.terms:
-            d = dict(m)
-            if common is None:
-                common = d
-            else:
-                common = {n: min(e, common[n]) for n, e in d.items() if n in common}
-            if not common:
-                common = {}
-                break
-        mono = tuple(sorted((n, e) for n, e in (common or {}).items() if e))
         _, lc = self.leading()
         sign = 1 if lc > 0 else -1
-        return Fraction(sign * num, den), mono
+        return Fraction(sign * num, den), mono_content(self.terms)
 
     def normalized(self):
         """(content Fraction, content Monomial, primitive sign-normalized Poly)
@@ -467,22 +479,7 @@ class LocFrac:
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return _frac(self.num + other.num, self.den)
-        den = dict(self.den)
-        for n, e in other.den.items():
-            den[n] = max(den.get(n, 0), e)
-        a = self.num
-        for n, e in den.items():
-            extra = e - self.den.get(n, 0)
-            if extra:
-                a = a * ATOMS[n] ** extra
-        b = other.num
-        for n, e in den.items():
-            extra = e - other.den.get(n, 0)
-            if extra:
-                b = b * ATOMS[n] ** extra
-        return _frac(a + b, den)
+        return frac_sum(((self.num, self.den), (other.num, other.den)))
 
     __radd__ = __add__
 
@@ -579,6 +576,32 @@ def _frac(num: Poly, den: dict) -> LocFrac:
     out = LocFrac.__new__(LocFrac)
     out.num, out.den = _normalize(num, den)
     return out
+
+
+def _lift(num: Poly, den: dict, common: dict) -> Poly:
+    """The numerator of num / den over the multiple `common` of den."""
+    for n, e in common.items():
+        if extra := e - den.get(n, 0):
+            num = num * ATOMS[n] ** extra
+    return num
+
+
+def frac_sum(parts) -> LocFrac:
+    """The sum of the fractions num / prod(atom^e) given as (num Poly, den
+    dict) pairs, which need not be normalized.  The nonzero parts are lifted
+    to the lcm of their denominators, their terms added into one dict, and
+    the sum normalized once."""
+    parts = [(num, den) for num, den in parts if num.terms]
+    common = {}
+    for _, den in parts:
+        for n, e in den.items():
+            if e > common.get(n, 0):
+                common[n] = e
+    t = {}
+    for num, den in parts:
+        for m, c in _lift(num, den, common).terms.items():
+            t[m] = t.get(m, 0) + c
+    return _frac(_poly({m: _coeff(c) for m, c in t.items() if c}), common)
 
 
 def _coerce_frac(x):
@@ -690,30 +713,53 @@ def _clear_rows(matrix, rhs):
     vec = []
     for row, b in zip(matrix, rhs):
         lcm: dict = {}
-        for entry in list(row) + [b]:
+        for entry in (*row, b):
             for n, e in entry.den.items():
                 lcm[n] = max(lcm.get(n, 0), e)
-        mult = Poly.const(1)
-        for n, e in lcm.items():
-            mult = mult * ATOMS[n] ** e
-        new_row = []
-        for entry in row:
-            v = entry * LocFrac(mult)
-            if v.den:
-                raise AlgebraError("row clearing failed")
-            new_row.append(v.num)
-        bv = b * LocFrac(mult)
-        cleared.append(new_row)
-        vec.append(bv.num)
+        cleared.append([_lift(entry.num, entry.den, lcm) for entry in row])
+        vec.append(_lift(b.num, b.den, lcm))
     return cleared, vec
 
 
-def linear_solve(matrix, rhs, nonzero):
-    """Solve matrix @ x == rhs exactly over the localized ring.
+def _blocks(a):
+    """The connected blocks of the graph joining row i to column j where
+    a[i][j] is nonzero, as (rows, columns) pairs of sorted index lists.  A
+    zero row is a block without columns; a zero column belongs to none."""
+    cols_of = [{j for j, entry in enumerate(row) if entry} for row in a]
+    out, seen = [], set()
+    for start in range(len(a)):
+        if start in seen:
+            continue
+        seen.add(start)
+        rows, cols = [start], set(cols_of[start])
+        while grown := [i for i in range(len(a)) if i not in seen and cols_of[i] & cols]:
+            for i in grown:
+                seen.add(i)
+                rows.append(i)
+                cols |= cols_of[i]
+        out.append((sorted(rows), sorted(cols)))
+    return out
 
-    `eliminate` on the cleared augmented matrix leaves an upper-triangular U,
-    a right-hand side c and det = u_nn.  Back substitution stays in the
-    polynomial ring, y_i = (det c_i - sum_{j>i} u_ij y_j) / u_ii, and x = y / det.
+
+def _sign(order) -> int:
+    """The sign of the permutation that sorts the distinct integers `order`."""
+    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def linear_solve(matrix, rhs, nonzero):
+    """Solve matrix @ x == rhs exactly over the localized ring, block by block.
+
+    The rows are cleared of denominators and split into the connected blocks
+    of their row/column incidence graph (`_blocks`); the shipped 12x12 system
+    is four 3x3 blocks.  A block with more rows than columns, or fewer, makes
+    the matrix singular.  `eliminate` on a block's augmented rows leaves an
+    upper-triangular U, a right-hand side c and the block determinant d =
+    u_kk of the rows in their swapped order.  Back substitution stays in the
+    polynomial ring, y_i = (d c_i - sum_{j>i} u_ij y_j) / u_ii, and x = y / d.
+    The determinant of the matrix is the product of the block determinants
+    times the signs of the row order (blocks in turn, each after its swaps)
+    and of the column order.
 
     The determinant must be a unit (rational times atom monomial) whose atoms
     all lie in `nonzero`, the atoms declared nonzero; a zero determinant raises
@@ -724,10 +770,20 @@ def linear_solve(matrix, rhs, nonzero):
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise AlgebraError("linear_solve expects a square system")
     a, b = _clear_rows(matrix, rhs)
-    m = [row + [bi] for row, bi in zip(a, b)]
-    if eliminate(m)[:n] != list(range(n)):
-        raise SingularMatrixError("singular matrix", determinant=Poly.zero())
-    det = m[n - 1][n - 1]
+    eliminated, row_order, col_order = [], [], []
+    det = Poly.const(1)
+    for rows, cols in _blocks(a):
+        k = len(cols)
+        m = [[a[i][j] for j in cols] + [b[i]] for i in rows]
+        index = {id(row): i for i, row in zip(rows, m)}
+        if len(rows) != k or eliminate(m)[:k] != list(range(k)):
+            raise SingularMatrixError("singular matrix", determinant=Poly.zero())
+        row_order += [index[id(row)] for row in m]
+        col_order += cols
+        eliminated.append((cols, m))
+        det = det * m[k - 1][k - 1]
+    if _sign(row_order) != _sign(col_order):
+        det = -det
     c, exps = _extract_atoms(det)
     if c is None:
         raise NonUnitError(
@@ -739,19 +795,21 @@ def linear_solve(matrix, rhs, nonzero):
             f"determinant {det} divides by atoms not declared nonzero: {', '.join(undeclared)}",
             factor=undeclared,
         )
-    y = [Poly.zero()] * n
-    for i in reversed(range(n)):
-        acc = det * m[i][n]
-        for j in range(i + 1, n):
-            acc = acc - m[i][j] * y[j]
-        y[i] = acc // m[i][i]
-    inv_det = LocFrac(Poly.const(_quotient(1, c))) * LocFrac(Poly.const(1), exps)
-    xs = [LocFrac(yi) * inv_det for yi in y]
-    for i in range(n):
-        resid = LocFrac(Poly.zero())
-        for j in range(n):
-            resid = resid + matrix[i][j] * xs[j]
-        resid = resid - rhs[i]
-        if not resid.is_zero():
+    xs = [None] * n
+    for cols, m in eliminated:
+        k = len(cols)
+        d = m[k - 1][k - 1]
+        y = [None] * k
+        for i in reversed(range(k)):
+            acc = d * m[i][k]
+            for j in range(i + 1, k):
+                acc = acc - m[i][j] * y[j]
+            y[i] = acc // m[i][i]
+        inv = LocFrac(d).inverse()
+        for j, yj in zip(cols, y):
+            xs[j] = LocFrac(yj) * inv
+    for row, bi in zip(matrix, rhs):
+        products = [entry * x for entry, x in zip(row, xs) if entry]
+        if frac_sum([*((p.num, p.den) for p in products), (-bi.num, bi.den)]):
             raise AlgebraError("linear_solve residual is nonzero")
     return xs

@@ -32,7 +32,7 @@ from .equations import (
     SUC,
 )
 from .forms import COFRAME, DForm, ext_d, substitute_one_forms
-from .jets import DIRECTIONS, JetContext
+from .jets import DIRECTIONS, JetContext, mentioned
 from .structure import StructureSystem
 
 lam, sig, mup, mum, mus = eqs.lam, eqs.sig, eqs.mup, eqs.mum, eqs.mus
@@ -72,17 +72,24 @@ class PipelineReport:
 
 
 class FactStore:
-    """Closed substitution map: values never mention substituted symbols."""
+    """Closed substitution map: values never mention substituted symbols.
+
+    Each fact keeps `jets.mentioned` of its value, so a new fact is
+    substituted only into the facts that mention it."""
 
     def __init__(self, ctx: JetContext):
         self.ctx = ctx
         self.facts: dict[str, LocFrac] = {}
+        self.mentions: dict[str, set] = {}
 
     def add(self, name: str, value, with_derivatives: bool = False):
         v = self.ctx.substitute(_coerce_frac(value), self.facts)
-        for key in list(self.facts):
-            self.facts[key] = self.ctx.substitute(self.facts[key], {name: v})
+        for key, names in self.mentions.items():
+            if name in names:
+                self.facts[key] = w = self.ctx.substitute(self.facts[key], {name: v})
+                self.mentions[key] = mentioned(w)
         self.facts[name] = v
+        self.mentions[name] = mentioned(v)
         if with_derivatives:
             for j in DIRECTIONS:
                 self.add(f"{name}{j}", self.ctx.derive(v, j))

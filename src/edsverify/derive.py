@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import product
 
 from . import equations as eqs
-from .algebra import LocFrac, Poly, linear_solve
+from .algebra import LocFrac, Poly, _poly, _quotient, linear_solve, mono_content, mono_div, mono_mul
 from .cases import check
 from .equations import EQ36, INP, NEL, NEL_UNKNOWNS
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
@@ -61,22 +61,32 @@ def match_transcription(transcribed: Poly, raw: LocFrac):
 
     Returns (multiplier_num Poly, multiplier_den_monomial) with
     transcribed * x^den_mono == multiplier_num * raw_numerator, i.e.
-    transcribed == (multiplier_num / x^den_mono) * raw; None when the two are
-    not proportional (the normalized difference is the counterexample).
+    transcribed == (multiplier_num / x^den_mono) * raw, where den_mono is the
+    monomial content of the raw numerator; None when the two are not
+    proportional.
+
+    Decided in one walk over the raw terms.  Were transcribed = q x^s
+    raw_numerator for a rational q and a monomial shift s, then s would be
+    the quotient of the two monomial contents.  So every raw term c x^m
+    must land on a transcribed term at x^m times that quotient, all with the
+    coefficient ratio q of the first, and the term counts must agree.  The
+    ratios are compared as integer cross products, not as Fractions.
     """
-    if transcribed.is_zero() or raw.num.is_zero():
+    num = raw.num
+    if not transcribed.terms or len(transcribed.terms) != len(num.terms):
         return None
-    c_t, m_t, n_t = transcribed.normalized()
-    c_r, m_r, n_r = raw.num.normalized()
-    if n_t != n_r:
-        return None
-    factor = Poly({m_t: c_t / c_r}) * raw.den_poly()
-    # verify exactly: transcribed * x^{m_r} == factor * raw.num / den -> cleared
-    lhs = transcribed * Poly({m_r: 1}) * raw.den_poly()
-    rhs = factor * raw.num
-    if lhs != rhs:
-        return None
-    return factor, m_r
+    m_t, m_r = mono_content(transcribed.terms), mono_content(num.terms)
+    qn = qd = None  # q = qn / qd, compared in integers
+    for m, c in num.terms.items():
+        t = transcribed.terms.get(mono_mul(mono_div(m, m_r) if m_r else m, m_t))
+        if t is None:
+            return None
+        tn, td, cn, cd = t.numerator, t.denominator, c.numerator, c.denominator
+        if qn is None:
+            qn, qd = tn * cd, td * cn
+        elif tn * cd * qd != qn * cn * td:
+            return None
+    return _poly({m_t: _quotient(qn, qd)}) * raw.den_poly(), m_r
 
 
 def multiplier_text(mult) -> str:
@@ -171,16 +181,11 @@ def derive_nel(sys: StructureSystem):
     return match_rows(transcriptions, raw, source)
 
 
-def solve_sol(rows: dict[str, Equation], sys: StructureSystem):
-    """Solve the twelve nel rows for L_i, F_i, G_i over the localized ring.
-
-    A row set that lacks any of the twelve is refused with DeriveError
-    naming the missing labels; a determinant that divides by an atom the
-    system does not declare nonzero, with NonUnitError naming the atom.
-    """
-    missing = [f"nel-{row}" for row in NEL if f"nel-{row}" not in rows]
-    if missing:
-        raise DeriveError(f"unmatched first-order rows: {', '.join(missing)}")
+def nel_system(rows: dict[str, Equation]):
+    """The nel rows as a linear system in the twelve components: (matrix,
+    rhs), one row per label in sorted order, one column per NEL_UNKNOWNS
+    entry in that order.  A row that is not affine-linear in the components
+    raises DeriveError."""
     unknowns = NEL_UNKNOWNS
     matrix = []
     rhs = []
@@ -198,8 +203,22 @@ def solve_sol(rows: dict[str, Equation], sys: StructureSystem):
             raise DeriveError(f"row {label} has nonlinear component terms")
         matrix.append(row)
         rhs.append(LocFrac(-const))
-    solution = linear_solve(matrix, rhs, sys.nonzero)
-    assignment = dict(zip(unknowns, solution))
+    return matrix, rhs
+
+
+def solve_sol(rows: dict[str, Equation], sys: StructureSystem):
+    """Solve the twelve nel rows (`nel_system`) for L_i, F_i, G_i over the
+    localized ring.
+
+    A row set that lacks any of the twelve is refused with DeriveError
+    naming the missing labels; a determinant that divides by an atom the
+    system does not declare nonzero, with NonUnitError naming the atom.
+    """
+    missing = [f"nel-{row}" for row in NEL if f"nel-{row}" not in rows]
+    if missing:
+        raise DeriveError(f"unmatched first-order rows: {', '.join(missing)}")
+    solution = linear_solve(*nel_system(rows), sys.nonzero)
+    assignment = dict(zip(NEL_UNKNOWNS, solution))
     # back-substitution leaves every row identically zero
     for label, eq in rows.items():
         if not sys.ctx.substitute(eq.poly, assignment).is_zero():

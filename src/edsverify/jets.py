@@ -15,7 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly, _coeff, _coerce_frac, _poly
+from .algebra import (
+    ATOMS,
+    AlgebraError,
+    LocFrac,
+    NonUnitError,
+    Poly,
+    _coeff,
+    _coerce_frac,
+    _poly,
+    frac_sum,
+    mono_mul,
+)
 
 DIRECTIONS = (1, 2, 3, 4)
 
@@ -45,7 +56,7 @@ class JetContext:
 
     def __init__(self):
         self.symbols: set[str] = set()
-        self.links: dict[tuple[str, int], LocFrac] = {}
+        self.links: dict[tuple[str, int], Poly] = {}
 
     # -- registry ------------------------------------------------------------
 
@@ -53,9 +64,13 @@ class JetContext:
         self.symbols.add(name)
 
     def link(self, name: str, direction: int, value) -> None:
+        """Register d_direction name = value; the value must be a polynomial."""
         if name not in self.symbols:
             raise JetError(f"unregistered symbol {name!r}")
-        self.links[(name, direction)] = _coerce_frac(value)
+        value = _coerce_frac(value)
+        if value.den:
+            raise JetError(f"link d_{direction} {name} = {value} is not a polynomial")
+        self.links[(name, direction)] = value.num
 
     def register_jet_family(self, base: str, max_order: int = 2) -> None:
         """base, base_i, base_ij with derivative links between them."""
@@ -64,13 +79,13 @@ class JetContext:
             return
         for i in DIRECTIONS:
             self.register(f"{base}{i}")
-            self.link(base, i, LocFrac(Poly.var(f"{base}{i}")))
+            self.link(base, i, Poly.var(f"{base}{i}"))
         if max_order < 2:
             return
         for i in DIRECTIONS:
             for j in DIRECTIONS:
                 self.register(f"{base}{i}{j}")
-                self.link(f"{base}{i}", j, LocFrac(Poly.var(f"{base}{i}{j}")))
+                self.link(f"{base}{i}", j, Poly.var(f"{base}{i}{j}"))
 
     def symbol(self, name: str) -> LocFrac:
         if name not in self.symbols:
@@ -79,7 +94,7 @@ class JetContext:
 
     # -- the derivation operator ----------------------------------------------
 
-    def derive_var(self, name: str, direction: int) -> LocFrac:
+    def derive_var(self, name: str, direction: int) -> Poly:
         key = (name, direction)
         if key in self.links:
             return self.links[key]
@@ -92,17 +107,18 @@ class JetContext:
     def derive(self, expr: Scalar, direction: int) -> LocFrac:
         """Directional derivative d_direction with Leibniz and quotient rules.
 
-        d(p/q) = dp/q - (p/q) * dq/q, where dq/q expands atom by atom so the
-        result denominator stays inside the atom monoid.
+        d(p/q) = dp/q - sum over the atoms a^e of q of e p da / (q a), so the
+        result denominator stays inside the atom monoid.  The parts are added
+        in one `frac_sum`.
         """
         if direction not in DIRECTIONS:
             raise JetError(f"direction must be 1..4, got {direction}")
         expr = _coerce_frac(expr)
-        out = _dpoly(self, expr.num, direction)
-        if expr.den:
-            out = out * LocFrac(Poly.const(1), expr.den)
-            out = out - sum_den_terms(self, expr, direction)
-        return out
+        parts = [(_dpoly(self, expr.num, direction), expr.den)]
+        for atom, e in expr.den.items():
+            parts.append((-e * expr.num * _dpoly(self, ATOMS[atom], direction),
+                          {**expr.den, atom: e + 1}))
+        return frac_sum(parts)
 
     def substitute(self, expr: Scalar, assignment: Mapping[str, Scalar]) -> LocFrac:
         """Simultaneous single-pass substitution.
@@ -111,17 +127,15 @@ class JetContext:
         again, so a layered fact map must be closed first (no value mentions
         a key), as cases.FactStore keeps it.
 
-        When no key occurs in the numerator, nor in the polynomial of any
-        denominator atom (`lam` occurs in `mu+`), the substitution is the
-        identity and the coerced `expr` itself is returned.
+        Only the keys in `mentioned(expr)` are read.  When none occurs, the
+        substitution is the identity and the coerced `expr` itself is
+        returned.
         """
         expr = _coerce_frac(expr)
-        names = expr.num.variables()
-        for atom in expr.den:
-            names |= ATOMS[atom].variables()
-        if names.isdisjoint(assignment):
+        keys = [name for name in mentioned(expr) if name in assignment]
+        if not keys:
             return expr
-        assignment = {k: _coerce_frac(v) for k, v in assignment.items()}
+        assignment = {k: _coerce_frac(assignment[k]) for k in keys}
         out = _subst_poly(expr.num, assignment)
         for atom, e in expr.den.items():
             value = _subst_poly(ATOMS[atom], assignment)
@@ -139,42 +153,47 @@ class JetContext:
         return out
 
 
-def sum_den_terms(ctx: JetContext, expr: LocFrac, direction: int) -> LocFrac:
-    total = LocFrac(Poly.zero())
-    for atom, e in expr.den.items():
-        datom = _dpoly(ctx, ATOMS[atom], direction)
-        total = total + e * expr * datom * LocFrac(Poly.const(1), {atom: 1})
-    return total
+def mentioned(expr: LocFrac) -> set:
+    """The variables of expr's numerator and of the polynomials of its
+    denominator atoms (`lam` occurs in `mu+`): the names a substitution
+    into expr can change."""
+    names = expr.num.variables()
+    for atom in expr.den:
+        names |= ATOMS[atom].variables()
+    return names
 
 
-def _dpoly(ctx: JetContext, p: Poly, direction: int) -> LocFrac:
-    out = LocFrac(Poly.zero())
+def _dpoly(ctx: JetContext, p: Poly, direction: int) -> Poly:
+    """d_direction of the polynomial p by the Leibniz rule: each partial
+    derivative times its link, a polynomial, added straight into one term
+    dict."""
+    t = {}
     for mono, coeff in p.terms.items():
-        for idx, (name, e) in enumerate(mono):
-            rest = dict(mono)
-            if e > 1:
-                rest[name] = e - 1
-            else:
-                del rest[name]
-            partial = _poly({tuple(sorted(rest.items())): _coeff(coeff * e)})
-            out = out + LocFrac(partial) * ctx.derive_var(name, direction)
-    return out
+        for i, (name, e) in enumerate(mono):
+            rest = mono[:i] + ((name, e - 1),) + mono[i + 1:] if e > 1 else mono[:i] + mono[i + 1:]
+            for m, c in ctx.derive_var(name, direction).terms.items():
+                m = mono_mul(rest, m)
+                t[m] = t.get(m, 0) + coeff * e * c
+    return _poly({m: _coeff(c) for m, c in t.items() if c})
 
 
 def _subst_poly(p: Poly, assignment: Mapping[str, LocFrac]) -> LocFrac:
-    out = LocFrac(Poly.zero())
+    """p with the names of `assignment` replaced: each term's product of
+    value powers is kept unnormalized, and the terms are added in one
+    `frac_sum`."""
+    parts = []
     for mono, coeff in p.terms.items():
-        kept = []
-        factor = LocFrac(Poly.const(coeff))
+        kept, num, den = [], _poly({(): coeff}), {}
         for name, e in mono:
-            if name in assignment:
-                v = assignment[name]
-                for _ in range(e):
-                    factor = factor * v
-            else:
+            v = assignment.get(name)
+            if v is None:
                 kept.append((name, e))
-        out = out + factor * LocFrac(_poly({tuple(kept): 1}))
-    return out
+                continue
+            num = num * v.num ** e
+            for atom, k in v.den.items():
+                den[atom] = den.get(atom, 0) + k * e
+        parts.append((num * _poly({tuple(kept): 1}), den))
+    return frac_sum(parts)
 
 
 def standard_context() -> JetContext:
@@ -186,7 +205,7 @@ def standard_context() -> JetContext:
         ctx.register(f"S{i}")
         for j in DIRECTIONS:
             ctx.register(f"S{i}{j}")
-            ctx.link(f"S{i}", j, LocFrac(Poly.var(f"S{i}{j}")))
+            ctx.link(f"S{i}", j, Poly.var(f"S{i}{j}"))
     for fam in ("F", "G", "L"):
         for i in DIRECTIONS:
             ctx.register(f"{fam}{i}")
@@ -194,7 +213,7 @@ def standard_context() -> JetContext:
     ctx.register("sigp")
     ctx.register("sigpp")
     for j in DIRECTIONS:
-        ctx.link("sigp", j, LocFrac(Poly.var("sigpp") * Poly.var(f"lam{j}")))
+        ctx.link("sigp", j, Poly.var("sigpp") * Poly.var(f"lam{j}"))
     # rotation parameters, never differentiated
     ctx.register("c")
     ctx.register("s")

@@ -594,3 +594,146 @@ def test_poly_matches_sympy_ring():
             assert mono == tuple((n, e) for n, e in zip(names, gcd) if e)
             assert_same(primitive, prim if content > 0 else -prim)
             assert primitive.leading()[1] > 0
+
+
+# -- one-pass sums, powers and the block solve against their references ------
+
+
+def pairwise_add(a, b):
+    """The reference: the former two-operand sum, which lifted both
+    numerators to the lcm denominator, added them and normalized."""
+    den = dict(a.den)
+    for n, e in b.den.items():
+        den[n] = max(den.get(n, 0), e)
+    x, y = a.num, b.num
+    for n, e in den.items():
+        x = x * ATOMS[n] ** (e - a.den.get(n, 0))
+        y = y * ATOMS[n] ** (e - b.den.get(n, 0))
+    return LocFrac(x + y, den)
+
+
+def test_frac_sum_matches_the_pairwise_fold():
+    rng = random.Random(71)
+    seen = set()
+    for trial in range(300):
+        fracs = [random_locfrac(rng) for _ in range(rng.randint(0, 5))]
+        if trial % 3 == 1:
+            # the negatives too, shuffled in: the sum cancels to zero
+            fracs += [-f for f in fracs]
+            rng.shuffle(fracs)
+        elif trial % 3 == 2:
+            # parts of atom * p over atom^2: the sum's numerator divides by the atom
+            atom = rng.choice(sorted(ATOMS))
+            p = random_poly(rng) * ATOMS[atom]
+            cut = {m: c for m, c in p.terms.items() if rng.random() < 0.5}
+            fracs += [LocFrac(Poly(cut), {atom: 2}), LocFrac(p - Poly(cut), {atom: 2})]
+        want = LocFrac(Poly.zero())
+        for f in fracs:
+            want = pairwise_add(want, f)
+        got = algebra.frac_sum((f.num, f.den) for f in fracs)
+        assert got.num.terms == want.num.terms and got.den == want.den, (fracs, got, want)
+        assert_canonical(got)
+        seen.add("zero" if want.is_zero() else "denominator" if want.den else "polynomial")
+    assert seen == {"zero", "denominator", "polynomial"}
+
+
+def test_frac_sum_normalizes_unnormalized_parts():
+    # lam sig / (lam^2 sig) + mu+ / (mu+ lam): parts as given, not normalized
+    got = algebra.frac_sum([(lam * sig, {"lam": 2, "sig": 1}), (mup, {"mu+": 1, "lam": 1})])
+    assert got.num == 2 and got.den == {"lam": 1}
+    assert algebra.frac_sum([]) == 0 and not algebra.frac_sum([(Poly.zero(), {"lam": 3})]).den
+
+
+def test_power_of_a_term_scales_its_exponents():
+    rng = random.Random(73)
+    for _ in range(200):
+        p = random_poly(rng, max_terms=2)
+        for n in range(5):
+            want = Poly.const(1)
+            for _ in range(n):
+                want = want * p
+            got = p**n
+            assert got.terms == want.terms
+            assert_canonical(got)
+
+
+def det_reference(rows):
+    """The reference: the determinant by Gaussian elimination over Fraction,
+    negated at each row swap."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def block_system(rng, sizes):
+    """A random Fraction matrix, block diagonal with square blocks of the
+    given sizes, under a random row and column permutation."""
+    n = sum(sizes)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for k in sizes:
+        for i in range(k):
+            for j in range(k):
+                if rng.random() < 0.85:
+                    m[at + i][at + j] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        if k > 1 and rng.random() < 0.4:
+            # a zero at the block's top-left corner: elimination swaps inside the block
+            m[at][at] = Fraction(0)
+        at += k
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[m[r][c] for c in cols] for r in rows]
+
+
+def test_block_solve_matches_fraction_reference():
+    rng = random.Random(79)
+    seen = set()
+    for _ in range(150):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        matrix = block_system(rng, sizes)
+        n = len(matrix)
+        rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        det = det_reference(matrix)
+        # row r scaled by lam: the determinant gains the factor lam, the solution stays
+        r = rng.randrange(n)
+        system = [[LocFrac(lam * x if i == r else Poly.const(x)) for x in row] for i, row in enumerate(matrix)]
+        values = [LocFrac(lam * b if i == r else Poly.const(b)) for i, b in enumerate(rhs)]
+        blocks = algebra._blocks(matrix)
+        seen.add("split" if len(blocks) > 1 else "one block")
+        if not det:
+            seen.add("singular")
+            with pytest.raises(SingularMatrixError) as err:
+                linear_solve(system, values, ATOMS)
+            assert err.value.determinant.is_zero()
+            continue
+        seen.add("swap" if gauss_reference(matrix)[2] else "no-swap")
+        got = linear_solve(system, values, ATOMS)
+        assert got == [LocFrac(Poly.const(x)) for x in solve_reference(matrix, rhs)]
+        with pytest.raises(NonUnitError) as err:
+            linear_solve(system, values, ("sig",))
+        assert str(err.value) == f"determinant {det * lam} divides by atoms not declared nonzero: lam"
+    assert seen == {"split", "one block", "singular", "swap", "no-swap"}
+
+
+def test_a_non_square_block_is_singular():
+    one, zero = LocFrac(Poly.const(1)), LocFrac(Poly.zero())
+    # rows 0 and 1 meet only column 0; row 2 meets columns 1 and 2
+    matrix = [[one, zero, zero], [LocFrac(lam), zero, zero], [zero, one, LocFrac(sig)]]
+    assert algebra._blocks([[e.num for e in row] for row in matrix]) == [([0, 1], [0]), ([2], [1, 2])]
+    with pytest.raises(SingularMatrixError) as err:
+        linear_solve(matrix, [one, one, one], ATOMS)
+    assert err.value.determinant.is_zero()
+    # a zero row is a block without columns, a zero column belongs to none
+    assert algebra._blocks([[Poly.zero(), Poly.zero()], [Poly.zero(), lam]]) == [([0], []), ([1], [1])]

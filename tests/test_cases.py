@@ -18,6 +18,7 @@ from edsverify.equations import (
     lam,
     sig,
 )
+from edsverify.jets import mentioned
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +166,56 @@ def test_failed_step_reports_residual():
     assert report.steps[0]["status"] == "fail"
     assert "residual" in report.steps[0]["detail"]
     assert "lam" in report.steps[0]["detail"]
+
+
+class EveryFactStore:
+    """The reference: the former fact store, which substituted each new fact
+    into every older fact."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.facts = {}
+
+    def add(self, name, value, with_derivatives=False):
+        v = self.ctx.substitute(value, self.facts)
+        for key in list(self.facts):
+            self.facts[key] = self.ctx.substitute(self.facts[key], {name: v})
+        self.facts[name] = v
+        if with_derivatives:
+            for j in (1, 2, 3, 4):
+                self.add(f"{name}{j}", self.ctx.derive(v, j))
+
+
+def test_fact_stores_close_as_the_every_fact_loop_does(system, derived, monkeypatch):
+    stores = []
+
+    class Recorded(C.FactStore):
+        """A FactStore that logs its outermost additions for a replay."""
+
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.log, self.depth = [], 0
+            stores.append(self)
+
+        def add(self, name, value, with_derivatives=False):
+            if not self.depth:
+                self.log.append((name, value, with_derivatives))
+            self.depth += 1
+            try:
+                super().add(name, value, with_derivatives)
+            finally:
+                self.depth -= 1
+
+    monkeypatch.setattr(C, "FactStore", Recorded)
+    reports = [C.run_const_lambda(system, derived.components),
+               C.run_case_ii(system, derived.equations), C.run_case_iii(system, derived.equations)]
+    assert all(r.ok for r in reports) and len(stores) == 3
+    for store in stores:
+        reference = EveryFactStore(store.ctx)
+        for name, value, with_derivatives in store.log:
+            reference.add(name, value, with_derivatives)
+        assert list(store.facts) == list(reference.facts)
+        for key, value in store.facts.items():
+            want = reference.facts[key]
+            assert value.num.terms == want.num.terms and value.den == want.den, key
+            assert store.mentions[key] == mentioned(value)

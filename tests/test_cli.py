@@ -279,6 +279,32 @@ def test_all_loads_transcriptions_then_numpy_then_parses():
     assert probe["numpy_at_parse"] is True
 
 
+#: run in a fresh interpreter: `all --seed 0` twice under cProfile, then the
+#: number of `Poly.__mul__` calls of each run
+_MUL_PROBE = """
+import contextlib, cProfile, io, json
+from edsverify.algebra import Poly
+from edsverify.cli import main
+code = Poly.__mul__.__code__
+counts = []
+for _ in range(2):
+    profile = cProfile.Profile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert profile.runcall(main, ["all", "--seed", "0"]) == 0
+    profile.create_stats()
+    counts.append(profile.stats[(code.co_filename, code.co_firstlineno, code.co_name)][1])
+print(json.dumps(counts))
+"""
+
+
+def test_a_second_run_in_one_process_multiplies_as_often_as_the_first():
+    """No cache outlives a run: the first `all` of a process and the second
+    make the same polynomial products, so a warm run hides no work."""
+    done = subprocess.run([sys.executable, "-c", _MUL_PROBE], capture_output=True, text=True, check=True)
+    first, second = json.loads(done.stdout.splitlines()[-1])
+    assert first == second > 0
+
+
 GOLDEN = Path(__file__).parent / "data" / "all-seed0.symbolic.json"
 MUTANT = Path(__file__).parent / "data" / "mutant-F.1.double.eds"
 

@@ -75,14 +75,14 @@ def test_mutation_matrix(tmp_path):
     ("", "lam, sig"),
 ])
 def test_a_solve_that_divides_by_an_undeclared_atom_fails(nonzero, missing, tmp_path):
-    """The solve divides by its determinant -65536 lam^4 sig^8, so every atom
+    """The solve divides by its determinant 65536 lam^4 sig^8, so every atom
     of it must be declared nonzero; every suite that reads the solution is
     then blocked by the failed solve."""
     code, suites = run_all(SHIPPED.replace(NONZERO_LINE, nonzero), tmp_path)
     assert code == 1
     solve = suites["sol"][0]
     assert [c["status"] for c in suites["sol"]] == ["fail"]
-    assert solve["detail"] == ("determinant -65536*lam^4*sig^8 divides by atoms "
+    assert solve["detail"] == ("determinant 65536*lam^4*sig^8 divides by atoms "
                                f"not declared nonzero: {missing}")
     for name in ("equations36", "combos", "symmetry", "case-const-lambda", "case-ii", "case-iii"):
         assert suites[name] == [{"id": "blocked", "label": "solve", "status": "fail",
@@ -114,3 +114,32 @@ def test_derivation_runs_once_per_run(monkeypatch):
         for _ in range(2):
             assert main(["all", "--points", "1"]) == 0
     assert calls == ["derive_nel", "solve_sol", "derive_36"] * 2
+
+
+def test_the_printed_determinant_is_the_determinant_of_the_solved_system(derived, tmp_path):
+    """The determinant in the solve's failure detail is that of the matrix
+    `solve_sol` builds (rows in sorted-label order, columns in NEL_UNKNOWNS
+    order), computed here independently by sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+
+    def parse(text):
+        return parse_expr(text, transformations=standard_transformations + (convert_xor,))
+
+    matrix, _ = D.nel_system(derived.nel[0])
+    assert all(not entry.den for row in matrix for entry in row)
+    det = sympy.Matrix([[parse(str(entry.num)) for entry in row] for row in matrix]).det()
+    _, suites = run_all(SHIPPED.replace(NONZERO_LINE, "nonzero lambda\n"), tmp_path)
+    printed = suites["sol"][0]["detail"].split()[1]
+    assert sympy.expand(det - parse(printed)) == 0
+    assert printed == "65536*lam^4*sig^8"
+
+
+def test_the_solved_system_splits_into_four_three_by_three_blocks(derived):
+    from edsverify.algebra import _blocks, _clear_rows
+
+    matrix, rhs = D.nel_system(derived.nel[0])
+    blocks = _blocks(_clear_rows(matrix, rhs)[0])
+    assert [(len(rows), len(cols)) for rows, cols in blocks] == [(3, 3)] * 4
+    assert sorted(i for rows, _ in blocks for i in rows) == list(range(12))
+    assert sorted(j for _, cols in blocks for j in cols) == list(range(12))

@@ -411,3 +411,66 @@ def test_tampered_system_is_caught(system):
     assert list(rows) == [label for label in report if label not in unmatched]
     with pytest.raises(D.DeriveError, match=f"rows: {', '.join(unmatched)}$"):
         D.solve_sol(rows, broken)
+
+
+# -- the one-walk row matcher against the former normal-form matcher ----------
+
+
+def match_by_normal_forms(transcribed, raw):
+    """The reference: the former matcher, which compared the primitive parts
+    of the two normal forms and verified the product."""
+    if transcribed.is_zero() or raw.num.is_zero():
+        return None
+    c_t, m_t, n_t = transcribed.normalized()
+    c_r, m_r, n_r = raw.num.normalized()
+    if n_t != n_r:
+        return None
+    factor = Poly({m_t: c_t / c_r}) * raw.den_poly()
+    if transcribed * Poly({m_r: 1}) * raw.den_poly() != factor * raw.num:
+        return None
+    return factor, m_r
+
+
+def test_match_transcription_matches_the_normal_form_reference():
+    from conftest import random_poly
+
+    rng = random.Random(101)
+    names = ("lam", "sig", "lam1", "sig2", "S1")
+
+    def monomial():
+        return Poly({tuple(sorted((n, rng.randint(1, 2)) for n in rng.sample(names, rng.randint(0, 2)))): 1})
+
+    seen = set()
+    for trial in range(400):
+        base = random_poly(rng, max_terms=5)
+        den = {a: rng.randint(1, 2) for a in rng.sample(sorted(ATOMS), rng.randint(0, 2))}
+        # shifts in both directions: the raw side and the transcribed side each carry a monomial
+        raw = LocFrac(base * monomial() * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)), den)
+        ratio = Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.randint(1, 6))
+        transcribed = ratio * base * monomial()
+        kind = trial % 5
+        if kind == 1 and len(transcribed.terms) > 1:
+            # equal term counts, one coefficient off
+            m = next(iter(transcribed.terms))
+            transcribed = transcribed + Poly({m: 1})
+        elif kind == 2 and len(transcribed.terms) > 1:
+            # equal term counts, one monomial moved
+            m, c = next(iter(transcribed.terms.items()))
+            transcribed = transcribed - Poly({m: c}) + Poly({m + (("sig44", 1),): c})
+        elif kind == 3:
+            transcribed = rng.choice([Poly.zero(), transcribed])
+            raw = rng.choice([LocFrac(Poly.zero()), raw])
+        elif kind == 4:
+            # every raw term lands, on a transcription with one term more
+            transcribed = transcribed + Poly({(("sig44", 1),): 1})
+        got, want = D.match_transcription(transcribed, raw), match_by_normal_forms(transcribed, raw)
+        assert (got is None) == (want is None), (transcribed, raw)
+        if want is not None:
+            assert got[0].terms == want[0].terms and got[1] == want[1]
+            assert D.multiplier_text(got) == D.multiplier_text(want)
+            seen.add("shift" if got[1] else "matched")
+        else:
+            seen.add("zero" if transcribed.is_zero() or raw.is_zero() else "unmatched")
+        if any(a in raw.den for a in ("mu+", "mu-")):
+            seen.add("binomial denominator")
+    assert seen == {"shift", "matched", "zero", "unmatched", "binomial denominator"}

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from edsverify import jets
 from edsverify.algebra import ATOMS, LocFrac, Poly
-from edsverify.jets import JetOrderError, SubstitutionError, standard_context
+from edsverify.jets import JetError, JetOrderError, SubstitutionError, standard_context
 
-from conftest import random_locfrac
+from conftest import VARS, random_locfrac, random_poly
 
 P = Poly.var
 
@@ -117,3 +118,102 @@ def test_substitute_reaches_a_key_inside_a_denominator_atom(ctx):
     assert ctx.substitute(expr, {"lam": LocFrac(2 * P("sig"))}) == LocFrac(Poly.const(Fraction(1, 4)))
     with pytest.raises(SubstitutionError):
         ctx.substitute(expr, {"lam": LocFrac(-2 * P("sig"))})
+
+
+# -- the one-pass derivative and substitution against the former folds --------
+
+
+def leibniz_dpoly(ctx, p, direction):
+    """The reference: the former d of a polynomial, each partial derivative
+    times its link added pairwise as LocFracs."""
+    out = LocFrac(Poly.zero())
+    for mono, coeff in p.terms.items():
+        for name, e in mono:
+            rest = dict(mono)
+            if e > 1:
+                rest[name] = e - 1
+            else:
+                del rest[name]
+            partial = Poly({tuple(sorted(rest.items())): coeff * e})
+            out = out + LocFrac(partial) * LocFrac(ctx.derive_var(name, direction))
+    return out
+
+
+def quotient_rule_fold(ctx, expr, direction):
+    """The reference: the former derive, dp / q minus the atom terms summed
+    pairwise."""
+    out = leibniz_dpoly(ctx, expr.num, direction) * LocFrac(Poly.const(1), expr.den)
+    for atom, e in expr.den.items():
+        datom = leibniz_dpoly(ctx, ATOMS[atom], direction)
+        out = out - e * expr * datom * LocFrac(Poly.const(1), {atom: 1})
+    return out
+
+
+def pairwise_subst(p, assignment):
+    """The reference: the former polynomial substitution, every term's value
+    powers multiplied out and the terms added pairwise as LocFracs."""
+    out = LocFrac(Poly.zero())
+    for mono, coeff in p.terms.items():
+        kept, factor = [], LocFrac(Poly.const(coeff))
+        for name, e in mono:
+            if name in assignment:
+                for _ in range(e):
+                    factor = factor * assignment[name]
+            else:
+                kept.append((name, e))
+        out = out + factor * LocFrac(Poly({tuple(kept): 1}))
+    return out
+
+
+def same(a: LocFrac, b: LocFrac) -> bool:
+    return a.num.terms == b.num.terms and a.den == b.den
+
+
+def test_dpoly_matches_the_leibniz_sum(ctx):
+    rng = random.Random(83)
+    for _ in range(150):
+        # sigp's link sigpp lam_j has two factors
+        p = random_poly(rng, max_terms=5, max_exp=3) * (P("sigp") ** rng.randint(0, 2))
+        for direction in (1, 2, 3, 4):
+            got, want = jets._dpoly(ctx, p, direction), leibniz_dpoly(ctx, p, direction)
+            assert not want.den and got.terms == want.num.terms, p
+
+
+def test_derive_matches_the_quotient_rule_fold(ctx):
+    rng = random.Random(89)
+    for _ in range(150):
+        expr = random_locfrac(rng)
+        for direction in (1, 2, 3, 4):
+            assert same(ctx.derive(expr, direction), quotient_rule_fold(ctx, expr, direction)), expr
+
+
+def test_subst_poly_matches_the_pairwise_fold(ctx):
+    rng = random.Random(97)
+    for _ in range(150):
+        p = random_poly(rng, max_terms=5, max_exp=3)
+        names = rng.sample(VARS, rng.randint(1, 3))
+        # values with atom denominators, zeros among them
+        assignment = {n: random_locfrac(rng) if rng.random() < 0.8 else LocFrac(Poly.zero()) for n in names}
+        assert same(jets._subst_poly(p, assignment), pairwise_subst(p, assignment)), (p, assignment)
+
+
+def test_a_link_must_be_a_polynomial(ctx):
+    ctx.register("u")
+    ctx.link("u", 1, 2 * P("lam"))
+    assert ctx.derive(P("u") ** 2, 1) == LocFrac(4 * P("u") * P("lam"))
+    with pytest.raises(JetError, match="is not a polynomial"):
+        ctx.link("u", 2, LocFrac(P("lam"), {"sig": 1}))
+
+
+def test_substitute_reads_only_the_keys_that_occur(ctx):
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+    read = []
+    assignment = Reads({"lam": LocFrac(P("sig")), "sig3": 0, "S1": 1, "lam44": 2})
+    expr = LocFrac(P("sig3") * P("S2"), {"mu+": 1})
+    assert jets.mentioned(expr) == {"sig3", "S2", "lam", "sig"}
+    assert ctx.substitute(expr, assignment).is_zero()
+    assert sorted(read) == ["lam", "sig3"]
