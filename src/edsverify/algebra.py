@@ -23,12 +23,16 @@ nothing to collect or cancel, and a unit coefficient is not multiplied at
 all.  A one-term power scales its exponents.  Fractions add through
 `frac_sum`: any number of parts, lifted to one common denominator, their
 terms added into one dict and the sum normalized once.
+
+No other module reads the term format: derivatives, substitution,
+proportionality, power splitting, single-term unpacking and the
+sum-of-squares certificate are methods and functions here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Mapping, Union
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
@@ -58,9 +62,10 @@ class SingularMatrixError(AlgebraError):
 
 def _coeff(c: Coeff) -> Coeff:
     """c as a canonical coefficient; a float is refused, being inexact."""
-    if type(c) is int:
+    t = type(c)
+    if t is int:
         return c
-    if isinstance(c, Fraction):
+    if t is Fraction or isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise AlgebraError(f"coefficient {c!r} is not an int or a Fraction")
 
@@ -99,7 +104,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in d.items() if e))
+    return tuple(sorted(d.items()))
 
 
 def mono_div(a: Monomial, b: Monomial):
@@ -301,6 +306,53 @@ class Poly:
             return self.terms[ONE_MONO]
         return None
 
+    def as_term(self):
+        """(coefficient, monomial) of a one-term polynomial, else None."""
+        if len(self.terms) != 1:
+            return None
+        (m, c), = self.terms.items()
+        return c, m
+
+    def split_power(self, name: str, k: int):
+        """(q, r) with self == q * name**k + r and no term of r divisible by
+        name**k."""
+        q, r = {}, {}
+        for m, c in self.terms.items():
+            for i, (n, e) in enumerate(m):
+                if n == name and e >= k:
+                    q[m[:i] + ((n, e - k),) + m[i + 1:] if e > k else m[:i] + m[i + 1:]] = c
+                    break
+            else:
+                r[m] = c
+        return _poly(q), _poly(r)
+
+    def proportion(self, other: "Poly"):
+        """(factor, shift) with self * x^shift == factor * other, factor one
+        term and shift a monomial; None when the two are not proportional.
+
+        Decided in one walk over other's terms.  Were self = q x^s other for
+        a rational q and a monomial s, then shift and factor's monomial would
+        be other's and self's monomial contents.  So every term c x^m of
+        other must land on a term of self at x^m times their quotient, all
+        with the coefficient ratio q of the first, and the term counts must
+        agree.  The ratios are compared as integer cross products, not as
+        Fractions.
+        """
+        if not self.terms or len(self.terms) != len(other.terms):
+            return None
+        m_s, m_o = mono_content(self.terms), mono_content(other.terms)
+        qn = qd = None  # q = qn / qd, compared in integers
+        for m, c in other.terms.items():
+            t = self.terms.get(mono_mul(mono_div(m, m_o) if m_o else m, m_s))
+            if t is None:
+                return None
+            tn, td, cn, cd = t.numerator, t.denominator, c.numerator, c.denominator
+            if qn is None:
+                qn, qd = tn * cd, td * cn
+            elif tn * cd * qd != qn * cn * td:
+                return None
+        return _poly({m_s: _quotient(qn, qd)}), m_o
+
     def coefficient_of(self, name: str, exp: int = 1) -> "Poly":
         """Coefficient polynomial of name**exp among terms with that exact
         power of `name`."""
@@ -339,6 +391,40 @@ class Poly:
                 v = v * _coeff(values[n]) ** e
             total += v
         return total
+
+    # -- derivation and substitution -----------------------------------------
+
+    def derivative(self, d) -> "Poly":
+        """The derivation sending each variable v to the polynomial d(v), by
+        the Leibniz rule: each partial derivative times d of its variable,
+        added straight into one term dict."""
+        t = {}
+        for mono, coeff in self.terms.items():
+            for i, (name, e) in enumerate(mono):
+                rest = mono[:i] + ((name, e - 1),) + mono[i + 1:] if e > 1 else mono[:i] + mono[i + 1:]
+                for m, c in d(name).terms.items():
+                    m, c = mono_mul(rest, m), coeff * e * c
+                    s = t.get(m)
+                    t[m] = c if s is None else s + c
+        return _poly({m: _coeff(c) for m, c in t.items() if c})
+
+    def substitute(self, values: Mapping[str, "LocFrac"]) -> "LocFrac":
+        """self with the names of `values` replaced: each term's product of
+        value powers is kept unnormalized, and the terms are added in one
+        `frac_sum`."""
+        parts = []
+        for mono, coeff in self.terms.items():
+            kept, num, den = [], _poly({(): coeff}), {}
+            for name, e in mono:
+                v = values.get(name)
+                if v is None:
+                    kept.append((name, e))
+                    continue
+                num = num * v.num ** e
+                for atom, k in v.den.items():
+                    den[atom] = den.get(atom, 0) + k * e
+            parts.append((num * _poly({tuple(kept): 1}), den))
+        return frac_sum(parts)
 
     # -- division and normal form ------------------------------------------
 
@@ -419,11 +505,12 @@ class Poly:
 
 
 def _coerce(x):
-    if isinstance(x, Poly):
+    t = type(x)
+    if t is Poly:
         return x
-    if isinstance(x, (int, Fraction)):
+    if t in (int, Fraction) or isinstance(x, (int, Fraction)):
         return Poly.const(x)
-    return NotImplemented
+    return x if isinstance(x, Poly) else NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +687,18 @@ def frac_sum(parts) -> LocFrac:
     t = {}
     for num, den in parts:
         for m, c in _lift(num, den, common).terms.items():
-            t[m] = t.get(m, 0) + c
+            s = t.get(m)
+            t[m] = c if s is None else s + c
     return _frac(_poly({m: _coeff(c) for m, c in t.items() if c}), common)
 
 
 def _coerce_frac(x):
-    if isinstance(x, LocFrac):
+    t = type(x)
+    if t is LocFrac:
         return x
-    if isinstance(x, (Poly, int, Fraction)):
+    if t in (Poly, int, Fraction) or isinstance(x, (Poly, int, Fraction)):
         return _frac(_coerce(x), {})
-    return NotImplemented
+    return x if isinstance(x, LocFrac) else NotImplemented
 
 
 def _cancel_atom(p: Poly, name: str, most=inf):
@@ -813,3 +902,57 @@ def linear_solve(matrix, rhs, nonzero):
         if frac_sum([*((p.num, p.den) for p in products), (-bi.num, bi.den)]):
             raise AlgebraError("linear_solve residual is nonzero")
     return xs
+
+
+# ---------------------------------------------------------------------------
+# Positivity certificates
+# ---------------------------------------------------------------------------
+
+
+def sos_certificate(p: Poly):
+    """Exact decomposition p = sum c_k q_k^2 with positive rational c_k, as a
+    list of (c_k, q_k), or None when the ansatz below gives none.
+
+    The basis b is the halves of p's even monomials in graded-lex order, and
+    p = b^T G b for a symmetric Gram matrix G: a positive even term sits on
+    the diagonal, any other term on the first off-diagonal pair whose product
+    is its monomial.  With s the lcm of G's denominators, `eliminate` on s G
+    gives pivots d_k and pivot rows u_k (zero left of the pivot), and when G
+    is positive semidefinite s G = sum_k u_k^T u_k / (d_{k-1} d_k), d_{-1} = 1,
+    an exact rational LDL^T.  So c_k = d_k / (s d_{k-1}) and
+    q_k = (u_k . b) / d_k; the identity is checked exactly before it is
+    returned.
+    """
+    even = sorted((m for m in p.terms if all(e % 2 == 0 for _, e in m)), key=_grlex_key)
+    halves = [tuple((v, e // 2) for v, e in m) for m in even]
+    n = len(halves)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for m, c in p.terms.items():
+        if c > 0 and m in even:
+            i = j = even.index(m)
+        else:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                         if mono_mul(halves[i], halves[j]) == m), None)
+            if pair is None:
+                return None
+            i, j = pair
+            c = _quotient(c, 2)
+        gram[i][j] = gram[j][i] = c
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    u = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
+    out, prev = [], 1
+    for k, col in enumerate(eliminate(u)):
+        pivot = u[k][col]
+        q = Poly({halves[j]: Fraction(u[k][j], pivot) for j in range(col, n)})
+        out.append((Fraction(pivot, scale * prev), q))
+        prev = pivot
+    return out if _verify_sos(p, out) else None
+
+
+def _verify_sos(p: Poly, decomposition) -> bool:
+    acc = Poly.zero()
+    for c, q in decomposition:
+        if c <= 0:
+            return False
+        acc = acc + Poly.const(c) * q * q
+    return acc == p

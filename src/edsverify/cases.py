@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import equations as eqs
-from .algebra import LocFrac, Poly, _coerce_frac, _grlex_key, _poly, _quotient, atom_divide, eliminate, mono_mul
+from .algebra import LocFrac, Poly, _coerce_frac, atom_divide, sos_certificate
 from .equations import (
     CASE2_FINAL,
     CASE2_H,
@@ -107,25 +106,11 @@ def _expect(report: PipelineReport, tag: str, description: str, value: LocFrac, 
 
 def reduce_square(expr: LocFrac, name: str, replacement: LocFrac) -> LocFrac:
     """Rewrite every name^2 inside expr by the replacement value, repeatedly."""
-    current = expr
     while True:
-        hit = False
-        total = LocFrac(Poly.zero())
-        for mono, coeff in current.num.terms.items():
-            d = dict(mono)
-            e = d.get(name, 0)
-            if e >= 2:
-                hit = True
-                d[name] = e - 2
-                if not d[name]:
-                    del d[name]
-                rest = _poly({tuple(sorted(d.items())): coeff})
-                total = total + LocFrac(rest, current.den) * replacement
-            else:
-                total = total + LocFrac(_poly({mono: coeff}), current.den)
-        current = total
-        if not hit:
-            return current
+        q, r = expr.num.split_power(name, 2)
+        if not q:
+            return expr
+        expr = LocFrac(r, expr.den) + LocFrac(q, expr.den) * replacement
 
 
 # ---------------------------------------------------------------------------
@@ -377,60 +362,6 @@ def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
         "ok": report.ok and cert is not None,
     }
     return report
-
-
-# ---------------------------------------------------------------------------
-# positivity certificates
-# ---------------------------------------------------------------------------
-
-
-def sos_certificate(p: Poly):
-    """Exact decomposition p = sum c_k q_k^2 with positive rational c_k, as a
-    list of (c_k, q_k), or None when the ansatz below gives none.
-
-    The basis b is the halves of p's even monomials in graded-lex order, and
-    p = b^T G b for a symmetric Gram matrix G: a positive even term sits on
-    the diagonal, any other term on the first off-diagonal pair whose product
-    is its monomial.  With s the lcm of G's denominators, `eliminate` on s G
-    gives pivots d_k and pivot rows u_k (zero left of the pivot), and when G
-    is positive semidefinite s G = sum_k u_k^T u_k / (d_{k-1} d_k), d_{-1} = 1,
-    an exact rational LDL^T.  So c_k = d_k / (s d_{k-1}) and
-    q_k = (u_k . b) / d_k; the identity is checked exactly before it is
-    returned.
-    """
-    even = sorted((m for m in p.terms if all(e % 2 == 0 for _, e in m)), key=_grlex_key)
-    halves = [tuple((v, e // 2) for v, e in m) for m in even]
-    n = len(halves)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for m, c in p.terms.items():
-        if c > 0 and m in even:
-            i = j = even.index(m)
-        else:
-            pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                         if mono_mul(halves[i], halves[j]) == m), None)
-            if pair is None:
-                return None
-            i, j = pair
-            c = _quotient(c, 2)
-        gram[i][j] = gram[j][i] = c
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    u = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
-    out, prev = [], 1
-    for k, col in enumerate(eliminate(u)):
-        pivot = u[k][col]
-        q = Poly({halves[j]: Fraction(u[k][j], pivot) for j in range(col, n)})
-        out.append((Fraction(pivot, scale * prev), q))
-        prev = pivot
-    return out if _verify_sos(p, out) else None
-
-
-def _verify_sos(p: Poly, decomposition) -> bool:
-    acc = Poly.zero()
-    for c, q in decomposition:
-        if c <= 0:
-            return False
-        acc = acc + Poly.const(c) * q * q
-    return acc == p
 
 
 def certificate_text(decomposition) -> str:

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import product
 
 from . import equations as eqs
-from .algebra import LocFrac, Poly, _poly, _quotient, linear_solve, mono_content, mono_div, mono_mul
+from .algebra import LocFrac, Poly, linear_solve
 from .cases import check
 from .equations import EQ36, INP, NEL, NEL_UNKNOWNS
 from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
@@ -63,30 +63,13 @@ def match_transcription(transcribed: Poly, raw: LocFrac):
     transcribed * x^den_mono == multiplier_num * raw_numerator, i.e.
     transcribed == (multiplier_num / x^den_mono) * raw, where den_mono is the
     monomial content of the raw numerator; None when the two are not
-    proportional.
-
-    Decided in one walk over the raw terms.  Were transcribed = q x^s
-    raw_numerator for a rational q and a monomial shift s, then s would be
-    the quotient of the two monomial contents.  So every raw term c x^m
-    must land on a transcribed term at x^m times that quotient, all with the
-    coefficient ratio q of the first, and the term counts must agree.  The
-    ratios are compared as integer cross products, not as Fractions.
+    proportional (`Poly.proportion`).
     """
-    num = raw.num
-    if not transcribed.terms or len(transcribed.terms) != len(num.terms):
+    found = transcribed.proportion(raw.num)
+    if found is None:
         return None
-    m_t, m_r = mono_content(transcribed.terms), mono_content(num.terms)
-    qn = qd = None  # q = qn / qd, compared in integers
-    for m, c in num.terms.items():
-        t = transcribed.terms.get(mono_mul(mono_div(m, m_r) if m_r else m, m_t))
-        if t is None:
-            return None
-        tn, td, cn, cd = t.numerator, t.denominator, c.numerator, c.denominator
-        if qn is None:
-            qn, qd = tn * cd, td * cn
-        elif tn * cd * qd != qn * cn * td:
-            return None
-    return _poly({m_t: _quotient(qn, qd)}) * raw.den_poly(), m_r
+    factor, shift = found
+    return factor * raw.den_poly(), shift
 
 
 def multiplier_text(mult) -> str:

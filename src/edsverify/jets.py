@@ -15,18 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import (
-    ATOMS,
-    AlgebraError,
-    LocFrac,
-    NonUnitError,
-    Poly,
-    _coeff,
-    _coerce_frac,
-    _poly,
-    frac_sum,
-    mono_mul,
-)
+from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly, _coerce_frac, frac_sum
 
 DIRECTIONS = (1, 2, 3, 4)
 
@@ -72,16 +61,12 @@ class JetContext:
             raise JetError(f"link d_{direction} {name} = {value} is not a polynomial")
         self.links[(name, direction)] = value.num
 
-    def register_jet_family(self, base: str, max_order: int = 2) -> None:
+    def register_jet_family(self, base: str) -> None:
         """base, base_i, base_ij with derivative links between them."""
         self.register(base)
-        if max_order < 1:
-            return
         for i in DIRECTIONS:
             self.register(f"{base}{i}")
             self.link(base, i, Poly.var(f"{base}{i}"))
-        if max_order < 2:
-            return
         for i in DIRECTIONS:
             for j in DIRECTIONS:
                 self.register(f"{base}{i}{j}")
@@ -114,10 +99,10 @@ class JetContext:
         if direction not in DIRECTIONS:
             raise JetError(f"direction must be 1..4, got {direction}")
         expr = _coerce_frac(expr)
-        parts = [(_dpoly(self, expr.num, direction), expr.den)]
+        d = lambda name: self.derive_var(name, direction)
+        parts = [(expr.num.derivative(d), expr.den)]
         for atom, e in expr.den.items():
-            parts.append((-e * expr.num * _dpoly(self, ATOMS[atom], direction),
-                          {**expr.den, atom: e + 1}))
+            parts.append((-e * expr.num * ATOMS[atom].derivative(d), {**expr.den, atom: e + 1}))
         return frac_sum(parts)
 
     def substitute(self, expr: Scalar, assignment: Mapping[str, Scalar]) -> LocFrac:
@@ -136,9 +121,9 @@ class JetContext:
         if not keys:
             return expr
         assignment = {k: _coerce_frac(assignment[k]) for k in keys}
-        out = _subst_poly(expr.num, assignment)
+        out = expr.num.substitute(assignment)
         for atom, e in expr.den.items():
-            value = _subst_poly(ATOMS[atom], assignment)
+            value = ATOMS[atom].substitute(assignment)
             try:
                 inv = value.inverse()
             except (NonUnitError, AlgebraError) as exc:
@@ -163,44 +148,11 @@ def mentioned(expr: LocFrac) -> set:
     return names
 
 
-def _dpoly(ctx: JetContext, p: Poly, direction: int) -> Poly:
-    """d_direction of the polynomial p by the Leibniz rule: each partial
-    derivative times its link, a polynomial, added straight into one term
-    dict."""
-    t = {}
-    for mono, coeff in p.terms.items():
-        for i, (name, e) in enumerate(mono):
-            rest = mono[:i] + ((name, e - 1),) + mono[i + 1:] if e > 1 else mono[:i] + mono[i + 1:]
-            for m, c in ctx.derive_var(name, direction).terms.items():
-                m = mono_mul(rest, m)
-                t[m] = t.get(m, 0) + coeff * e * c
-    return _poly({m: _coeff(c) for m, c in t.items() if c})
-
-
-def _subst_poly(p: Poly, assignment: Mapping[str, LocFrac]) -> LocFrac:
-    """p with the names of `assignment` replaced: each term's product of
-    value powers is kept unnormalized, and the terms are added in one
-    `frac_sum`."""
-    parts = []
-    for mono, coeff in p.terms.items():
-        kept, num, den = [], _poly({(): coeff}), {}
-        for name, e in mono:
-            v = assignment.get(name)
-            if v is None:
-                kept.append((name, e))
-                continue
-            num = num * v.num ** e
-            for atom, k in v.den.items():
-                den[atom] = den.get(atom, 0) + k * e
-        parts.append((num * _poly({tuple(kept): 1}), den))
-    return frac_sum(parts)
-
-
 def standard_context() -> JetContext:
     """The engine's ambient symbol table."""
     ctx = JetContext()
-    ctx.register_jet_family("lam", 2)
-    ctx.register_jet_family("sig", 2)
+    ctx.register_jet_family("lam")
+    ctx.register_jet_family("sig")
     for i in DIRECTIONS:
         ctx.register(f"S{i}")
         for j in DIRECTIONS:

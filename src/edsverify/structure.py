@@ -187,61 +187,32 @@ def verify_parallel_g_J(grid) -> dict:
 
 
 def _pattern_classes():
-    """Solve the nabla g / nabla J linear relations on 16 free slots by signed
-    union-find; the solution set must be spanned by E, F, G, H."""
-    parent: dict = {}
-    sign: dict = {}  # sign of a node relative to its parent pointer
-    zero = ("zero",)
+    """Solve the nabla g / nabla J relations on 16 free slots; the solution
+    set must be spanned by E, F, G, H.
 
-    def find(x):
-        parent.setdefault(x, x)
-        sign.setdefault(x, 1)
-        if parent[x] == x:
-            return x, 1
-        root, s = find(parent[x])
-        parent[x] = root
-        sign[x] = sign[x] * s
-        return root, sign[x]
-
-    def union(x, y, rel_sign):
-        # impose x = rel_sign * y
-        rx, sx = find(x)
-        ry, sy = find(y)
-        if rx == ry:
-            if sx * sy != rel_sign:
-                union_zero(rx)
-            return
-        parent[ry] = rx
-        sign[ry] = rel_sign * sx * sy
-
-    def union_zero(x):
-        rx, _ = find(x)
-        rz, _ = find(zero)
-        if rx != rz:
-            parent[rx] = rz
-            sign[rx] = 1
-
-    for j in range(1, 5):
-        union_zero((j, j))
-        for k in range(1, 5):
-            if j != k:
-                union((j, k), (k, j), -1)
-    for j, k, p, q, rel in _J_RELATIONS:
-        union((j, k), (p, q), rel)
-    zroot, _ = find(zero)
-    groups: dict = {}
-    for j in range(1, 5):
-        for k in range(1, 5):
-            root, s = find((j, k))
-            if root == zroot:
-                continue
-            groups.setdefault(root, []).append(((j, k), s))
-    # canonical representatives, re-signed so the lowest slot is +1
-    out = {}
-    for members in groups.values():
-        members.sort()
-        base_slot, base_sign = members[0]
-        out[base_slot] = [(slot, s * base_sign) for slot, s in members]
+    The relations identify each slot with its images under two signed
+    involutions: (j, k) -> (k, j) with sign -1, and (j, k) -> (m(j), m(k))
+    with sign s_j s_k.  So each orbit is one free 1-form, keyed by its lowest
+    slot with signs relative to it, unless a slot is reached with both signs:
+    then the orbit is zero (the diagonal is, by the first involution).
+    """
+    out, seen = {}, set()
+    for start in [(j, k) for j in range(1, 5) for k in range(1, 5)]:
+        if start in seen:
+            continue
+        signs, todo, zero = {start: 1}, [start], False
+        while todo:
+            j, k = slot = todo.pop()
+            conj = ((_J_MAP[j - 1], _J_MAP[k - 1]), _J_SIGNS[j - 1] * _J_SIGNS[k - 1])
+            for image, rel in (((k, j), -1), conj):
+                s = signs[slot] * rel
+                if image not in signs:
+                    signs[image] = s
+                    todo.append(image)
+                zero = zero or signs[image] != s
+        seen |= signs.keys()
+        if not zero:
+            out[start] = sorted(signs.items())
     return out
 
 
@@ -250,9 +221,9 @@ def _pattern_classes():
 # ---------------------------------------------------------------------------
 
 
-def torsion_equations(sys: StructureSystem, grid=None):
+def torsion_equations(sys: StructureSystem):
     """Residuals d e^k - e^i ^ Gamma_i^k for k = 1..4 (zero iff torsion-free)."""
-    grid = grid or sys.connection()
+    grid = sys.connection()
     out = []
     for k in range(1, 5):
         resid = sys.d_rule(COFRAME[k - 1])
@@ -262,9 +233,9 @@ def torsion_equations(sys: StructureSystem, grid=None):
     return out
 
 
-def curvature_forms(sys: StructureSystem, grid=None):
+def curvature_forms(sys: StructureSystem):
     """R_k^l = -d Gamma_k^l + Gamma_k^p ^ Gamma_p^l as a 4x4 grid of 2-forms."""
-    grid = grid or sys.connection()
+    grid = sys.connection()
     out = []
     for k in range(1, 5):
         row = []
@@ -557,9 +528,9 @@ def _parse_sum(p: _LineParser, basis: FormBasis, scalars, macros, ctx, degree):
             return total
 
 
-def parse_eds(text: str, ctx: JetContext | None = None) -> StructureSystem:
+def parse_eds(text: str) -> StructureSystem:
     """Parse the EDS text format into a StructureSystem."""
-    ctx = ctx or standard_context()
+    ctx = standard_context()
     frame = None
     scalars: dict[str, str] = {}
     oneforms: list[str] = []
@@ -647,10 +618,10 @@ def _serialize_coeff(c: LocFrac):
     q * scalar-product; raises when the coefficient is not of that shape."""
     if c.den:
         raise FormError("cannot serialize a coefficient with denominator")
-    p = c.num
-    if len(p.terms) != 1:
+    term = c.num.as_term()
+    if term is None:
         raise FormError(f"cannot serialize coefficient {c}")
-    (mono, q), = p.terms.items()
+    q, mono = term
     sign = "-" if q < 0 else "+"
     q = abs(q)
     factors = []
@@ -688,14 +659,14 @@ def serialize(sys: StructureSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_system(path=None, ctx: JetContext | None = None) -> StructureSystem:
+def load_system(path=None) -> StructureSystem:
     """Parse the shipped weakly-einstein.eds (or a caller-supplied file)."""
     if path is None:
         text = resources.files("edsverify").joinpath("data", DATA_FILE).read_text()
     else:
         with open(path, "rb") as fh:
             text = _decode(fh.read())
-    return parse_eds(text, ctx)
+    return parse_eds(text)
 
 
 def _decode(data: bytes) -> str:

@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
@@ -737,3 +739,57 @@ def test_a_non_square_block_is_singular():
     assert err.value.determinant.is_zero()
     # a zero row is a block without columns, a zero column belongs to none
     assert algebra._blocks([[Poly.zero(), Poly.zero()], [Poly.zero(), lam]]) == [([0], []), ([1], [1])]
+
+
+# -- the term format belongs to algebra alone -------------------------------------
+
+TERM_HELPERS = {"_poly", "_coeff", "_quotient", "_grlex_key", "mono_mul", "mono_div", "mono_content"}
+
+
+def test_only_algebra_uses_the_term_helpers():
+    """No module of the package but algebra imports, or reads as an attribute,
+    a helper that knows how a Poly stores its terms."""
+    offenders = []
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("algebra"):
+                offenders += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names
+                              if a.name in TERM_HELPERS or a.name == "*"]
+            elif isinstance(node, ast.Attribute) and node.attr in TERM_HELPERS:
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not offenders
+
+
+def test_split_power_divides_off_the_power():
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(300):
+        name, k = rng.choice(VARS), rng.randint(1, 3)
+        p = random_poly(rng) * Poly.var(name, rng.randint(0, 2 * k))
+        if rng.random() < 0.5:
+            p = p + random_poly(rng, max_exp=4)
+        q, r = p.split_power(name, k)
+        assert q * Poly.var(name, k) + r == p, (p, name, k)
+        assert all(dict(m).get(name, 0) < k for m in r.terms), (p, name, k, r)
+        assert_canonical(q, r)
+        seen.add((q.is_zero(), r.is_zero()))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_as_term_unpacks_exactly_one_term():
+    rng = random.Random(103)
+    seen = set()
+    for _ in range(200):
+        p = random_poly(rng, max_terms=3)
+        term = p.as_term()
+        seen.add(len(p.terms))
+        if len(p.terms) != 1:
+            assert term is None, p
+            continue
+        c, m = term
+        assert c and Poly.const(c) * Poly({m: 1}) == p, p
+    assert seen == {0, 1, 2, 3}
+    assert (-3 * lam**2 * sig).as_term() == (-3, (("lam", 2), ("sig", 1)))
+    assert Poly.const(Fraction(1, 2)).as_term() == (Fraction(1, 2), ())

@@ -175,8 +175,24 @@ def test_dpoly_matches_the_leibniz_sum(ctx):
         # sigp's link sigpp lam_j has two factors
         p = random_poly(rng, max_terms=5, max_exp=3) * (P("sigp") ** rng.randint(0, 2))
         for direction in (1, 2, 3, 4):
-            got, want = jets._dpoly(ctx, p, direction), leibniz_dpoly(ctx, p, direction)
+            got = p.derivative(lambda name: ctx.derive_var(name, direction))
+            want = leibniz_dpoly(ctx, p, direction)
             assert not want.den and got.terms == want.num.terms, p
+
+
+def test_derivative_collects_the_terms_that_meet(ctx):
+    # over lam, sig and their first jets the partial derivatives of different
+    # terms land on one monomial, where they add up or cancel
+    names = ("lam", "sig", "lam1", "sig1", "lam2", "sig2")
+    rng = random.Random(107)
+    for _ in range(150):
+        p = Poly({tuple((n, rng.randint(1, 2)) for n in sorted(rng.sample(names, rng.randint(1, 3)))):
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 5))})
+        for direction in (1, 2):
+            got = p.derivative(lambda name: ctx.derive_var(name, direction))
+            assert got == leibniz_dpoly(ctx, p, direction).num, p
+    d1 = (P("lam") * P("sig1") - P("sig") * P("lam1")).derivative(lambda name: ctx.derive_var(name, 1))
+    assert d1 == P("lam") * P("sig11") - P("sig") * P("lam11")
 
 
 def test_derive_matches_the_quotient_rule_fold(ctx):
@@ -194,7 +210,7 @@ def test_subst_poly_matches_the_pairwise_fold(ctx):
         names = rng.sample(VARS, rng.randint(1, 3))
         # values with atom denominators, zeros among them
         assignment = {n: random_locfrac(rng) if rng.random() < 0.8 else LocFrac(Poly.zero()) for n in names}
-        assert same(jets._subst_poly(p, assignment), pairwise_subst(p, assignment)), (p, assignment)
+        assert same(p.substitute(assignment), pairwise_subst(p, assignment)), (p, assignment)
 
 
 def test_a_link_must_be_a_polynomial(ctx):

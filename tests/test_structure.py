@@ -1,3 +1,4 @@
+from edsverify import structure
 from edsverify.algebra import LocFrac, Poly
 from edsverify.forms import COFRAME, DForm, wedge
 from edsverify.structure import (
@@ -41,6 +42,72 @@ def test_pattern_verification_passes(system):
     assert report["ok"]
     assert report["free_count"] == 4
     assert sorted(report["free_classes"]) == [(1, 2), (1, 3), (1, 4), (3, 4)]
+
+
+def pattern_classes_by_union_find():
+    """The reference: the former solution of the nabla g / nabla J relations
+    on 16 free slots by signed union-find."""
+    parent: dict = {}
+    sign: dict = {}  # sign of a node relative to its parent pointer
+    zero = ("zero",)
+
+    def find(x):
+        parent.setdefault(x, x)
+        sign.setdefault(x, 1)
+        if parent[x] == x:
+            return x, 1
+        root, s = find(parent[x])
+        parent[x] = root
+        sign[x] = sign[x] * s
+        return root, sign[x]
+
+    def union(x, y, rel_sign):
+        # impose x = rel_sign * y
+        rx, sx = find(x)
+        ry, sy = find(y)
+        if rx == ry:
+            if sx * sy != rel_sign:
+                union_zero(rx)
+            return
+        parent[ry] = rx
+        sign[ry] = rel_sign * sx * sy
+
+    def union_zero(x):
+        rx, _ = find(x)
+        rz, _ = find(zero)
+        if rx != rz:
+            parent[rx] = rz
+            sign[rx] = 1
+
+    for j in range(1, 5):
+        union_zero((j, j))
+        for k in range(1, 5):
+            if j != k:
+                union((j, k), (k, j), -1)
+    for j, k, p, q, rel in structure._J_RELATIONS:
+        union((j, k), (p, q), rel)
+    zroot, _ = find(zero)
+    groups: dict = {}
+    for j in range(1, 5):
+        for k in range(1, 5):
+            root, s = find((j, k))
+            if root == zroot:
+                continue
+            groups.setdefault(root, []).append(((j, k), s))
+    # canonical representatives, re-signed so the lowest slot is +1
+    out = {}
+    for members in groups.values():
+        members.sort()
+        base_slot, base_sign = members[0]
+        out[base_slot] = [(slot, s * base_sign) for slot, s in members]
+    return out
+
+
+def test_pattern_classes_match_the_signed_union_find():
+    got, want = structure._pattern_classes(), pattern_classes_by_union_find()
+    assert list(got.items()) == list(want.items())
+    # E and H fill two slots each, F and G four; the diagonal is zero
+    assert sorted(len(members) for members in got.values()) == [2, 2, 4, 4]
 
 
 def test_pattern_detects_nonzero_diagonal(system):
