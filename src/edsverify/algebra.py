@@ -101,24 +101,25 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
             if n > name:
                 return a[:i] + b + a[i:]
         return a + b
-    d = dict(a)
-    for name, e in b:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items()))
+    d = {p[0]: p for p in a}  # name -> pair: a pair of one factor is kept, not rebuilt
+    for q in b:
+        p = d.get(q[0])
+        d[q[0]] = q if p is None else (q[0], p[1] + q[1])
+    return tuple(sorted(d.values()))
 
 
 def mono_div(a: Monomial, b: Monomial):
     """a / b, or None when b does not divide a."""
-    d = dict(a)
+    d = {p[0]: p for p in a}
     for name, e in b:
-        r = d.get(name, 0) - e
+        r = d.get(name, (name, 0))[1] - e
         if r < 0:
             return None
         if r:
-            d[name] = r
+            d[name] = (name, r)
         else:
             d.pop(name, None)
-    return tuple(sorted(d.items()))
+    return tuple(sorted(d.values()))
 
 
 def mono_content(monos) -> Monomial:

@@ -30,7 +30,7 @@ from .equations import (
     LTS_2,
     SUC,
 )
-from .forms import COFRAME, DForm, ext_d, substitute_one_forms
+from .forms import COFRAME, DForm, ext_d
 from .jets import DIRECTIONS, JetContext, mentioned
 from .structure import StructureSystem
 
@@ -59,15 +59,6 @@ class PipelineReport:
     @property
     def ok(self) -> bool:
         return all(s["status"] == "pass" for s in self.steps)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "assumptions": list(self.assumptions),
-            "steps": list(self.steps),
-            "final": self.final,
-            "ok": self.ok,
-        }
 
 
 class FactStore:
@@ -142,9 +133,9 @@ def run_const_lambda(sys: StructureSystem, comp: dict[str, DForm]) -> PipelineRe
         "L": DForm(sys.basis, 1, {idx: store.reduce(c) for idx, c in comp["L"].terms.items()}),
         "S": comp["S"],
     }
-    rules = sys.component_rules(reduced)
+    rules = sys.component_rules(reduced, (*COFRAME, "F"))
     lhs = ext_d(reduced["F"], rules)  # d of the zero 1-form
-    rhs = substitute_one_forms(sys.d_rule("F"), reduced)
+    rhs = rules.d_rule("F")
     residual = rhs - lhs
     coeff_ac = residual.coefficient("A", "C")
     coeff_bd = residual.coefficient("B", "D")
@@ -256,13 +247,18 @@ def run_case_ii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
 # ---------------------------------------------------------------------------
 
 
+def combination(rows: dict[str, Poly], pairs) -> Poly:
+    """The sum of coeff * rows[label] over the (label, coeff) `pairs`."""
+    total = Poly.zero()
+    for label, coeff in pairs:
+        total = total + coeff * rows[label]
+    return total
+
+
 def constraint(rows: dict[str, Poly], name: str) -> LocFrac:
     """The first-order constraint `name` of INTRO_COMBINATIONS read off the
     rows: its combination of them, divided by 32 lam sig."""
-    total = Poly.zero()
-    for label, coeff in INTRO_COMBINATIONS[name][1]:
-        total = total + coeff * rows[label]
-    return LocFrac(total * Fraction(1, 32), {"lam": 1, "sig": 1})
+    return LocFrac(combination(rows, INTRO_COMBINATIONS[name][1]) * Fraction(1, 32), {"lam": 1, "sig": 1})
 
 
 def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:

@@ -32,7 +32,6 @@ from .equations import SOL
 from .forms import DForm, ext_d, wedge
 from .structure import (
     EdsParseError,
-    curvature_forms,
     expected_curvature,
     load_system,
     torsion_equations,
@@ -43,14 +42,14 @@ from .structure import (
 
 def run_structure(derived, args) -> list:
     sys_ = derived.sys
+    R = derived.curvature
     checks = []
-    grid_report = verify_parallel_g_J(sys_.connection())
+    grid_report = verify_parallel_g_J(sys_.connection)
     check(checks, "connection-pattern", "mtx", grid_report["ok"],
           f"free 1-forms: {grid_report['free_count']}")
     for k, resid in enumerate(torsion_equations(sys_), start=1):
         check(checks, f"torsion-{k}", f"de^{k}", resid.is_zero(),
               "0" if resid.is_zero() else str(resid))
-    R = curvature_forms(sys_)
     X = expected_curvature(sys_)
     bad = [(k + 1, l + 1) for k in range(4) for l in range(4) if not (R[k][l] - X[k][l]).is_zero()]
     check(checks, "curvature-table", "R_k^l", not bad, f"mismatches: {bad}" if bad else "0")
@@ -97,7 +96,7 @@ def run_equations36(derived, args) -> list:
           "; ".join(f"{k}:{v['recovered']}" for k, v in sorted(vm.items()) if not v["ok"]))
     sv = derive.verify_symmetry_variants(derived.equations)
     check(checks, "variants", "rpl images", all(v["ok"] for v in sv.values()))
-    integ = derive.integrability_criterion(derived.sys, derived.components)
+    integ = derive.integrability_criterion(derived.rules)
     check(checks, "integrability", "inp", integ["ok"],
           f"span(e1,e2): {integ['span12_coefficients']}")
     return checks

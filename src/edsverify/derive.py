@@ -15,17 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from sys import intern
 
 from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
-from .cases import check
+from .cases import check, combination
 from .equations import EQ36, INP, NEL, NEL_UNKNOWNS
-from .forms import DForm, coeff6, d_scalar, ext_d, substitute_one_forms
+from .forms import DForm, RuleSystem, coeff6, d_scalar, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, standard_context
 from .structure import (
     Equation,
     StructureSystem,
     build_connection,
+    curvature_forms,
     gamma,
     lie_bracket,
     verify_parallel_g_J,
@@ -116,21 +118,19 @@ def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source:
 # ---------------------------------------------------------------------------
 
 
-def identity_forms(sys: StructureSystem, comp: dict[str, DForm],
+def identity_forms(rules: RuleSystem, comp: dict[str, DForm],
                    which=("d2lam", "d2sig", "dF", "dL", "dS", "dG")):
-    """The 2-form identities that vanish on solutions, with the 1-forms
-    expanded by the component map `comp`."""
-    rules = sys.component_rules(comp)
+    """The 2-form identities that vanish on solutions: d(d lam), d(d sig),
+    and d X minus its rule for X in F, L, S, G, with `rules` the d-rules
+    expanded by the component map `comp` (`Derivation.rules`)."""
     out = {}
     for name in which:
         if name.startswith("d2"):
-            scalar = sys.ctx.symbol(name[2:])
-            out[name] = ext_d(d_scalar(sys.ctx, sys.basis, scalar), rules)
+            scalar = rules.ctx.symbol(name[2:])
+            out[name] = ext_d(d_scalar(rules.ctx, rules.basis, scalar), rules)
         else:
             z = name[1:]
-            lhs = ext_d(comp[z], rules)
-            rhs = substitute_one_forms(sys.d_rule(z), comp)
-            out[name] = lhs - rhs
+            out[name] = ext_d(comp[z], rules) - rules.d_rule(z)
     return out
 
 
@@ -259,8 +259,9 @@ class SymmetryElement:
     @cached_property
     def _permutation(self) -> dict[str, tuple[int, str]]:
         """`renames()`, built once per element and checked to permute its
-        symbols."""
-        ren = self.renames()
+        symbols.  The names are interned, so the maps of all elements and the
+        images they make share one string per symbol."""
+        ren = {intern(k): (s, intern(v)) for k, (s, v) in self.renames().items()}
         if {new for _, new in ren.values()} != ren.keys():
             raise DeriveError("frame replacement does not permute the jet symbols")
         return ren
@@ -286,7 +287,7 @@ def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]
         name = basis.names[i]
         target = basis.names[elem.perm[i] - 1]
         out[name] = DForm(basis, 1, {(basis.index[target],): elem.signs[i]})
-    grid = sys.connection()
+    grid = sys.connection
 
     def conjugated(j, k):
         p = elem.perm[j - 1]
@@ -317,7 +318,7 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
     the induced action, coefficients by the element's rename).  The
     conjugated connection grid must also reproduce the displayed pattern.
     """
-    grid = sys.connection()
+    grid = sys.connection
     failures = []
     for gen, elem in GENERATORS.items():
         act = form_action(elem, sys)
@@ -393,9 +394,9 @@ def symmetry_group():
 # ---------------------------------------------------------------------------
 
 
-def derive_36(sys: StructureSystem, comp: dict[str, DForm]):
+def derive_36(rules: RuleSystem, comp: dict[str, DForm]):
     """Engine-derived equation set matched against all 36 transcriptions,
-    with the 1-forms expanded by the component map `comp`.
+    from the `identity_forms` of `rules` and `comp`.
 
     Returns `match_rows` over EQ36: the matched rows, and a report whose
     entry for each label records the source identity, the recovered
@@ -403,7 +404,7 @@ def derive_36(sys: StructureSystem, comp: dict[str, DForm]):
     The six symmetry-generated equations are additionally cross-checked
     against the dG-rule identity (`dG_cross_check` in their entries).
     """
-    forms = identity_forms(sys, comp)
+    forms = identity_forms(rules, comp)
     raw: dict[str, LocFrac] = {}
     source: dict[str, str] = {}
     for ident in ("d2lam", "d2sig", "dF", "dL", "dS"):
@@ -537,12 +538,10 @@ def verify_group_closure(rows: dict[str, Poly]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_combination(target: Poly, sources, coefficients, catalog: dict[str, Poly]):
-    """Does sum(coefficients[i] * catalog[sources[i]]) equal target exactly?"""
-    acc = Poly.zero()
-    for label, coeff in zip(sources, coefficients):
-        acc = acc + coeff * catalog[label]
-    residual = acc - target
+def check_combination(target: Poly, pairs, catalog: dict[str, Poly]):
+    """Does the `combination` of `catalog` by the (label, coeff) `pairs`
+    equal target exactly?"""
+    residual = combination(catalog, pairs) - target
     return residual.is_zero(), residual
 
 
@@ -551,25 +550,24 @@ def verify_dependence_relations(rows: dict[str, Poly]) -> dict:
     constraints as combinations of them."""
     out = {}
     for target, combo in eqs.DEPENDENCE_RELATIONS.items():
-        ok, residual = check_combination(
-            rows[target], [l for l, _ in combo], [c for _, c in combo], rows
-        )
+        ok, residual = check_combination(rows[target], combo, rows)
         out[target] = {"ok": ok, "residual": str(residual)}
     for name, (intro, combo) in eqs.INTRO_COMBINATIONS.items():
         target = 32 * eqs.lam * eqs.sig * intro
-        ok, residual = check_combination(target, [l for l, _ in combo], [c for _, c in combo], rows)
+        ok, residual = check_combination(target, combo, rows)
         out[name] = {"ok": ok, "residual": str(residual)}
     return out
 
 
-def integrability_criterion(sys: StructureSystem, comp: dict[str, DForm]) -> dict:
-    """Transverse bracket coefficients under the component map `comp`.
+def integrability_criterion(rules: RuleSystem) -> dict:
+    """Transverse bracket coefficients, read off the d-rules expanded in
+    components (`Derivation.rules`).
 
     span(e1,e2) is involutive iff lam3 = lam4 = 0; the image of the statement
     under replacement iv gives lam1 = lam2 = 0 for span(e3,e4).
     """
-    b12 = lie_bracket(1, 2, sys, comp)
-    b34 = lie_bracket(3, 4, sys, comp)
+    b12 = lie_bracket(1, 2, rules)
+    b34 = lie_bracket(3, 4, rules)
     lam = eqs.lam
     doubled12 = [2 * c for c in b12[2:]]
     doubled34 = [2 * c for c in b34[:2]]
@@ -584,7 +582,7 @@ def integrability_criterion(sys: StructureSystem, comp: dict[str, DForm]) -> dic
     ok12 = all((a - b).is_zero() for a, b in zip(doubled12, expected12))
     ok34 = all((a - b).is_zero() for a, b in zip(doubled34, expected34))
     kill = {"lam3": 0, "lam4": 0}
-    vanish12 = all(sys.ctx.substitute(c, kill).is_zero() for c in doubled12)
+    vanish12 = all(rules.ctx.substitute(c, kill).is_zero() for c in doubled12)
     # the dual criterion is the replacement-iv image of the first one
     image = [REP_IV.apply(c) for c in doubled12]
     dual_ok = all((a - b).is_zero() for a, b in zip(image, expected34))
@@ -660,9 +658,10 @@ class DerivedRows(dict):
 
 
 class Derivation:
-    """The nel rows, the solve, the component map and the 36 rows derived
-    from one system, each built on its first read and then kept.  Reading a
-    part built on a failed check raises Blocked with that check."""
+    """The nel rows, the solve, the component map, the d-rules expanded in
+    it, the 36 rows and the curvature derived from one system, each built on
+    its first read and then kept.  Reading a part built on a failed check
+    raises Blocked with that check."""
 
     def __init__(self, sys: StructureSystem):
         self.sys = sys
@@ -695,10 +694,21 @@ class Derivation:
         return out
 
     @cached_property
+    def rules(self) -> RuleSystem:
+        """Every d-rule of the system with its 1-forms expanded by
+        `components`, each expanded once."""
+        return self.sys.component_rules(self.components, self.sys.d_rules)
+
+    @cached_property
+    def curvature(self):
+        """`curvature_forms`: the curvature 2-forms of the connection."""
+        return curvature_forms(self.sys)
+
+    @cached_property
     def eq36(self):
         """(rows whose check passed, label -> `eq-` check with its `trace`);
         a symmetry-generated row must also agree with the dG identity."""
-        rows, report = derive_36(self.sys, self.components)
+        rows, report = derive_36(self.rules, self.components)
         checks = []
         for label, entry in report.items():
             ok = entry["matched"] and entry.get("dG_cross_check", True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -84,10 +85,6 @@ class StructureSystem(RuleSystem):
     def one_form(self, name: str) -> DForm:
         return DForm.one_form(self.basis, name)
 
-    @property
-    def lambda_sigma(self):
-        return (self.ctx.symbol("lam"), self.ctx.symbol("sig"))
-
     # E and H are macros over S and L, never independent symbols
     def form_E(self) -> DForm:
         half = Fraction(1, 2)
@@ -97,15 +94,14 @@ class StructureSystem(RuleSystem):
         half = Fraction(1, 2)
         return self.one_form("S").scale(half) + self.one_form("L").scale(-half)
 
+    @cached_property
     def connection(self):
+        """The connection grid (`build_connection`), built once per system."""
         return build_connection(self.form_E(), self.one_form("F"), self.one_form("G"), self.form_H())
 
-    def component_rules(self, comp_map: Mapping[str, DForm]) -> RuleSystem:
-        """Coframe d-rules with auxiliary 1-forms expanded in components."""
-        rules = {
-            name: substitute_one_forms(self.d_rules[name], comp_map)
-            for name in COFRAME
-        }
+    def component_rules(self, comp_map: Mapping[str, DForm], names) -> RuleSystem:
+        """The d-rules of `names` with auxiliary 1-forms expanded in components."""
+        rules = {name: substitute_one_forms(self.d_rule(name), comp_map) for name in names}
         return RuleSystem(self.basis, self.ctx, rules)
 
     def free_components(self) -> dict[str, DForm]:
@@ -223,7 +219,7 @@ def _pattern_classes():
 
 def torsion_equations(sys: StructureSystem):
     """Residuals d e^k - e^i ^ Gamma_i^k for k = 1..4 (zero iff torsion-free)."""
-    grid = sys.connection()
+    grid = sys.connection
     out = []
     for k in range(1, 5):
         resid = sys.d_rule(COFRAME[k - 1])
@@ -235,7 +231,7 @@ def torsion_equations(sys: StructureSystem):
 
 def curvature_forms(sys: StructureSystem):
     """R_k^l = -d Gamma_k^l + Gamma_k^p ^ Gamma_p^l as a 4x4 grid of 2-forms."""
-    grid = sys.connection()
+    grid = sys.connection
     out = []
     for k in range(1, 5):
         row = []
@@ -259,19 +255,15 @@ def expected_curvature(sys: StructureSystem):
     ]
 
 
-def lie_bracket(i: int, j: int, sys: StructureSystem, comp_map=None):
-    """Coefficients of [e_i, e_j] on the frame, from 2 d e^k = -C_ij^k e^i ^ e^j."""
+def lie_bracket(i: int, j: int, rules: RuleSystem):
+    """Coefficients of [e_i, e_j] on the frame, from 2 d e^k = -C_ij^k e^i ^ e^j,
+    read off `rules`: coframe d-rules with the 1-forms expanded in components."""
     if i == j:
         return [LocFrac(Poly.zero())] * 4
-    comp_map = comp_map or sys.free_components()
-    swap = i > j
-    if swap:
-        i, j = j, i
     out = []
-    for k in range(1, 5):
-        rule = substitute_one_forms(sys.d_rule(COFRAME[k - 1]), comp_map)
-        c = -rule.coefficient(COFRAME[i - 1], COFRAME[j - 1])
-        out.append(-c if swap else c)
+    for name in COFRAME:
+        c = rules.d_rule(name).coefficient(COFRAME[i - 1], COFRAME[j - 1])  # on e^min ^ e^max
+        out.append(c if i > j else -c)
     return out
 
 
@@ -289,9 +281,11 @@ def nabla_one_form(sys: StructureSystem, k: int, grid_components):
     return out
 
 
-def _grid_components(sys: StructureSystem, comp_map):
-    """grid_components[k-1][j-1][i-1] = Gamma_{ij}^k as LocFrac."""
-    grid = sys.connection()
+def _grid_components(sys: StructureSystem):
+    """grid_components[k-1][j-1][i-1] = Gamma_{ij}^k as LocFrac, in free
+    components."""
+    comp_map = sys.free_components()
+    grid = sys.connection
     out = []
     for k in range(1, 5):
         row = []
@@ -302,11 +296,10 @@ def _grid_components(sys: StructureSystem, comp_map):
     return out
 
 
-def covariant_derivatives(sys: StructureSystem, comp_map=None) -> dict:
+def covariant_derivatives(sys: StructureSystem) -> dict:
     """Table of nabla A..nabla D (per direction) and nabla of the three
     anti-self-dual eigenforms, with the expected right-hand sides."""
-    comp_map = comp_map or sys.free_components()
-    comps = _grid_components(sys, comp_map)
+    comps = _grid_components(sys)
     basis = sys.basis
     A, B, C, D = (DForm.one_form(basis, n) for n in COFRAME)
     nablas = {COFRAME[k - 1]: nabla_one_form(sys, k, comps) for k in range(1, 5)}
@@ -341,8 +334,7 @@ def verify_covariant_derivatives(sys: StructureSystem) -> dict:
     """Check nabla A..D against -Gamma_j^k tensor e^j, the eigenform rules
     (nabla zeta = 2G tensor eta - 2F tensor theta and companions), and that the
     metric sum A tensor A + ... + D tensor D is parallel."""
-    comp_map = sys.free_components()
-    table = covariant_derivatives(sys, comp_map)
+    table = covariant_derivatives(sys)
     comps = table["_components"]
     basis = sys.basis
     zeta, eta, theta = (table["_forms"][n] for n in ("zeta", "eta", "theta"))
@@ -571,11 +563,10 @@ def parse_eds(text: str) -> StructureSystem:
                 oneforms.append(tok)
         elif head == "nonzero":
             # raw word split: atom names may carry '+'/'-'
-            words = raw.split("#", 1)[0].split()
-            for word in words[1:]:
+            for m in list(re.finditer(r"\S+", raw.split("#", 1)[0]))[1:]:
+                word = m.group()
                 if word not in ATOM_NAMES:
-                    col = raw.index(word) + 1
-                    raise EdsParseError(f"unknown nonzero atom {word!r}", lineno, col)
+                    raise EdsParseError(f"unknown nonzero atom {word!r}", lineno, m.start() + 1)
                 nonzero.append(ATOM_NAMES[word])
         elif head in ("macro", "d"):
             pending_rules.append((lineno, tokens, head))
@@ -662,11 +653,11 @@ def serialize(sys: StructureSystem) -> str:
 def load_system(path=None) -> StructureSystem:
     """Parse the shipped weakly-einstein.eds (or a caller-supplied file)."""
     if path is None:
-        text = resources.files("edsverify").joinpath("data", DATA_FILE).read_text()
+        data = resources.files("edsverify").joinpath("data", DATA_FILE).read_bytes()
     else:
         with open(path, "rb") as fh:
-            text = _decode(fh.read())
-    return parse_eds(text)
+            data = fh.read()
+    return parse_eds(_decode(data))
 
 
 def _decode(data: bytes) -> str:

@@ -506,9 +506,9 @@ def test_coefficients_are_canonical(system, derived):
     matrix = [[LocFrac(half * lam), LocFrac(sig)], [LocFrac(Poly.zero()), LocFrac(Fraction(3, 2))]]
     assert_canonical(*linear_solve(matrix, [LocFrac(Poly.const(1)), LocFrac(half)], ATOMS))
     assert_canonical(*EQ36.values(), *SOL.values())
-    for form in identity_forms(system, derived.components).values():
+    for form in identity_forms(derived.rules, derived.components).values():
         assert_canonical(*form.terms.values())
-    rows, _ = derive_36(system, derived.components)
+    rows, _ = derive_36(derived.rules, derived.components)
     assert_canonical(*(e.provenance["multiplier_value"][0] for e in rows.values()))
 
 
@@ -793,3 +793,17 @@ def test_as_term_unpacks_exactly_one_term():
     assert seen == {0, 1, 2, 3}
     assert (-3 * lam**2 * sig).as_term() == (-3, (("lam", 2), ("sig", 1)))
     assert Poly.const(Fraction(1, 2)).as_term() == (Fraction(1, 2), ())
+
+
+def test_monomial_products_and_quotients_keep_the_factors_pairs():
+    """A (name, exponent) pair that only one factor holds is that factor's
+    own tuple in the result, so the polynomials a run keeps share them."""
+    a = (("lam", 2), ("sig", 1), ("sig3", 1))
+    b = (("S1", 1), ("lam", 1), ("sig4", 2))
+    prod = algebra.mono_mul(a, b)
+    assert prod == (("S1", 1), ("lam", 3), ("sig", 1), ("sig3", 1), ("sig4", 2))
+    assert [p is q for p, q in zip(prod, (b[0], None, a[1], a[2], b[2]))] == [True, False, True, True, True]
+    quot = algebra.mono_div(prod, (("S1", 1), ("lam", 1)))
+    assert quot == (("lam", 2), ("sig", 1), ("sig3", 1), ("sig4", 2))
+    assert [p is q for p, q in zip(quot, (None, a[1], a[2], b[2]))] == [False, True, True, True]
+    assert algebra.mono_div(a, b) is None and algebra.mono_div(a, (("lam", 3),)) is None

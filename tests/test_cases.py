@@ -151,10 +151,9 @@ def test_reduce_square_helper():
 
 def test_reports_serialize(const_lambda, case_ii, case_iii):
     for report in (const_lambda, case_ii, case_iii):
-        data = report.as_dict()
-        assert data["ok"] is True
-        assert data["steps"]
-        assert isinstance(data["assumptions"], list)
+        assert report.ok is True
+        assert report.steps
+        assert isinstance(report.assumptions, list)
 
 
 def test_failed_step_reports_residual():

@@ -11,12 +11,15 @@ one.
 import contextlib
 import io
 import json
+import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import edsverify.derive as D
+import edsverify.structure as S
 from edsverify.cli import RUNNERS, main
 
 SHIPPED = resources.files("edsverify").joinpath("data", "weakly-einstein.eds").read_text()
@@ -114,6 +117,39 @@ def test_derivation_runs_once_per_run(monkeypatch):
         for _ in range(2):
             assert main(["all", "--points", "1"]) == 0
     assert calls == ["derive_nel", "solve_sol", "derive_36"] * 2
+
+
+def test_each_derived_input_is_built_once(monkeypatch):
+    """One `all --seed 0` expands each d-rule in the solved components once
+    and builds one connection grid for the system (`build_connection`
+    called from `StructureSystem.connection`)."""
+    derivations, expanded, grids = [], Counter(), []
+
+    class Recorded(D.Derivation):
+        def __init__(self, sys_):
+            super().__init__(sys_)
+            derivations.append(self)
+
+    def substitute(form, mapping):
+        for d in derivations:
+            if mapping is d.__dict__.get("components"):
+                expanded.update(n for n, rule in d.sys.d_rules.items() if rule is form)
+        return real_substitute(form, mapping)
+
+    def build(*forms):
+        grids.append(sys._getframe(1).f_code.co_name)
+        return real_build(*forms)
+
+    real_substitute, real_build = S.substitute_one_forms, S.build_connection
+    monkeypatch.setattr(D, "Derivation", Recorded)
+    for module in (S, D):
+        monkeypatch.setattr(module, "substitute_one_forms", substitute)
+    monkeypatch.setattr(S, "build_connection", build)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["all", "--seed", "0"]) == 0
+    (derived,) = derivations
+    assert expanded == Counter(dict.fromkeys(derived.sys.d_rules, 1))
+    assert grids.count("connection") == 1
 
 
 def test_the_printed_determinant_is_the_determinant_of_the_solved_system(derived, tmp_path):

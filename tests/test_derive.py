@@ -29,7 +29,7 @@ def solution(system, nel):
 
 @pytest.fixture(scope="module")
 def derived36(system, derived):
-    return D.derive_36(system, derived.components)
+    return D.derive_36(derived.rules, derived.components)
 
 
 def test_nel_row_count(nel):
@@ -175,7 +175,7 @@ def test_rename_matches_jet_substitution(system, derived):
         - 7 * P("lam") * P("lam1", 2) * P("sig34")
     )
     rng = random.Random(0)
-    fractions = [c for form in D.identity_forms(system, derived.components).values()
+    fractions = [c for form in D.identity_forms(derived.rules, derived.components).values()
                  for c in form.terms.values()]
     fractions += [random_locfrac(rng) for _ in range(200)]
     dens = set()
@@ -209,7 +209,7 @@ def test_generated_coefficients_are_reference_images(system, derived, derived36)
     transcription and multiplier, is the substitution image of its base
     coefficient, sign included."""
     rows, _ = derived36
-    forms = D.identity_forms(system, derived.components)
+    forms = D.identity_forms(derived.rules, derived.components)
     raw = {}
     for ident, labels in D.IDENTITY_SLOTS.items():
         if ident != "dG":
@@ -315,15 +315,14 @@ def test_dependence_relations(derived):
 def test_check_combination_example():
     ok, residual = D.check_combination(
         EQ36["e3"],
-        ["a", "a4", "e"],
-        [8 * lam * sig * mup, -8 * lam * sig * mum, Poly.const(1)],
+        [("a", 8 * lam * sig * mup), ("a4", -8 * lam * sig * mum), ("e", Poly.const(1))],
         EQ36,
     )
     assert ok and residual.is_zero()
 
 
 def test_check_combination_reports_residual():
-    ok, residual = D.check_combination(EQ36["e3"], ["a"], [Poly.const(1)], EQ36)
+    ok, residual = D.check_combination(EQ36["e3"], [("a", Poly.const(1))], EQ36)
     assert not ok
     assert not residual.is_zero()
 
@@ -332,7 +331,7 @@ def test_printed_d2_variant_fails_membership(system, derived):
     """Regression: the as-printed lam4 sig4 sign in the d2 display is not a
     consequence of the system; the corrected transcription is."""
     printed = EQ36["d2"] - 64 * lam**2 * sig * Poly.var("lam4") * Poly.var("sig4")
-    forms = D.identity_forms(system, derived.components, which=("dG",))
+    forms = D.identity_forms(derived.rules, derived.components, which=("dG",))
     from edsverify.forms import coeff6
 
     raw = dict(zip(D.IDENTITY_SLOTS["dG"], coeff6(forms["dG"])))["d2"]
@@ -341,7 +340,7 @@ def test_printed_d2_variant_fails_membership(system, derived):
 
 
 def test_integrability_criterion(system, derived):
-    report = D.integrability_criterion(system, derived.components)
+    report = D.integrability_criterion(derived.rules)
     assert report["ok"]
     assert report["span12_coefficients"] == ["(-lam4)/(lam)", "(lam3)/(lam)"]
     assert report["span34_coefficients"] == ["(-lam2)/(lam)", "(lam1)/(lam)"]
@@ -474,3 +473,12 @@ def test_match_transcription_matches_the_normal_form_reference():
         if any(a in raw.den for a in ("mu+", "mu-")):
             seen.add("binomial denominator")
     assert seen == {"shift", "matched", "zero", "unmatched", "binomial denominator"}
+
+
+def test_rename_maps_share_one_string_per_symbol():
+    """Every element's rename map holds the same string object for a symbol,
+    as key and as image, so the maps kept on the replacements stay small."""
+    first, second = D.REP_I._permutation, D.REP_IV._permutation
+    keys = {k: k for k in first}
+    assert all(keys[k] is k for k in second)
+    assert all(keys[new] is new for _, new in second.values())

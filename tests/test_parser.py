@@ -1,5 +1,6 @@
 import pytest
 
+from edsverify import structure
 from edsverify.forms import wedge
 from edsverify.structure import DATA_FILE, EdsParseError, parse_eds, serialize
 
@@ -42,7 +43,7 @@ def test_macro_E_supported():
 def test_scalar_coefficients_and_signs():
     text = HEADER + "d L = -lambda A^B - lambda C^D - 4 F^G\n"
     sys_ = parse_eds(text)
-    lam, _ = sys_.lambda_sigma
+    lam = sys_.ctx.symbol("lam")
     rule = sys_.d_rule("L")
     assert rule.coefficient("A", "B") == -lam
     assert rule.coefficient("F", "G") == -4
@@ -88,6 +89,32 @@ def test_dangling_wedge_column_points_past_caret():
         parse_eds(text)
     # the caret is at column 8; the report points at the missing operand
     assert err.value.column == 9
+
+
+@pytest.mark.parametrize("word", ["lambd", "non"])
+def test_unknown_nonzero_atom_column_is_where_the_word_starts(word):
+    """The column is the unknown word's own start, not the first place its
+    text occurs in the line (inside `lambda` or `nonzero`)."""
+    with pytest.raises(EdsParseError) as err:
+        parse_eds(f"frame A B C D\nnonzero lambda sigma {word}\n")
+    assert (err.value.line, err.value.column) == (2, 22)
+
+
+def test_shipped_file_and_eds_path_decode_alike(monkeypatch, tmp_path):
+    """Both the shipped file and a given path are read as bytes and decoded
+    by `_decode` (strict UTF-8, a bad byte located)."""
+    decoded = []
+
+    def spy(data):
+        decoded.append(data)
+        return real(data)
+
+    real = structure._decode
+    monkeypatch.setattr(structure, "_decode", spy)
+    path = tmp_path / "copy.eds"
+    path.write_text(shipped_text(), encoding="utf-8")
+    assert serialize(structure.load_system()) == serialize(structure.load_system(str(path)))
+    assert decoded == [path.read_bytes()] * 2
 
 
 def test_missing_frame_reported():

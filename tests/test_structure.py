@@ -31,14 +31,14 @@ def test_connection_entries(system):
 
 
 def test_connection_skew(system):
-    grid = system.connection()
+    grid = system.connection
     for j in range(1, 5):
         for k in range(1, 5):
             assert (gamma(grid, j, k) + gamma(grid, k, j)).is_zero()
 
 
 def test_pattern_verification_passes(system):
-    report = verify_parallel_g_J(system.connection())
+    report = verify_parallel_g_J(system.connection)
     assert report["ok"]
     assert report["free_count"] == 4
     assert sorted(report["free_classes"]) == [(1, 2), (1, 3), (1, 4), (3, 4)]
@@ -154,7 +154,7 @@ def test_curvature_matches_display(system):
 
 
 def test_curvature_specific_entries(system):
-    lam, sig = system.lambda_sigma
+    lam, sig = system.ctx.symbol("lam"), system.ctx.symbol("sig")
     A, B, C, D = (system.one_form(n) for n in COFRAME)
     R = curvature_forms(system)
     assert R[0][1] == wedge(A, B).scale(-lam)
@@ -174,26 +174,33 @@ def test_curvature_flat_case(system):
             assert reduced.is_zero()
 
 
+def free_rules(system):
+    """The coframe d-rules with F, G, L, S in free components."""
+    return system.component_rules(system.free_components(), COFRAME)
+
+
 def test_lie_bracket_display_lines(system):
     P = Poly.var
-    b12 = lie_bracket(1, 2, system)
+    rules = free_rules(system)
+    b12 = lie_bracket(1, 2, rules)
     assert 2 * b12[2] == LocFrac(2 * P("G1") + 2 * P("F2"))
     assert 2 * b12[3] == LocFrac(2 * P("G2") - 2 * P("F1"))
     assert 2 * b12[0] == LocFrac(P("S1") + P("L1"))
-    b13 = lie_bracket(1, 3, system)
+    b13 = lie_bracket(1, 3, rules)
     assert 2 * b13[0] == LocFrac(2 * P("F1"))
     assert 2 * b13[1] == LocFrac(P("S3") + P("L3") - 2 * P("G1"))
     assert 2 * b13[3] == LocFrac(2 * P("G3") + P("L1") - P("S1"))
 
 
 def test_lie_bracket_antisymmetric(system):
+    rules = free_rules(system)
     for i in range(1, 5):
-        assert all(c.is_zero() for c in lie_bracket(i, i, system))
+        assert all(c.is_zero() for c in lie_bracket(i, i, rules))
         for j in range(1, 5):
             if i == j:
                 continue
-            fwd = lie_bracket(i, j, system)
-            back = lie_bracket(j, i, system)
+            fwd = lie_bracket(i, j, rules)
+            back = lie_bracket(j, i, rules)
             assert all((a + b).is_zero() for a, b in zip(fwd, back))
 
 
