@@ -166,7 +166,4 @@ def standard_context() -> JetContext:
     ctx.register("sigpp")
     for j in DIRECTIONS:
         ctx.link("sigp", j, Poly.var("sigpp") * Poly.var(f"lam{j}"))
-    # rotation parameters, never differentiated
-    ctx.register("c")
-    ctx.register("s")
     return ctx

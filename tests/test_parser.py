@@ -71,6 +71,9 @@ MALFORMED = [
     ("unknown nonzero atom", "frame A B C D\nscalars lambda sigma\noneforms F\nnonzero tau\n", 4, "unknown nonzero atom"),
     ("bad character", HEADER + "d A = B^F + ?\n", 5, "unexpected character"),
     ("empty expression", HEADER + "d A =\n", 5, "empty expression"),
+    ("duplicate 1-form", "frame A B C D\noneforms F G L S F\n", 2, "declared twice"),
+    ("1-form named as coframe", "frame A B C D\noneforms F G L S A\n", 2, "declared twice"),
+    ("zero denominator", HEADER + "d S = -lambda A^B + 1/0 C^D\n", 5, "zero denominator"),
 ]
 
 

@@ -1,14 +1,17 @@
+from fractions import Fraction
+
 from edsverify import structure
 from edsverify.algebra import LocFrac, Poly
-from edsverify.forms import COFRAME, DForm, wedge
+from edsverify.forms import COFRAME, DForm, ext_d, substitute_one_forms, wedge
 from edsverify.structure import (
     StructureSystem,
     build_connection,
     curvature_forms,
     expected_curvature,
-    covariant_derivatives,
     gamma,
+    grid_rules,
     lie_bracket,
+    load_system,
     torsion_equations,
     verify_covariant_derivatives,
     verify_parallel_g_J,
@@ -210,22 +213,85 @@ def test_covariant_derivative_table(system):
 
 
 def test_nabla_A_display(system):
-    table = covariant_derivatives(system)
-    P = Poly.var
-    half = LocFrac(Poly.const(1)) * __import__("fractions").Fraction(1, 2)
-    for i in range(4):
-        expect = DForm(system.basis, 1, {
-            (1,): -(LocFrac(P(f"S{i+1}")) + LocFrac(P(f"L{i+1}"))) * __import__("fractions").Fraction(1, 2),
-            (2,): LocFrac(-P(f"F{i+1}")),
-            (3,): LocFrac(-P(f"G{i+1}")),
-        })
-        assert table["A"][i] == expect
+    A, B, C, D = (system.one_form(n) for n in COFRAME)
+    F, G, L, S = (system.one_form(n) for n in ("F", "G", "L", "S"))
+    E = (S + L).scale(Fraction(1, 2))
+    assert ext_d(A, grid_rules(system)) == -(wedge(E, B) + wedge(F, C) + wedge(G, D))
 
 
-def test_metric_parallel(system):
-    report = verify_covariant_derivatives(system)
-    comps = report["table"]["_components"]
-    for i in range(4):
-        for j in range(4):
-            for l in range(4):
-                assert (comps[l][j][i] + comps[j][l][i]).is_zero()
+#: the anti-self-dual eigenforms as signed sums of coframe wedges
+EIGENFORMS = {
+    "zeta": ((-1, "A", "B"), (1, "C", "D")),
+    "eta": ((-1, "A", "C"), (1, "D", "B")),
+    "theta": ((-1, "A", "D"), (1, "B", "C")),
+}
+
+
+def nabla_by_directions(system):
+    """The reference: nabla_{e_i} of A..D and of the eigenforms for i = 1..4,
+    from the grid in free components Gamma_{ij}^k, with
+    nabla_{e_i} e^k = -Gamma_{ij}^k e^j and the Leibniz rule on each wedge."""
+    comp = system.free_components()
+    frame = {n: system.one_form(n) for n in COFRAME}
+    out = {}
+    for k, name in enumerate(COFRAME, start=1):
+        gammas = [substitute_one_forms(gamma(system.connection, j, k), comp) for j in range(1, 5)]
+        out[name] = [
+            sum((frame[COFRAME[j]].scale(-gammas[j].coefficient(COFRAME[i])) for j in range(4)),
+                DForm(system.basis, 1))
+            for i in range(4)
+        ]
+    for name, pairs in EIGENFORMS.items():
+        out[name] = [
+            sum(((wedge(out[x][i], frame[y]) + wedge(frame[x], out[y][i])).scale(sign)
+                 for sign, x, y in pairs), DForm(system.basis, 2))
+            for i in range(4)
+        ]
+    return out
+
+
+def factor_of(form, name):
+    """omega_a, where form = sum over auxiliary 1-forms a of a ^ omega_a and
+    each omega_a is a coframe form: the part of `form` with `name` on the left."""
+    a = form.basis.index[name]
+    terms = {}
+    for idx, c in form.terms.items():
+        assert sum(i >= 4 for i in idx) == 1, "one auxiliary factor per term"
+        if a in idx:
+            pos = idx.index(a)
+            terms[idx[:pos] + idx[pos + 1:]] = c if pos % 2 == 0 else -c
+    return DForm(form.basis, form.degree - 1, terms)
+
+
+def test_nabla_forms_match_the_per_direction_reference(system):
+    """Each nabla as a form, contracted with e_i (each auxiliary factor a
+    replaced by its component a_i), is the per-direction nabla_{e_i}."""
+    reference = nabla_by_directions(system)
+    rules = grid_rules(system)
+    coframe = {n: system.one_form(n) for n in COFRAME}
+    forms = {**coframe, **{
+        name: sum((wedge(coframe[x], coframe[y]).scale(sign) for sign, x, y in pairs),
+                  DForm(system.basis, 2))
+        for name, pairs in EIGENFORMS.items()
+    }}
+    for name, form in forms.items():
+        nabla = ext_d(form, rules)
+        for i in range(4):
+            contracted = sum(
+                (factor_of(nabla, a).scale(system.ctx.symbol(f"{a}{i + 1}")) for a in "FGLS"),
+                DForm(system.basis, form.degree),
+            )
+            assert contracted == reference[name][i], (name, i + 1)
+
+
+def test_covariant_check_sees_a_swapped_grid(system):
+    """A grid with F and G swapped breaks nabla A; on the system's own grid
+    the Kahler form is parallel."""
+    swapped = load_system()
+    E, F, G, H = abstract_forms(swapped)
+    swapped.connection = build_connection(E, G, F, H)
+    report = verify_covariant_derivatives(swapped)
+    assert not report["ok"]
+    assert "nabla A" in report["failures"]
+    A, B, C, D = (system.one_form(n) for n in COFRAME)
+    assert ext_d(wedge(A, B) + wedge(C, D), grid_rules(system)).is_zero()
