@@ -617,6 +617,12 @@ class LocFrac:
             den[target] = e
         return LocFrac(num, den)
 
+    def split_power(self, name: str, k: int):
+        """(q, r) over self's denominator with self == q * name**k + r, as
+        `Poly.split_power` splits the numerator."""
+        q, r = self.num.split_power(name, k)
+        return _frac(q, self.den), _frac(r, self.den)
+
     def inverse(self) -> "LocFrac":
         """Inverse, defined when the numerator is rational * atom monomial."""
         if self.num.is_zero():
@@ -751,15 +757,6 @@ def _extract_atoms(p: Poly):
     if c is None:
         return None, p
     return c, exps
-
-
-def atom_divide(a: LocFrac, atom: str, power: int = 1) -> LocFrac:
-    """Divide by atom**power; exact because atom is declared nonzero."""
-    if atom not in ATOMS:
-        raise AlgebraError(f"cannot divide by unregistered atom {atom!r}")
-    if power <= 0:
-        raise AlgebraError("power must be positive")
-    return a * LocFrac(Poly.const(1), {atom: power})
 
 
 # ---------------------------------------------------------------------------

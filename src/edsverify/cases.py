@@ -2,19 +2,18 @@
 
 Each pipeline is a list of steps executed against a fact store (a closed,
 exact substitution map).  A step substitutes the current facts into a labeled
-equation, asserts the result equals a stated factor times a stated core
-polynomial, and may then record the core's consequence as a new fact.  Every
-assertion is an exact polynomial identity; a failing step reports the residual
-and the display it contradicts.
+equation and asserts the result, divided by a stated unit or not, equals a
+stated factor times a core polynomial; it may then record the core's
+consequence as a new fact, solved from the display it checked.  Every
+division goes through the store, which records the atoms it divides by for
+the pipeline's `assumptions` check.  Every assertion is an exact polynomial
+identity; a failing step reports the residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from . import equations as eqs
-from .algebra import LocFrac, Poly, _coerce_frac, atom_divide, sos_certificate
+from .algebra import AlgebraError, LocFrac, Poly, _coerce_frac, sos_certificate
 from .equations import (
     CASE2_FINAL,
     CASE2_H,
@@ -45,35 +44,28 @@ def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -
     return ok
 
 
-@dataclass
-class PipelineReport:
-    """A pipeline's assumptions, the atoms it divides by, its steps as
-    `check` records, and the final conclusion."""
-
-    name: str
-    assumptions: list
-    divides_by: tuple
-    steps: list = field(default_factory=list)
-    final: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(s["status"] == "pass" for s in self.steps)
-
-
 class FactStore:
     """Closed substitution map: values never mention substituted symbols.
 
     Each fact keeps `jets.mentioned` of its value, so a new fact is
-    substituted only into the facts that mention it."""
+    substituted only into the facts that mention it.  The store is the
+    pipelines' one division path: `divides_by` holds each atom of a unit
+    that `divide` divided by, and of a denominator given to `add` or
+    `reduce`, in the order first met."""
 
     def __init__(self, ctx: JetContext):
         self.ctx = ctx
         self.facts: dict[str, LocFrac] = {}
         self.mentions: dict[str, set] = {}
+        self.divides_by: dict[str, None] = {}  # an ordered set
+
+    def _observed(self, value) -> LocFrac:
+        value = _coerce_frac(value)
+        self.divides_by.update(dict.fromkeys(value.den))
+        return value
 
     def add(self, name: str, value, with_derivatives: bool = False):
-        v = self.ctx.substitute(_coerce_frac(value), self.facts)
+        v = self.ctx.substitute(self._observed(value), self.facts)
         for key, names in self.mentions.items():
             if name in names:
                 self.facts[key] = w = self.ctx.substitute(self.facts[key], {name: v})
@@ -85,23 +77,52 @@ class FactStore:
                 self.add(f"{name}{j}", self.ctx.derive(v, j))
 
     def reduce(self, expr) -> LocFrac:
-        return self.ctx.substitute(_coerce_frac(expr), self.facts)
+        return self.ctx.substitute(self._observed(expr), self.facts)
+
+    def divide(self, value, unit) -> LocFrac:
+        """value / unit, for a unit: a nonzero rational times atom powers.
+        `LocFrac.inverse` refuses anything else."""
+        return _coerce_frac(value) * self._observed(_coerce_frac(unit).inverse())
+
+    def solve(self, display: Poly, name: str, power: int = 1) -> LocFrac:
+        """The value of name**power on display = q * name**power + r = 0, for
+        a unit q; a display with `name` in q or in r is refused."""
+        q, r = display.split_power(name, power)
+        if name in q.variables() | r.variables():
+            raise AlgebraError(f"{display} is not linear in {name}^{power}")
+        return self.divide(-r, q)
 
 
-def _expect(report: PipelineReport, tag: str, description: str, value: LocFrac, expected) -> bool:
+def _expect(steps: list, tag: str, description: str, value: LocFrac, expected) -> bool:
     """Record the step `tag`: value equals expected, else its residual."""
     residual = value - _coerce_frac(expected)
     ok = residual.is_zero()
-    return check(report.steps, tag, description, ok, "" if ok else f"residual {residual}")
+    return check(steps, tag, description, ok, "" if ok else f"residual {residual}")
+
+
+def _checks(sys: StructureSystem, store: FactStore, assumptions: list, steps: list,
+            conclusion: str, contradiction: str, proved: bool = True) -> list:
+    """A pipeline's checks: `assumptions`, which fails when the store divided
+    by an atom the file does not declare nonzero, the steps, and the
+    conclusion, which holds when every step passed and `proved`."""
+    undeclared = [atom for atom in store.divides_by if atom not in sys.nonzero]
+    checks = []
+    check(checks, "assumptions", "declared nonzero/vanishing data", not undeclared,
+          f"divides by atoms not declared nonzero: {', '.join(undeclared)}" if undeclared
+          else "; ".join(assumptions))
+    checks += steps
+    check(checks, "conclusion", conclusion,
+          proved and all(s["status"] == "pass" for s in steps), contradiction)
+    return checks
 
 
 def reduce_square(expr: LocFrac, name: str, replacement: LocFrac) -> LocFrac:
     """Rewrite every name^2 inside expr by the replacement value, repeatedly."""
     while True:
-        q, r = expr.num.split_power(name, 2)
+        q, r = expr.split_power(name, 2)
         if not q:
             return expr
-        expr = LocFrac(r, expr.den) + LocFrac(q, expr.den) * replacement
+        expr = r + q * replacement
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +130,17 @@ def reduce_square(expr: LocFrac, name: str, replacement: LocFrac) -> LocFrac:
 # ---------------------------------------------------------------------------
 
 
-def run_const_lambda(sys: StructureSystem, comp: dict[str, DForm]) -> PipelineReport:
+def run_const_lambda(sys: StructureSystem, comp: dict[str, DForm]) -> list:
     """d lam = 0 forces F = G = 0, and then the dF rule forces sig = 0,
     contradicting lam sig != 0.  `comp` is the derived component map."""
-    report = PipelineReport(
-        "const-lambda",
-        assumptions=["lam sig != 0", "d lam = 0 (all lam_i = 0)"],
-        divides_by=("lam", "sig"),
-    )
-    store = FactStore(sys.ctx)
+    store, steps = FactStore(sys.ctx), []
     for i in DIRECTIONS:
         store.add(f"lam{i}", 0, with_derivatives=True)
     # F and G vanish by the solved components
-    zero = LocFrac(Poly.zero())
     for name in ("F", "G"):
         for i in DIRECTIONS:
-            _expect(report, f"{name}{i}=0", f"component {name}{i} under d lam = 0",
-                    store.reduce(comp[name].coefficient(COFRAME[i - 1])), zero)
+            _expect(steps, f"{name}{i}=0", f"component {name}{i} under d lam = 0",
+                    store.reduce(comp[name].coefficient(COFRAME[i - 1])), 0)
     # the dF rule then reads 0 = sig (A^C - D^B)
     reduced = {
         "F": DForm(sys.basis, 1),
@@ -139,15 +154,10 @@ def run_const_lambda(sys: StructureSystem, comp: dict[str, DForm]) -> PipelineRe
     residual = rhs - lhs
     coeff_ac = residual.coefficient("A", "C")
     coeff_bd = residual.coefficient("B", "D")
-    _expect(report, "dF-rule", "residual 2-form is sig (A^C + B^D)",
-            coeff_ac, LocFrac(sig))
-    _expect(report, "dF-rule-bd", "B^D coefficient", coeff_bd, LocFrac(sig))
-    report.final = {
-        "forced": "sig = 0",
-        "contradiction": "sig is a declared nonzero atom",
-        "ok": report.ok,
-    }
-    return report
+    _expect(steps, "dF-rule", "residual 2-form is sig (A^C + B^D)", coeff_ac, sig)
+    _expect(steps, "dF-rule-bd", "B^D coefficient", coeff_bd, sig)
+    return _checks(sys, store, ["lam sig != 0", "d lam = 0 (all lam_i = 0)"], steps,
+                   "sig = 0", "sig is a declared nonzero atom")
 
 
 # ---------------------------------------------------------------------------
@@ -155,91 +165,81 @@ def run_const_lambda(sys: StructureSystem, comp: dict[str, DForm]) -> PipelineRe
 # ---------------------------------------------------------------------------
 
 
-def run_case_ii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
+def run_case_ii(sys: StructureSystem, rows: dict[str, Poly]) -> list:
     """The chain from lam1 = lam2 = lam4 = 0 to lam^4 - 5 lam^2 sig^2 + 12 sig^4 = 0,
     read off the derived 36 `rows`."""
-    report = PipelineReport(
-        "case-ii",
-        assumptions=[
-            "lam sig != 0",
-            "lam4 = 0, lam3 > 0 (normalized gradient)",
-            "lam1 = lam2 = 0 (span(e3,e4) integrable)",
-        ],
-        divides_by=("lam", "sig", "lam3", "mu+", "mu-"),
-    )
-    store = FactStore(sys.ctx)
+    store, steps = FactStore(sys.ctx), []
     ctx = sys.ctx
     for name in ("lam1", "lam2", "lam4"):
         store.add(name, 0, with_derivatives=True)
     lam3p = Poly.var("lam3")
 
     # (suc): four successive consequences of the b-family
-    _expect(report, "suc-1", "b reduces to -4 sig lam31",
-            store.reduce(rows["b"]), -4 * sig * Poly.var("lam31"))
-    store.add("lam31", 0)
-    _expect(report, "suc-2", "b1 reduces to -4 sig lam32",
-            store.reduce(rows["b1"]), -4 * sig * Poly.var("lam32"))
-    store.add("lam32", 0)
-    _expect(report, "suc-3", "b2 reduces to lam3 (2 sig S1 + sig2)",
-            store.reduce(rows["b2"]), LocFrac(lam3p) * LocFrac(SUC[2]))
-    store.add("S1", LocFrac(-Poly.var("sig2") * Fraction(1, 2), {"sig": 1}), with_derivatives=True)
-    _expect(report, "suc-4", "b3 reduces to lam3 (2 sig S2 - sig1)",
-            store.reduce(rows["b3"]), LocFrac(lam3p) * LocFrac(SUC[3]))
-    store.add("S2", LocFrac(Poly.var("sig1") * Fraction(1, 2), {"sig": 1}), with_derivatives=True)
+    _expect(steps, "suc-1", "b reduces to -4 sig lam31",
+            store.divide(store.reduce(rows["b"]), -4 * sig), SUC[0])
+    store.add("lam31", store.solve(SUC[0], "lam31"))
+    _expect(steps, "suc-2", "b1 reduces to -4 sig lam32",
+            store.divide(store.reduce(rows["b1"]), -4 * sig), SUC[1])
+    store.add("lam32", store.solve(SUC[1], "lam32"))
+    _expect(steps, "suc-3", "b2 reduces to lam3 (2 sig S1 + sig2)",
+            store.divide(store.reduce(rows["b2"]), lam3p), SUC[2])
+    store.add("S1", store.solve(SUC[2], "S1"), with_derivatives=True)
+    _expect(steps, "suc-4", "b3 reduces to lam3 (2 sig S2 - sig1)",
+            store.divide(store.reduce(rows["b3"]), lam3p), SUC[3])
+    store.add("S2", store.solve(SUC[3], "S2"), with_derivatives=True)
 
     # (c) and (c1) force sig2 = sig1 = 0 since lam sig lam3 != 0
-    _expect(report, "c", "c reduces to 64 lam^2 sig lam3 sig2",
-            store.reduce(rows["c"]), 64 * lam**2 * sig * lam3p * Poly.var("sig2"))
-    store.add("sig2", 0, with_derivatives=True)
-    _expect(report, "c1", "c1 reduces to -64 lam^2 sig lam3 sig1",
-            store.reduce(rows["c1"]), -64 * lam**2 * sig * lam3p * Poly.var("sig1"))
-    store.add("sig1", 0, with_derivatives=True)
-    _expect(report, "S1=S2=0", "the trace components vanish with sig1, sig2",
+    sig2, sig1 = Poly.var("sig2"), Poly.var("sig1")
+    _expect(steps, "c", "c reduces to 64 lam^2 sig lam3 sig2",
+            store.divide(store.reduce(rows["c"]), 64 * lam**2 * sig * lam3p), sig2)
+    store.add("sig2", store.solve(sig2, "sig2"), with_derivatives=True)
+    _expect(steps, "c1", "c1 reduces to -64 lam^2 sig lam3 sig1",
+            store.divide(store.reduce(rows["c1"]), -64 * lam**2 * sig * lam3p), sig1)
+    store.add("sig1", store.solve(sig1, "sig1"), with_derivatives=True)
+    _expect(steps, "S1=S2=0", "the trace components vanish with sig1, sig2",
             store.reduce(Poly.var("S1") ** 2 + Poly.var("S2") ** 2), 0)
 
     # (j): lam3 S4 = 2 lam^2
-    _expect(report, "j", "j reduces to -16 sig^2 (lam3 S4 - 2 lam^2)",
-            store.reduce(rows["j"]), LocFrac(-16 * sig**2) * LocFrac(CASE2_J))
-    store.add("S4", LocFrac(2 * lam**2, {"lam3": 1}), with_derivatives=True)
+    _expect(steps, "j", "j reduces to -16 sig^2 (lam3 S4 - 2 lam^2)",
+            store.divide(store.reduce(rows["j"]), -16 * sig**2), CASE2_J)
+    store.add("S4", store.solve(CASE2_J, "S4"), with_derivatives=True)
 
     # (h): 3 mu* lam3^2 = 8 lam sig (lam3 sig3 + 4 lam^2 sig)
-    _expect(report, "h", "h reduces to 16 sig^2 times the lam3^2 relation",
-            store.reduce(rows["h"]), LocFrac(16 * sig**2) * LocFrac(CASE2_H))
+    _expect(steps, "h", "h reduces to 16 sig^2 times the lam3^2 relation",
+            store.divide(store.reduce(rows["h"]), 16 * sig**2), CASE2_H)
 
     # combined with (d2): lam3 sig3 = -4 sig mu*
     r2 = store.reduce(rows["d2"])
-    combo = LocFrac(mum) * store.reduce(CASE2_H) - r2
-    _expect(report, "lts-1", "mu- * (h-relation) - d2 is -16 lam^2 sig (lam3 sig3 + 4 sig mu*)",
-            combo, LocFrac(-16 * lam**2 * sig) * LocFrac(LTS_1))
-    sig3_fact = LocFrac(-4 * sig * mus, {"lam3": 1})
-    _expect(report, "lts-2", "eliminating sig3 turns the h-relation into the lam3^2 value",
-            ctx.substitute(CASE2_H, {"sig3": sig3_fact}), LocFrac(LTS_2))
+    _expect(steps, "lts-1", "mu- * (h-relation) - d2 is -16 lam^2 sig (lam3 sig3 + 4 sig mu*)",
+            store.divide(LocFrac(mum) * store.reduce(CASE2_H) - r2, -16 * lam**2 * sig), LTS_1)
+    sig3 = store.solve(LTS_1, "sig3")
+    _expect(steps, "lts-2", "eliminating sig3 turns the h-relation into the lam3^2 value",
+            ctx.substitute(CASE2_H, {"sig3": sig3}), LTS_2)
+    lam3_squared = store.solve(LTS_2, "lam3", 2)
 
     # (els): d and d1 divided by 4 sig
-    _expect(report, "els-i", "d, divided by 4 sig",
-            atom_divide(store.reduce(rows["d"]) * Fraction(1, 4), "sig"), LocFrac(ELS_I))
-    _expect(report, "els-ii", "d1, divided by 4 sig",
-            atom_divide(store.reduce(rows["d1"]) * Fraction(1, 4), "sig"), LocFrac(ELS_II))
+    _expect(steps, "els-i", "d, divided by 4 sig",
+            store.divide(store.reduce(rows["d"]), 4 * sig), ELS_I)
+    _expect(steps, "els-ii", "d1, divided by 4 sig",
+            store.divide(store.reduce(rows["d1"]), 4 * sig), ELS_II)
 
     # final combination with coefficients 3 mu* mu+ and -3 mu* mu-
     combo = LocFrac(3 * mus * mup) * LocFrac(ELS_I) - LocFrac(3 * mus * mum) * LocFrac(ELS_II)
-    combo = ctx.substitute(combo, {"sig3": sig3_fact})
-    lts2_value = LocFrac(64 * lam * sig**2 * (lam**2 - 2 * sig**2) * Fraction(1, 3), {"mu+": 1, "mu-": 1})
-    combo = reduce_square(combo, "lam3", lts2_value)
-    final = atom_divide(atom_divide(combo * Fraction(1, 512), "lam", 2), "sig", 2)
+    combo = reduce_square(ctx.substitute(combo, {"sig3": sig3}), "lam3", lam3_squared)
     # the combination of (lhs - rhs) forms is minus the displayed quartic
-    _expect(report, "final", "combination, divided by 512 lam^2 sig^2, reads 0 = quartic",
-            final, LocFrac(-CASE2_FINAL))
+    _expect(steps, "final", "combination, divided by 512 lam^2 sig^2, reads 0 = quartic",
+            store.divide(combo, 512 * lam**2 * sig**2), -CASE2_FINAL)
 
     cert = sos_certificate(CASE2_FINAL)
-    report.final = {
-        "identity": str(CASE2_FINAL),
-        "sos_certificate": certificate_text(cert) if cert else None,
-        "sos_ok": cert is not None,
-        "contradiction": "positive unless lam = sig = 0, against lam sig != 0",
-        "ok": report.ok and cert is not None,
-    }
-    return report
+    checks = _checks(sys, store, [
+        "lam sig != 0",
+        "lam4 = 0, lam3 > 0 (normalized gradient)",
+        "lam1 = lam2 = 0 (span(e3,e4) integrable)",
+    ], steps, str(CASE2_FINAL), "positive unless lam = sig = 0, against lam sig != 0",
+        proved=cert is not None)
+    check(checks, "sos", "positivity certificate", cert is not None,
+          certificate_text(cert) if cert else "")
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +255,11 @@ def combination(rows: dict[str, Poly], pairs) -> Poly:
     return total
 
 
-def constraint(rows: dict[str, Poly], name: str) -> LocFrac:
-    """The first-order constraint `name` of INTRO_COMBINATIONS read off the
-    rows: its combination of them, divided by 32 lam sig."""
-    return LocFrac(combination(rows, INTRO_COMBINATIONS[name][1]) * Fraction(1, 32), {"lam": 1, "sig": 1})
-
-
-def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
+def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> list:
     """sig a function of lam: the six rewritten equations and the final
     combination 8 lam^2 sig (lam1^2 + lam2^2 + lam3^2) = 0 against (nbl),
     read off the derived 36 `rows`."""
-    report = PipelineReport(
-        "case-iii",
-        assumptions=[
-            "lam sig (lam1^2 + lam2^2 + lam3^2) != 0",
-            "lam4 = 0",
-            "sig_i = sig' lam_i, sig_ij = sig' lam_ij + sig'' lam_i lam_j",
-        ],
-        divides_by=("lam", "sig"),
-    )
-    store = FactStore(sys.ctx)
+    store, steps = FactStore(sys.ctx), []
     ctx = sys.ctx
     store.add("lam4", 0, with_derivatives=True)
     sigp, sigpp = Poly.var("sigp"), Poly.var("sigpp")
@@ -286,29 +271,26 @@ def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
                 sigp * Poly.var(f"lam{i}{j}") + sigpp * Poly.var(f"lam{i}") * Poly.var(f"lam{j}"),
             )
 
-    # the first-order constraints factor through 8 lam sig sig' = 12 sig^2 - lam^2
-    _expect(report, "fsq-i-a", "constraint (a) becomes -lam2 lam3 times the sig' relation",
-            store.reduce(constraint(rows, "intro_a")),
-            LocFrac(-Poly.var("lam2") * Poly.var("lam3")) * LocFrac(FSQ_I))
-    _expect(report, "fsq-i-b", "constraint (b) becomes -lam1 lam3 times the sig' relation",
-            store.reduce(constraint(rows, "intro_b")),
-            LocFrac(-Poly.var("lam1") * Poly.var("lam3")) * LocFrac(FSQ_I))
-    sigp_fact = LocFrac((12 * sig**2 - lam**2) * Fraction(1, 8), {"lam": 1, "sig": 1})
+    # the first-order constraints, read off the rows as their combination
+    # divided by 32 lam sig, factor through 8 lam sig sig' = 12 sig^2 - lam^2
+    for tag, name, side, other in (("fsq-i-a", "intro_a", "a", "lam2"),
+                                   ("fsq-i-b", "intro_b", "b", "lam1")):
+        value = store.divide(store.reduce(combination(rows, INTRO_COMBINATIONS[name][1])),
+                             32 * lam * sig)
+        _expect(steps, tag, f"constraint ({side}) becomes -{other} lam3 times the sig' relation",
+                value, LocFrac(-Poly.var(other) * Poly.var("lam3")) * LocFrac(FSQ_I))
+    sigp_fact = store.solve(FSQ_I, "sigp")
 
     # differentiating the sig' relation yields the sig'' relation
     d3 = ctx.derive(FSQ_I, 3)
     d3 = store.reduce(d3)
     core = 8 * lam * sig * sigpp + 8 * lam * sigp**2 - 16 * sig * sigp + 2 * lam
-    _expect(report, "fsq-ii-a", "d_3 of the sig' relation factors through lam3",
+    _expect(steps, "fsq-ii-a", "d_3 of the sig' relation factors through lam3",
             d3, LocFrac(Poly.var("lam3")) * LocFrac(core))
     scaled = ctx.substitute(8 * lam * sig**2 * core, {"sigp": sigp_fact})
-    _expect(report, "fsq-ii-b", "8 lam sig^2 times the core, with sig' eliminated",
-            scaled, LocFrac(FSQ_II))
-    sigpp_fact = LocFrac(
-        (4 * sig**2 - lam**2) * (12 * sig**2 + lam**2) * Fraction(1, 64), {"lam": 2, "sig": 3}
-    )
+    _expect(steps, "fsq-ii-b", "8 lam sig^2 times the core, with sig' eliminated", scaled, FSQ_II)
     store.add("sigp", sigp_fact)
-    store.add("sigpp", sigpp_fact)
+    store.add("sigpp", store.solve(FSQ_II, "sigpp"))
 
     # the three replacement rules hold identically under the substitutions
     ok1 = ok2 = ok3 = True
@@ -326,38 +308,32 @@ def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> PipelineReport:
                 - (4 * sig**2 - lam**2) * (12 * sig**2 + lam**2) * li * Poly.var(f"lam{j}")
             )
             ok3 &= r3.is_zero()
-    check(report.steps, "rule-1", "8 lam sig sig_i -> (12 sig^2 - lam^2) lam_i", ok1)
-    check(report.steps, "rule-2", "8 lam sig sig_i - mu* lam_i -> 8 sig^2 lam_i", ok2)
-    check(report.steps, "rule-3", "second-order replacement rule", ok3)
+    check(steps, "rule-1", "8 lam sig sig_i -> (12 sig^2 - lam^2) lam_i", ok1)
+    check(steps, "rule-2", "8 lam sig sig_i - mu* lam_i -> 8 sig^2 lam_i", ok2)
+    check(steps, "rule-3", "second-order replacement rule", ok3)
 
     # the six rewritten equations; the d-family substitutes to 4 x its
     # rewritten form, while in h and h4 the second-order replacement also
     # feeds the lam_ii coefficients, leaving the factor -32 sig^2
     sources = ("d", "d1", "d2", "d3", "h", "h4")
     factors = (4, 4, 4, 4, -32 * sig**2, -32 * sig**2)
-    for idx, (label, factor) in enumerate(zip(sources, factors)):
-        _expect(report, f"rewrite-{label}",
-                f"{label} substitutes to ({factor}) x its rewritten form",
-                store.reduce(rows[label]), LocFrac(Poly.const(1) * factor) * LocFrac(CASE3_REWRITTEN[idx]))
+    for label, factor, rewritten in zip(sources, factors, CASE3_REWRITTEN):
+        _expect(steps, f"rewrite-{label}", f"{label} substitutes to ({factor}) x its rewritten form",
+                store.divide(store.reduce(rows[label]), factor), rewritten)
 
     # final combination: sum of the first four minus 4 sig times the last two
     total = Poly.zero()
     for p in CASE3_REWRITTEN[:4]:
         total = total + p
     total = total - 4 * sig * (CASE3_REWRITTEN[4] + CASE3_REWRITTEN[5])
-    _expect(report, "final", "the combination is -(8 lam^2 sig (lam1^2+lam2^2+lam3^2))",
-            LocFrac(total), LocFrac(-CASE3_FINAL))
+    _expect(steps, "final", "the combination is -(8 lam^2 sig (lam1^2+lam2^2+lam3^2))",
+            LocFrac(total), -CASE3_FINAL)
 
-    cert = sos_certificate(
-        Poly.var("lam1") ** 2 + Poly.var("lam2") ** 2 + Poly.var("lam3") ** 2
-    )
-    report.final = {
-        "identity": f"{CASE3_FINAL} = 0",
-        "gradient_sos": certificate_text(cert) if cert else None,
-        "contradiction": "lam sig (lam1^2+lam2^2+lam3^2) != 0 everywhere",
-        "ok": report.ok and cert is not None,
-    }
-    return report
+    return _checks(sys, store, [
+        "lam sig (lam1^2 + lam2^2 + lam3^2) != 0",
+        "lam4 = 0",
+        "sig_i = sig' lam_i, sig_ij = sig' lam_ij + sig'' lam_i lam_j",
+    ], steps, f"{CASE3_FINAL} = 0", "lam sig (lam1^2+lam2^2+lam3^2) != 0 everywhere")
 
 
 def certificate_text(decomposition) -> str:

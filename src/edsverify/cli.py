@@ -127,32 +127,16 @@ def run_symmetry(derived, args) -> list:
     return checks
 
 
-def _pipeline_checks(report, sys_) -> list:
-    checks = []
-    undeclared = [atom for atom in report.divides_by if atom not in sys_.nonzero]
-    check(checks, "assumptions", "declared nonzero/vanishing data", not undeclared,
-          f"divides by atoms not declared nonzero: {', '.join(undeclared)}" if undeclared
-          else "; ".join(report.assumptions))
-    checks += report.steps
-    check(checks, "conclusion", report.final.get("identity", report.final.get("forced", "")),
-          bool(report.final.get("ok")), report.final.get("contradiction", ""))
-    return checks
-
-
 def run_case_const_lambda(derived, args) -> list:
-    return _pipeline_checks(cases.run_const_lambda(derived.sys, derived.components), derived.sys)
+    return cases.run_const_lambda(derived.sys, derived.components)
 
 
 def run_case_ii(derived, args) -> list:
-    report = cases.run_case_ii(derived.sys, derived.equations)
-    checks = _pipeline_checks(report, derived.sys)
-    check(checks, "sos", "positivity certificate",
-          report.final.get("sos_ok", False), report.final.get("sos_certificate") or "")
-    return checks
+    return cases.run_case_ii(derived.sys, derived.equations)
 
 
 def run_case_iii(derived, args) -> list:
-    return _pipeline_checks(cases.run_case_iii(derived.sys, derived.equations), derived.sys)
+    return cases.run_case_iii(derived.sys, derived.equations)
 
 
 def run_numeric(derived, args) -> list:

@@ -78,22 +78,27 @@ def multiplier_text(mult) -> str:
     return f"({factor})/({Poly({den_mono: 1})})"
 
 
-def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source: dict[str, str]):
+def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source: dict[str, str],
+               nonzero):
     """Match each transcription against its derived coefficient `raw[label]`.
+    A match whose shift (`match_transcription`) holds a variable outside the
+    declared-nonzero atoms `nonzero` is not one: raw = 0 does not give the
+    transcription then.
 
     Returns (rows, report).  rows maps the label of each matched transcription
     to its Equation, with the source identity and the recovered multiplier as
     provenance; an unmatched one is left out.  report has one entry per
     label, in the order of `transcriptions`: source, matched, multiplier
     (None when unmatched) and residual, the difference of the two primitive
-    parts ("0" on a match).
+    parts, the raw one times a rejected shift ("0" on a match).
     """
     rows, report = {}, {}
     for label, transcribed in transcriptions.items():
         r = raw[label]
         mult = match_transcription(transcribed, r)
-        matched = mult is not None
-        residual = 0 if matched else transcribed.normalized()[2] - r.num.normalized()[2]
+        shift = Poly({mult[1]: 1}) if mult else Poly.const(1)
+        matched = mult is not None and shift.variables() <= set(nonzero)
+        residual = 0 if matched else transcribed.normalized()[2] - shift * r.num.normalized()[2]
         report[label] = entry = {
             "source": source[label],
             "matched": matched,
@@ -158,7 +163,7 @@ def derive_nel(sys: StructureSystem):
             transcriptions[label] = NEL[row]
             raw[label] = expanded.coefficient(*names)
             source[label] = f"{src} @ {'^'.join(names)}"
-    return match_rows(transcriptions, raw, source)
+    return match_rows(transcriptions, raw, source, sys.nonzero)
 
 
 def nel_system(rows: dict[str, Equation]):
@@ -389,9 +394,10 @@ def symmetry_group():
 # ---------------------------------------------------------------------------
 
 
-def derive_36(rules: RuleSystem, comp: dict[str, DForm]):
+def derive_36(rules: RuleSystem, comp: dict[str, DForm], nonzero):
     """Engine-derived equation set matched against all 36 transcriptions,
-    from the `identity_forms` of `rules` and `comp`.
+    from the `identity_forms` of `rules` and `comp`, under the
+    declared-nonzero atoms `nonzero`.
 
     Returns `match_rows` over EQ36: the matched rows, and a report whose
     entry for each label records the source identity, the recovered
@@ -412,7 +418,7 @@ def derive_36(rules: RuleSystem, comp: dict[str, DForm]):
         base, case = eqs.VARIANTS[label]
         raw[label] = RPL_CASES[case].apply(raw[base])
         source[label] = f"{source[base]} via replacement {case}"
-    rows, report = match_rows(EQ36, raw, source)
+    rows, report = match_rows(EQ36, raw, source, nonzero)
     # cross-check those six against the dG identity
     g_coeffs = dict(zip(IDENTITY_SLOTS["dG"], coeff6(forms["dG"])))
     for label in SYMMETRY_GENERATED:
@@ -703,7 +709,7 @@ class Derivation:
     def eq36(self):
         """(rows whose check passed, label -> `eq-` check with its `trace`);
         a symmetry-generated row must also agree with the dG identity."""
-        rows, report = derive_36(self.rules, self.components)
+        rows, report = derive_36(self.rules, self.components, self.sys.nonzero)
         checks = []
         for label, entry in report.items():
             ok = entry["matched"] and entry.get("dG_cross_check", True)

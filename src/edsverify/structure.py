@@ -491,6 +491,8 @@ def parse_eds(text: str) -> StructureSystem:
                     raise EdsParseError(f"bad 1-form name {tok!r}", lineno, col)
                 if tok in COFRAME or tok in oneforms:
                     raise EdsParseError(f"1-form {tok!r} is declared twice", lineno, col)
+                if tok in SCALAR_NAMES:
+                    raise EdsParseError(f"1-form {tok!r} is named after a scalar", lineno, col)
                 oneforms.append(tok)
         elif head == "nonzero":
             # raw word split: atom names may carry '+'/'-'

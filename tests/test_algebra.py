@@ -14,7 +14,6 @@ from edsverify.algebra import (
     NonUnitError,
     Poly,
     SingularMatrixError,
-    atom_divide,
     linear_solve,
 )
 
@@ -57,24 +56,24 @@ def test_ring_axioms_1000_random_triples():
 
 
 def test_atom_divide_monomial():
-    assert atom_divide(LocFrac(8 * lam * sig * lam3), "lam") == LocFrac(8 * sig * lam3)
+    assert LocFrac(8 * lam * sig * lam3) / LocFrac(lam) == LocFrac(8 * sig * lam3)
 
 
 def test_atom_divide_case_quartic():
     quartic = lam**4 - 5 * lam**2 * sig**2 + 12 * sig**4
-    value = atom_divide(LocFrac(512 * lam**2 * sig**2 * quartic), "lam", 2)
+    value = LocFrac(512 * lam**2 * sig**2 * quartic) / LocFrac(lam**2)
     assert value == LocFrac(512 * sig**2 * quartic)
 
 
 def test_atom_divide_keeps_denominator():
-    value = atom_divide(LocFrac(lam + sig), "lam")
+    value = LocFrac(lam + sig) / LocFrac(lam)
     assert value.den == {"lam": 1}
     assert value.num == lam + sig
 
 
 def test_atom_divide_rejects_unregistered():
-    with pytest.raises(Exception):
-        atom_divide(LocFrac(lam), "lam1")
+    with pytest.raises(NonUnitError):
+        LocFrac(lam) / LocFrac(Poly.var("lam1"))
 
 
 def test_atom_divide_inverts_multiplication():
@@ -82,7 +81,7 @@ def test_atom_divide_inverts_multiplication():
     for _ in range(50):
         a = random_locfrac(rng)
         scaled = a * LocFrac(ATOMS["mu+"] ** 2)
-        assert atom_divide(scaled, "mu+", 2) == a
+        assert scaled / LocFrac(ATOMS["mu+"] ** 2) == a
 
 
 def test_locfrac_normal_form_cancels_atoms():
@@ -502,13 +501,13 @@ def test_coefficients_are_canonical(system, derived):
     a = LocFrac(q, {"sig": 1})
     b = LocFrac(p * half, {"lam": 2, "mu+": 1})
     assert_canonical(a + b, a - b, a * b, -a, a * 2, LocFrac(half * lam).inverse(), a / LocFrac(lam))
-    assert_canonical(atom_divide(a, "mu-", 2), LocFrac(Fraction(4, 2)))
+    assert_canonical(a / LocFrac(mum**2), LocFrac(Fraction(4, 2)))
     matrix = [[LocFrac(half * lam), LocFrac(sig)], [LocFrac(Poly.zero()), LocFrac(Fraction(3, 2))]]
     assert_canonical(*linear_solve(matrix, [LocFrac(Poly.const(1)), LocFrac(half)], ATOMS))
     assert_canonical(*EQ36.values(), *SOL.values())
     for form in identity_forms(derived.rules, derived.components).values():
         assert_canonical(*form.terms.values())
-    rows, _ = derive_36(derived.rules, derived.components)
+    rows, _ = derive_36(derived.rules, derived.components, system.nonzero)
     assert_canonical(*(e.provenance["multiplier_value"][0] for e in rows.values()))
 
 
@@ -759,6 +758,29 @@ def test_only_algebra_uses_the_term_helpers():
                               if a.name in TERM_HELPERS or a.name == "*"]
             elif isinstance(node, ast.Attribute) and node.attr in TERM_HELPERS:
                 offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not offenders
+
+
+def test_cases_divides_only_through_the_fact_store():
+    """Outside `FactStore`, cases.py builds no LocFrac with a denominator,
+    calls no `.inverse()` and uses no `/`, so every division of a pipeline is
+    recorded in the store's `divides_by`."""
+    path = Path(algebra.__file__).parent / "cases.py"
+    tree = ast.parse(path.read_text(), str(path))
+    store = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FactStore")
+    inside = {id(n) for n in ast.walk(store)}
+    offenders = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "LocFrac" \
+                and (len(node.args) > 1 or node.keywords):
+            offenders.append(f"{node.lineno}: LocFrac with a denominator")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "inverse":
+            offenders.append(f"{node.lineno}: .inverse()")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            offenders.append(f"{node.lineno}: /")
     assert not offenders
 
 

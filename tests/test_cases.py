@@ -1,11 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 import edsverify.cases as C
-from edsverify.algebra import LocFrac, Poly
+from edsverify.algebra import AlgebraError, LocFrac, NonUnitError, Poly
 from edsverify.equations import (
     CASE2_FINAL,
+    CASE2_J,
     CASE3_FINAL,
     CASE3_REWRITTEN,
     ELS_I,
@@ -36,19 +38,24 @@ def case_iii(system, derived):
     return C.run_case_iii(system, derived.equations)
 
 
+def failed(checks):
+    return [c for c in checks if c["status"] != "pass"]
+
+
 def test_const_lambda_pipeline(const_lambda):
-    assert const_lambda.ok
-    tags = [s["id"] for s in const_lambda.steps]
+    assert not failed(const_lambda)
+    tags = [c["id"] for c in const_lambda]
     for name in ("F1=0", "F2=0", "G3=0", "G4=0"):
         assert name in tags
-    assert const_lambda.final["forced"] == "sig = 0"
+    assert const_lambda[-1]["id"] == "conclusion" and const_lambda[-1]["label"] == "sig = 0"
 
 
 def test_case_ii_pipeline(case_ii):
-    assert case_ii.ok, [s for s in case_ii.steps if s["status"] != "pass"]
-    tags = [s["id"] for s in case_ii.steps]
-    assert tags[:4] == ["suc-1", "suc-2", "suc-3", "suc-4"]
+    assert not failed(case_ii), failed(case_ii)
+    tags = [c["id"] for c in case_ii]
+    assert tags[:5] == ["assumptions", "suc-1", "suc-2", "suc-3", "suc-4"]
     assert "lts-1" in tags and "els-i" in tags and "final" in tags
+    assert tags[-2:] == ["conclusion", "sos"]
 
 
 def test_case_ii_displays():
@@ -62,15 +69,17 @@ def test_case_ii_displays():
 
 
 def test_case_ii_quartic_certificate(case_ii):
-    assert case_ii.final["sos_ok"]
-    assert case_ii.final["sos_certificate"] == "1*(lam^2 - 5/2*sig^2)^2 + 23/4*(sig^2)^2"
+    sos = case_ii[-1]
+    assert sos["id"] == "sos" and sos["status"] == "pass"
+    assert sos["detail"] == "1*(lam^2 - 5/2*sig^2)^2 + 23/4*(sig^2)^2"
 
 
 def test_case_iii_pipeline(case_iii):
-    assert case_iii.ok, [s for s in case_iii.steps if s["status"] != "pass"]
-    tags = [s["id"] for s in case_iii.steps]
+    assert not failed(case_iii), failed(case_iii)
+    tags = [c["id"] for c in case_iii]
     for name in ("fsq-i-a", "fsq-ii-b", "rule-1", "rule-3", "rewrite-h4", "final"):
         assert name in tags
+    assert tags[0] == "assumptions" and tags[-1] == "conclusion"
 
 
 def test_case_iii_displays():
@@ -150,21 +159,24 @@ def test_reduce_square_helper():
 
 
 def test_reports_serialize(const_lambda, case_ii, case_iii):
-    for report in (const_lambda, case_ii, case_iii):
-        assert report.ok is True
-        assert report.steps
-        assert isinstance(report.assumptions, list)
+    for checks in (const_lambda, case_ii, case_iii):
+        assert not failed(checks)
+        assert len(checks) > 2
+        assert all(set(c) == {"id", "label", "status", "detail"} for c in checks)
+        assert json.loads(json.dumps(checks)) == checks
 
 
-def test_failed_step_reports_residual():
-    report = C.PipelineReport("demo", assumptions=[], divides_by=())
-    ok = C._expect(report, "mismatch", "deliberately wrong expectation",
+def test_failed_step_reports_residual(system):
+    steps = []
+    ok = C._expect(steps, "mismatch", "deliberately wrong expectation",
                    C._coerce_frac(Poly.var("lam")), 0)
     assert not ok
-    assert not report.ok
-    assert report.steps[0]["status"] == "fail"
-    assert "residual" in report.steps[0]["detail"]
-    assert "lam" in report.steps[0]["detail"]
+    assert steps[0]["status"] == "fail"
+    assert "residual" in steps[0]["detail"]
+    assert "lam" in steps[0]["detail"]
+    checks = C._checks(system, C.FactStore(system.ctx), ["demo"], steps, "demo", "")
+    assert [(c["id"], c["status"]) for c in checks] == [
+        ("assumptions", "pass"), ("mismatch", "fail"), ("conclusion", "fail")]
 
 
 class EveryFactStore:
@@ -208,7 +220,7 @@ def test_fact_stores_close_as_the_every_fact_loop_does(system, derived, monkeypa
     monkeypatch.setattr(C, "FactStore", Recorded)
     reports = [C.run_const_lambda(system, derived.components),
                C.run_case_ii(system, derived.equations), C.run_case_iii(system, derived.equations)]
-    assert all(r.ok for r in reports) and len(stores) == 3
+    assert not any(failed(checks) for checks in reports) and len(stores) == 3
     for store in stores:
         reference = EveryFactStore(store.ctx)
         for name, value, with_derivatives in store.log:
@@ -218,3 +230,68 @@ def test_fact_stores_close_as_the_every_fact_loop_does(system, derived, monkeypa
             want = reference.facts[key]
             assert value.num.terms == want.num.terms and value.den == want.den, key
             assert store.mentions[key] == mentioned(value)
+
+
+def test_solved_facts_are_the_typed_values(system):
+    """`FactStore.solve` of each display gives the value the pipelines once
+    typed beside it as a literal fraction."""
+    P = Poly.var
+    mus = 4 * sig**2 - lam**2
+    typed = [
+        (SUC[2], "S1", 1, LocFrac(-P("sig2") * Fraction(1, 2), {"sig": 1})),
+        (SUC[3], "S2", 1, LocFrac(P("sig1") * Fraction(1, 2), {"sig": 1})),
+        (CASE2_J, "S4", 1, LocFrac(2 * lam**2, {"lam3": 1})),
+        (LTS_1, "sig3", 1, LocFrac(-4 * sig * mus, {"lam3": 1})),
+        (LTS_2, "lam3", 2, LocFrac(64 * lam * sig**2 * (lam**2 - 2 * sig**2) * Fraction(1, 3),
+                                   {"mu+": 1, "mu-": 1})),
+        (FSQ_I, "sigp", 1, LocFrac((12 * sig**2 - lam**2) * Fraction(1, 8), {"lam": 1, "sig": 1})),
+        (FSQ_II, "sigpp", 1, LocFrac((4 * sig**2 - lam**2) * (12 * sig**2 + lam**2) * Fraction(1, 64),
+                                     {"lam": 2, "sig": 3})),
+    ]
+    store = C.FactStore(system.ctx)
+    for display, name, power, value in typed:
+        solved = store.solve(display, name, power)
+        assert solved.num.terms == value.num.terms and solved.den == value.den, name
+    assert list(store.divides_by) == ["sig", "lam3", "mu+", "mu-", "lam"]
+
+
+@pytest.mark.parametrize("display, error", [
+    (Poly.var("lam1") * Poly.var("S1") + Poly.var("sig2"), NonUnitError),
+    (Poly.var("S1") ** 2 + Poly.var("S1"), AlgebraError),
+    (Poly.var("sig2"), AlgebraError),
+])
+def test_solve_refuses_a_display_it_cannot_divide_through(system, display, error):
+    """The coefficient of the name must be a unit (lam1 is not an atom), and
+    neither it nor the rest may hold the name; a display without the name
+    has no value for it."""
+    store = C.FactStore(system.ctx)
+    with pytest.raises(error):
+        store.solve(display, "S1")
+    assert not store.divides_by
+
+
+def test_divide_refuses_a_non_unit(system):
+    store = C.FactStore(system.ctx)
+    assert store.divide(8 * lam * sig * Poly.var("lam3"), 4 * sig) == LocFrac(2 * lam * Poly.var("lam3"))
+    with pytest.raises(NonUnitError):
+        store.divide(lam, lam + sig)
+    assert list(store.divides_by) == ["sig"]
+
+
+def test_pipelines_observe_the_atoms_they_divide_by(system, derived, monkeypatch):
+    """Each pipeline's `divides_by` is observed by its store: the atoms of
+    every unit it divided by and of every denominator it was given, in the
+    order first met."""
+    stores = []
+
+    class Recorded(C.FactStore):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            stores.append(self)
+
+    monkeypatch.setattr(C, "FactStore", Recorded)
+    C.run_const_lambda(system, derived.components)
+    C.run_case_ii(system, derived.equations)
+    C.run_case_iii(system, derived.equations)
+    assert [list(store.divides_by) for store in stores] == [
+        ["lam", "sig"], ["sig", "lam3", "lam", "mu+", "mu-"], ["lam", "sig"]]

@@ -102,6 +102,29 @@ def test_a_pipeline_assumes_only_declared_atoms(tmp_path):
     assert failed == [("case-ii", "assumptions", "divides by atoms not declared nonzero: lam3, mu+, mu-")]
 
 
+SOLVE_BLOCKS = ("equations36", "combos", "symmetry", "case-const-lambda", "case-ii", "case-iii")
+
+
+@pytest.mark.parametrize("word, atom", [
+    ("lambda", "lam"), ("sigma", "sig"), ("mu+", "mu+"), ("mu-", "mu-"), ("lambda3", "lam3"),
+])
+def test_dropping_one_atom_fails_exactly_what_divides_by_it(word, atom, tmp_path):
+    """The solve divides by lam and sig, case-ii by lam3, mu+ and mu-: a file
+    that leaves out one atom fails the first check that divides by it, and
+    only that, with the suites that read a failed solve blocked."""
+    nonzero = NONZERO_LINE.replace(f" {word} ", " ").replace(f" {word}\n", "\n")
+    assert nonzero != NONZERO_LINE
+    code, suites = run_all(SHIPPED.replace(NONZERO_LINE, nonzero), tmp_path)
+    assert code == 1
+    failed = [(name, c["id"], c["detail"]) for name, checks in suites.items()
+              for c in checks if c["status"] == "fail"]
+    if atom in ("lam", "sig"):
+        detail = f"determinant 65536*lam^4*sig^8 divides by atoms not declared nonzero: {atom}"
+        assert failed == [("sol", "solve", detail)] + [(name, "blocked", detail) for name in SOLVE_BLOCKS]
+    else:
+        assert failed == [("case-ii", "assumptions", f"divides by atoms not declared nonzero: {atom}")]
+
+
 def test_derivation_runs_once_per_run(monkeypatch):
     """One `all` derives the nel rows, the solve and the 36 rows once each;
     `numeric` derives nothing, and a second run derives again."""

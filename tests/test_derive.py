@@ -29,7 +29,7 @@ def solution(system, nel):
 
 @pytest.fixture(scope="module")
 def derived36(system, derived):
-    return D.derive_36(derived.rules, derived.components)
+    return D.derive_36(derived.rules, derived.components, system.nonzero)
 
 
 def test_nel_row_count(nel):
@@ -473,6 +473,22 @@ def test_match_transcription_matches_the_normal_form_reference():
         if any(a in raw.den for a in ("mu+", "mu-")):
             seen.add("binomial denominator")
     assert seen == {"shift", "matched", "zero", "unmatched", "binomial denominator"}
+
+
+def test_a_row_matches_through_a_shift_only_in_declared_atoms():
+    """raw = 0 gives the transcription T only when the monomial that
+    divides raw (the shift) is declared nonzero: lam1 T = 0 does not give
+    T = 0, while lam T = 0 does under lam != 0."""
+    T = Poly.var("S1") + 2 * Poly.var("sig2")
+    source = {"x": "demo"}
+    _, report = D.match_rows({"x": T}, {"x": LocFrac(Poly.var("lam1") * T)}, source, ("lam", "sig"))
+    assert report["x"]["matched"] is False and report["x"]["multiplier"] is None
+    assert report["x"]["residual"] == str(T - Poly.var("lam1") * T)
+    rows, report = D.match_rows({"x": T}, {"x": LocFrac(lam * T)}, source, ("lam", "sig"))
+    assert report["x"]["matched"] and report["x"]["multiplier"] == "(1)/(lam)"
+    assert list(rows) == ["x"]
+    _, report = D.match_rows({"x": T}, {"x": LocFrac(lam * T)}, source, ("sig",))
+    assert report["x"]["matched"] is False
 
 
 def test_rename_maps_share_one_string_per_symbol():

@@ -73,6 +73,7 @@ MALFORMED = [
     ("empty expression", HEADER + "d A =\n", 5, "empty expression"),
     ("duplicate 1-form", "frame A B C D\noneforms F G L S F\n", 2, "declared twice"),
     ("1-form named as coframe", "frame A B C D\noneforms F G L S A\n", 2, "declared twice"),
+    ("1-form named as scalar", "frame A B C D\noneforms F G L S lambda\n", 2, "named after a scalar"),
     ("zero denominator", HEADER + "d S = -lambda A^B + 1/0 C^D\n", 5, "zero denominator"),
 ]
 
