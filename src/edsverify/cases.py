@@ -31,17 +31,9 @@ from .equations import (
 )
 from .forms import COFRAME, DForm, ext_d
 from .jets import DIRECTIONS, JetContext, mentioned
-from .structure import StructureSystem
+from .structure import StructureSystem, check
 
 lam, sig, mup, mum, mus = eqs.lam, eqs.sig, eqs.mup, eqs.mum, eqs.mus
-
-
-def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -> bool:
-    """Append one report record {id, label, status, detail}; returns ok."""
-    checks.append(
-        {"id": check_id, "label": label, "status": "pass" if ok else "fail", "detail": detail}
-    )
-    return ok
 
 
 class FactStore:
@@ -281,12 +273,13 @@ def run_case_iii(sys: StructureSystem, rows: dict[str, Poly]) -> list:
                 value, LocFrac(-Poly.var(other) * Poly.var("lam3")) * LocFrac(FSQ_I))
     sigp_fact = store.solve(FSQ_I, "sigp")
 
-    # differentiating the sig' relation yields the sig'' relation
-    d3 = ctx.derive(FSQ_I, 3)
-    d3 = store.reduce(d3)
+    # differentiating the sig' relation yields lam_i times one core, for
+    # i = 1, 2, 3 (lam4 = 0); the gradient is nonzero, so the core vanishes
     core = 8 * lam * sig * sigpp + 8 * lam * sigp**2 - 16 * sig * sigp + 2 * lam
-    _expect(steps, "fsq-ii-a", "d_3 of the sig' relation factors through lam3",
-            d3, LocFrac(Poly.var("lam3")) * LocFrac(core))
+    residuals = [store.reduce(ctx.derive(FSQ_I, i)) - LocFrac(Poly.var(f"lam{i}") * core)
+                 for i in (1, 2, 3)]
+    _expect(steps, "fsq-ii-a", "d_i of the sig' relation is lam_i times one core (i = 1, 2, 3)",
+            next((r for r in residuals if not r.is_zero()), residuals[0]), 0)
     scaled = ctx.substitute(8 * lam * sig**2 * core, {"sigp": sigp_fact})
     _expect(steps, "fsq-ii-b", "8 lam sig^2 times the core, with sig' eliminated", scaled, FSQ_II)
     store.add("sigp", sigp_fact)

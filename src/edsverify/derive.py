@@ -12,14 +12,13 @@ generate the subscripted variants the identities do not cover directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from sys import intern
 
 from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
-from .cases import check, combination
+from .cases import combination
 from .equations import EQ36, INP, NEL, NEL_UNKNOWNS
 from .forms import COEFF6_ORDER, DForm, RuleSystem, coeff6, d_scalar, ext_d, substitute_one_forms
 from .jets import DIRECTIONS, standard_context
@@ -27,6 +26,7 @@ from .structure import (
     Equation,
     StructureSystem,
     build_connection,
+    check,
     curvature_forms,
     gamma,
     lie_bracket,
@@ -211,14 +211,13 @@ def solve_sol(rows: dict[str, Equation], sys: StructureSystem):
     return assignment
 
 
-def verify_inp(assignment) -> list[bool]:
-    """8 lam sig (G1+F2) = -4 sig lam4 and 8 lam sig (G2-F1) = 4 sig lam3."""
+def verify_inp(assignment, checks: list):
+    """Record inp-1 and inp-2: 8 lam sig (G1+F2) = -4 sig lam4 and
+    8 lam sig (G2-F1) = 4 sig lam3 under the solved `assignment`."""
     ctx_free = standard_context()
-    results = []
-    for expr, rhs in INP:
+    for idx, (expr, rhs) in enumerate(INP, start=1):
         lhs = ctx_free.substitute(8 * eqs.lam * eqs.sig * expr, assignment)
-        results.append((lhs - LocFrac(rhs)).is_zero())
-    return results
+        check(checks, f"inp-{idx}", f"inp-{idx}", (lhs - LocFrac(rhs)).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +310,8 @@ def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]
     return out
 
 
-def verify_system_invariance(sys: StructureSystem) -> dict:
-    """The group maps the exterior system to itself.
+def verify_system_invariance(sys: StructureSystem, checks: list):
+    """Record system-invariance: the group maps the exterior system to itself.
 
     Checked on the generators, which suffices for the whole group: for each
     generator and each rule d X = R, the transformed left-hand side d(Phi X),
@@ -344,7 +343,7 @@ def verify_system_invariance(sys: StructureSystem) -> dict:
             rhs = substitute_one_forms(renamed, {**coframe_map, **one_form_map})
             if not (lhs - rhs).is_zero():
                 failures.append((gen, f"rule d{name}"))
-    return {"ok": not failures, "failures": failures[:8], "generators": list(GENERATORS)}
+    check(checks, "system-invariance", "swp", not failures, str(failures[:8]) if failures else "")
 
 
 IDENTITY_ELEMENT = SymmetryElement((1, 2, 3, 4), (1, 1, 1, 1), 1, 1)
@@ -361,13 +360,8 @@ RPL_CASES = {1: REP_I, 2: REP_II, 3: REP_III, 4: REP_IV, 5: REP_V}
 GENERATORS = {"i": REP_I, "iv": REP_IV}
 
 
-def symmetry_group():
-    """Closure of the generators; returns (elements, report).
-
-    The report records the group order, the conjugation identity (replacement
-    ii equals i conjugated by iv), and the composition identities (iii is i,
-    then ii; v is iv, then i).
-    """
+def symmetry_group() -> list:
+    """Closure of the generators: its elements, sorted."""
     seen = {IDENTITY_ELEMENT}
     frontier = [IDENTITY_ELEMENT]
     while frontier:
@@ -379,14 +373,18 @@ def symmetry_group():
                     seen.add(e)
                     nxt.append(e)
         frontier = nxt
-    elements = sorted(seen, key=lambda e: (e.perm, e.signs, e.s_lam, e.s_sig))
-    conj = REP_IV.compose(REP_I.compose(REP_IV))
-    report = {
-        "order": len(elements),
-        "cng_conjugation": conj == REP_II,
-        "cng_composition": REP_II.compose(REP_I) == REP_III and REP_I.compose(REP_IV) == REP_V,
-    }
-    return elements, report
+    return sorted(seen, key=lambda e: (e.perm, e.signs, e.s_lam, e.s_sig))
+
+
+def verify_group(checks: list):
+    """Record the group order, the conjugation identity (replacement ii
+    equals i conjugated by iv), and the composition identities (iii is i,
+    then ii; v is iv, then i)."""
+    order = len(symmetry_group())
+    check(checks, "order", "group order", order == 32, str(order))
+    check(checks, "conjugation", "cng", REP_IV.compose(REP_I.compose(REP_IV)) == REP_II)
+    check(checks, "composition", "cng",
+          REP_II.compose(REP_I) == REP_III and REP_I.compose(REP_IV) == REP_V)
 
 
 # ---------------------------------------------------------------------------
@@ -465,56 +463,42 @@ def family(label: str) -> str:
     return label[0]
 
 
-def verify_multipliers(rows: dict[str, Equation]) -> dict:
-    """Assert the stated clearing factors, with their signs, against the
-    recovered ones.
+def verify_multipliers(rows: dict[str, Equation], checks: list):
+    """Record multipliers: the stated clearing factors, with their signs,
+    against the recovered ones; a failing row shows as label:multiplier.
 
     For the bracket families the stated factor 16 lam sig^2 must also clear
     the raw coefficient's denominator (checked on the recorded denominator).
     """
     expect = expected_multipliers()
-    out = {}
-    for label, eq in rows.items():
+    failed = []
+    for label, eq in sorted(rows.items()):
         factor, den_mono = eq.provenance["multiplier_value"]
-        target = expect[label]
-        ok = not den_mono and factor == target
+        ok = not den_mono and factor == expect[label]
         if family(label) in ("a", "b", "f", "g"):
             den = eq.provenance["raw_denominator"]
-            cleared = set(den) <= {"lam", "sig"} and den.get("lam", 0) <= 1 and den.get("sig", 0) <= 2
-            ok = ok and cleared
-            out[label] = {"cleared_by_16_lam_sig2": cleared}
-        else:
-            out[label] = {}
-        out[label].update({
-            "recovered": multiplier_text((factor, den_mono)),
-            "expected": str(target),
-            "ok": ok,
-        })
-    return out
+            ok = ok and set(den) <= {"lam", "sig"} and den.get("lam", 0) <= 1 and den.get("sig", 0) <= 2
+        if not ok:
+            failed.append(f"{label}:{eq.provenance['multiplier']}")
+    check(checks, "multipliers", "stated clearing factors", not failed, "; ".join(failed))
 
 
-def verify_symmetry_variants(rows: dict[str, Poly]) -> dict:
-    """Each subscripted row equals (up to a rational multiple) the
-    replacement-case image of its base row.  A pair with a row missing from
-    `rows` is left out: that row's own check has failed."""
-    out = {}
-    for label, (base, case) in eqs.VARIANTS.items():
-        if label not in rows or base not in rows:
-            continue
-        image = RPL_CASES[case].apply(rows[base])
-        mult = match_transcription(rows[label], LocFrac(image))
-        out[label] = {
-            "base": base,
-            "case": case,
-            "ok": mult is not None,
-            "multiplier": multiplier_text(mult) if mult else None,
-        }
-    return out
+def verify_symmetry_variants(rows: dict[str, Poly], checks: list):
+    """Record variants: each subscripted row equals (up to a rational
+    multiple) the replacement-case image of its base row.  A pair with a row
+    missing from `rows` is left out: that row's own check has failed."""
+    ok = all(
+        match_transcription(rows[label], LocFrac(RPL_CASES[case].apply(rows[base]))) is not None
+        for label, (base, case) in eqs.VARIANTS.items()
+        if label in rows and base in rows
+    )
+    check(checks, "variants", "rpl images", ok)
 
 
-def verify_group_closure(rows: dict[str, Poly]) -> dict:
-    """The group permutes the 36 rows up to multiples: each generator maps
-    them bijectively onto themselves.  Reads every label of EQ36 from `rows`."""
+def verify_group_closure(rows: dict[str, Poly], checks: list):
+    """Record closure: the group permutes the 36 rows up to multiples, each
+    generator mapping them bijectively onto themselves.  Reads every label of
+    EQ36 from `rows`."""
     primitive = {label: rows[label].normalized()[2] for label in EQ36}
     lookup = {q: label for label, q in primitive.items()}
     failures = []
@@ -531,7 +515,7 @@ def verify_group_closure(rows: dict[str, Poly]) -> dict:
                 mapped.add(target)
         if len(mapped) != 36:
             failures.append((gen, "not bijective"))
-    return {"closure_ok": not failures, "failures": failures[:8]}
+    check(checks, "closure", "orbit of the 36", not failures, str(failures[:8]) if failures else "")
 
 
 # ---------------------------------------------------------------------------
@@ -546,61 +530,38 @@ def check_combination(target: Poly, pairs, catalog: dict[str, Poly]):
     return residual.is_zero(), residual
 
 
-def verify_dependence_relations(rows: dict[str, Poly]) -> dict:
-    """The dependence relations among the rows, and the two first-order
-    constraints as combinations of them."""
-    out = {}
+def verify_dependence_relations(rows: dict[str, Poly], checks: list):
+    """Record a combo-* check for each dependence relation among the rows,
+    and for the two first-order constraints as combinations of them."""
     for target, combo in eqs.DEPENDENCE_RELATIONS.items():
         ok, residual = check_combination(rows[target], combo, rows)
-        out[target] = {"ok": ok, "residual": str(residual)}
+        check(checks, f"combo-{target}", target, ok, str(residual))
     for name, (intro, combo) in eqs.INTRO_COMBINATIONS.items():
-        target = 32 * eqs.lam * eqs.sig * intro
-        ok, residual = check_combination(target, combo, rows)
-        out[name] = {"ok": ok, "residual": str(residual)}
-    return out
+        ok, residual = check_combination(32 * eqs.lam * eqs.sig * intro, combo, rows)
+        check(checks, f"combo-{name}", name, ok, str(residual))
 
 
-def integrability_criterion(rules: RuleSystem) -> dict:
-    """Transverse bracket coefficients, read off the d-rules expanded in
-    components (`Derivation.rules`).
+def integrability_criterion(rules: RuleSystem, checks: list):
+    """Record integrability: the transverse bracket coefficients, read off
+    the d-rules expanded in components (`Derivation.rules`).
 
-    span(e1,e2) is involutive iff lam3 = lam4 = 0; the image of the statement
-    under replacement iv gives lam1 = lam2 = 0 for span(e3,e4).
+    span(e1,e2) is involutive iff lam3 = lam4 = 0: its doubled coefficients
+    are (-lam4/lam, lam3/lam).  Those of span(e3,e4) must be the
+    replacement-iv image of that pair, (-lam2/lam, lam1/lam), so that
+    lam1 = lam2 = 0 is its criterion.
     """
-    b12 = lie_bracket(1, 2, rules)
-    b34 = lie_bracket(3, 4, rules)
-    lam = eqs.lam
-    doubled12 = [2 * c for c in b12[2:]]
-    doubled34 = [2 * c for c in b34[:2]]
-    expected12 = [
-        LocFrac(-Poly.var("lam4"), {"lam": 1}),
-        LocFrac(Poly.var("lam3"), {"lam": 1}),
-    ]
-    expected34 = [
-        LocFrac(-Poly.var("lam2"), {"lam": 1}),
-        LocFrac(Poly.var("lam1"), {"lam": 1}),
-    ]
-    ok12 = all((a - b).is_zero() for a, b in zip(doubled12, expected12))
-    ok34 = all((a - b).is_zero() for a, b in zip(doubled34, expected34))
-    kill = {"lam3": 0, "lam4": 0}
-    vanish12 = all(rules.ctx.substitute(c, kill).is_zero() for c in doubled12)
-    # the dual criterion is the replacement-iv image of the first one
-    image = [REP_IV.apply(c) for c in doubled12]
-    dual_ok = all((a - b).is_zero() for a, b in zip(image, expected34))
-    return {
-        "span12_coefficients": [str(c) for c in doubled12],
-        "span12_ok": ok12,
-        "span12_vanish_when_lam3_lam4_zero": vanish12,
-        "span34_coefficients": [str(c) for c in doubled34],
-        "span34_ok": ok34,
-        "dual_via_replacement_iv": dual_ok,
-        "ok": ok12 and ok34 and vanish12 and dual_ok,
-    }
+    doubled12 = [2 * c for c in lie_bracket(1, 2, rules)[2:]]
+    doubled34 = [2 * c for c in lie_bracket(3, 4, rules)[:2]]
+    typed = [LocFrac(-Poly.var("lam4"), {"lam": 1}), LocFrac(Poly.var("lam3"), {"lam": 1})]
+    ok = doubled12 == typed and doubled34 == [REP_IV.apply(c) for c in typed]
+    check(checks, "integrability", "inp", ok, f"span(e1,e2): {[str(c) for c in doubled12]}")
 
 
-def rotation_invariance() -> dict:
-    """Simultaneous rotation of (e1,e2) and (e3,e4) by an unconstrained angle
-    pair (c, s): every curvature component transforms by (c^2+s^2)^2."""
+def rotation_invariance(checks: list):
+    """Record rotation: under a simultaneous rotation of (e1,e2) and (e3,e4)
+    by an unconstrained angle pair (c, s), every curvature component
+    transforms by (c^2+s^2)^2, among them R(ce1+se2, ce3+se4, ce1+se2,
+    ce3+se4) = (c^2+s^2)^2 sig."""
     table = eqs.curvature_table()
     c, s = Poly.var("c"), Poly.var("s")
     zero = Poly.zero()
@@ -620,18 +581,8 @@ def rotation_invariance() -> dict:
             for *rest, i in slots
         }
     factor = (c**2 + s**2) ** 2
-    failures = [tuple(x + 1 for x in ix) for ix in slots if R[ix] != factor * T[ix]]
-    # the headline component: R(ce1+se2, ce3+se4, ce1+se2, ce3+se4)
-    acc = R[0, 2, 0, 2]
-    headline = acc == factor * eqs.sig
-    ident = acc.evaluate({"c": 1, "s": 0, "lam": 3, "sig": 5}) == Fraction(5)
-    return {
-        "all_components_scale": not failures,
-        "failures": failures[:8],
-        "rotated_1313_equals_factor_sigma": headline,
-        "identity_rotation_fixes_sigma": ident,
-        "ok": not failures and headline and ident,
-    }
+    ok = all(R[ix] == factor * T[ix] for ix in slots) and R[0, 2, 0, 2] == factor * eqs.sig
+    check(checks, "rotation", "rce", ok, "R(c e1 + s e2, ...) = (c^2+s^2)^2 sigma")
 
 
 # ---------------------------------------------------------------------------

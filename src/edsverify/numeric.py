@@ -236,7 +236,7 @@ def group_matrices() -> list:
     """(M, s_lam, s_sig) for each of the 32 group elements: its frame change
     as a signed permutation matrix, and the signs it puts on lam and sig."""
     out = []
-    for e in symmetry_group()[0]:
+    for e in symmetry_group():
         M = np.zeros((4, 4))
         M[range(4), np.subtract(e.perm, 1)] = e.signs
         out.append((M, e.s_lam, e.s_sig))

@@ -48,6 +48,14 @@ ATOM_NAMES = {
 }
 
 
+def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -> bool:
+    """Append one report record {id, label, status, detail}; returns ok."""
+    checks.append(
+        {"id": check_id, "label": label, "status": "pass" if ok else "fail", "detail": detail}
+    )
+    return ok
+
+
 class EdsParseError(Exception):
     """Syntax or consistency error in an EDS file, with location."""
 
@@ -149,35 +157,18 @@ _J_RELATIONS = [
 ]
 
 
-def verify_parallel_g_J(grid) -> dict:
-    """Check that the grid solves nabla g = 0 and nabla J = 0, and that those
-    equations admit exactly the displayed pattern (four free 1-forms).
-
-    Returns a report dict with `ok`, per-equation `violations`, and the
-    equivalence classes forced on a fully free 16-slot grid.
-    """
-    violations = []
-    # nabla g = 0: skew-symmetry in (j, k), including zero diagonal
-    for j in range(1, 5):
-        if not gamma(grid, j, j).is_zero():
-            violations.append(f"Gamma_{j}^{j} != 0 breaks skew-symmetry")
-        for k in range(j + 1, 5):
-            if not (gamma(grid, j, k) + gamma(grid, k, j)).is_zero():
-                violations.append(f"Gamma_{j}^{k} != -Gamma_{k}^{j} breaks skew-symmetry")
+def verify_parallel_g_J(grid, checks: list):
+    """Record connection-pattern: the grid solves nabla g = 0 and
+    nabla J = 0, and those equations admit exactly the displayed pattern
+    (the free 1-forms of `_pattern_classes`, four)."""
+    # nabla g = 0: skew-symmetry in (j, k), the diagonal (k = j) included
+    skew = all((gamma(grid, j, k) + gamma(grid, k, j)).is_zero()
+               for j in range(1, 5) for k in range(j, 5))
     # nabla J = 0: signed identifications under conjugation by J
-    for j, k, p, q, sign in _J_RELATIONS:
-        lhs = gamma(grid, j, k)
-        rhs = gamma(grid, p, q) if sign > 0 else -gamma(grid, p, q)
-        if not (lhs - rhs).is_zero():
-            rel = f"Gamma_{j}^{k} != {'+' if sign > 0 else '-'}Gamma_{p}^{q}"
-            violations.append(f"{rel} breaks the J-commuting relation")
-    classes = _pattern_classes()
-    return {
-        "ok": not violations,
-        "violations": violations,
-        "free_classes": classes,
-        "free_count": len(classes),
-    }
+    commutes = all((gamma(grid, j, k) - sign * gamma(grid, p, q)).is_zero()
+                   for j, k, p, q, sign in _J_RELATIONS)
+    check(checks, "connection-pattern", "mtx", skew and commutes,
+          f"free 1-forms: {len(_pattern_classes())}")
 
 
 def _pattern_classes():
@@ -277,12 +268,13 @@ def lie_bracket(i: int, j: int, rules: RuleSystem):
     return out
 
 
-def verify_covariant_derivatives(sys: StructureSystem) -> dict:
-    """Check nabla A = -(E^B + F^C + G^D) and the eigenform rules
-    nabla zeta = 2 G^eta - 2 F^theta, nabla eta = -2 G^zeta + L^theta and
-    nabla theta = 2 F^zeta - L^eta, each nabla taken as `ext_d` under
-    `grid_rules` and each 1-form factor written on the left (the factor is
-    an auxiliary 1-form, the rest coframe forms, so the wedge is faithful)."""
+def verify_covariant_derivatives(sys: StructureSystem, checks: list):
+    """Record covariant-derivatives: nabla A = -(E^B + F^C + G^D) and the
+    eigenform rules nabla zeta = 2 G^eta - 2 F^theta, nabla eta =
+    -2 G^zeta + L^theta and nabla theta = 2 F^zeta - L^eta, each nabla taken
+    as `ext_d` under `grid_rules` and each 1-form factor written on the left
+    (the factor is an auxiliary 1-form, the rest coframe forms, so the wedge
+    is faithful).  A failure names each nabla that differs."""
     A, B, C, D = (sys.one_form(n) for n in COFRAME)
     E, F, G, L = sys.form_E(), sys.one_form("F"), sys.one_form("G"), sys.one_form("L")
     zeta = -wedge(A, B) + wedge(C, D)
@@ -300,7 +292,7 @@ def verify_covariant_derivatives(sys: StructureSystem) -> dict:
         for name, (form, nabla) in expected.items()
         if not (ext_d(form, rules) - nabla).is_zero()
     ]
-    return {"ok": not failures, "failures": failures}
+    check(checks, "covariant-derivatives", "lmn", not failures, "; ".join(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -38,3 +38,10 @@ def random_locfrac(rng: random.Random) -> LocFrac:
     for name in rng.sample(sorted(ATOMS), rng.randint(0, 2)):
         den[name] = rng.randint(1, 2)
     return LocFrac(random_poly(rng), den)
+
+
+def recorded(verify, *args) -> dict:
+    """The checks that `verify(*args, checks)` records, by id, in order."""
+    checks = []
+    verify(*args, checks)
+    return {c["id"]: c for c in checks}

@@ -28,6 +28,8 @@ from edsverify.structure import (
     verify_covariant_derivatives,
 )
 
+from conftest import recorded
+
 
 @contextmanager
 def criterion(name):
@@ -56,8 +58,8 @@ def test_structure_suite(system):
         R = curvature_forms(system)
         X = expected_curvature(system)
         assert all((R[k][l] - X[k][l]).is_zero() for k in range(4) for l in range(4))
-        cov = verify_covariant_derivatives(system)
-        assert cov["ok"], cov["failures"]
+        cov = recorded(verify_covariant_derivatives, system)["covariant-derivatives"]
+        assert cov["status"] == "pass", cov["detail"]
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"structure suite took {elapsed:.2f} s"
 
@@ -72,7 +74,8 @@ def test_first_order_rows_and_solution(system):
             assert system.ctx.substitute(eq.poly, assignment).is_zero()
         for name, value in SOL.items():
             assert (assignment[name] - value).is_zero()
-        assert derive_mod.verify_inp(assignment) == [True, True]
+        inp = recorded(derive_mod.verify_inp, assignment)
+        assert [c["status"] for c in inp.values()] == ["pass", "pass"]
 
 
 def test_thirty_six_equations(system, derived):
@@ -81,22 +84,21 @@ def test_thirty_six_equations(system, derived):
         rows, report = derive_mod.derive_36(derived.rules, derived.components, system.nonzero)
         assert len(rows) == 36
         assert all(entry["matched"] for entry in report.values())
-        multipliers = derive_mod.verify_multipliers(rows)
-        assert all(entry["ok"] for entry in multipliers.values())
+        assert recorded(derive_mod.verify_multipliers, rows)["multipliers"]["status"] == "pass"
         stated = {"c": "256*lam^2*sig^3", "h": "512*lam^2*sig^4", "j": "32*lam*sig^2"}
         for label, text in stated.items():
-            assert multipliers[label]["recovered"].lstrip("-") == text
-        variants = derive_mod.verify_symmetry_variants(derived.equations)
-        assert all(entry["ok"] for entry in variants.values())
+            assert rows[label].provenance["multiplier"].lstrip("-") == text
+        variants = recorded(derive_mod.verify_symmetry_variants, derived.equations)
+        assert variants["variants"]["status"] == "pass"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"equation suite took {elapsed:.2f} s"
 
 
 def test_dependence_and_constraint_combinations(derived):
     with criterion("combinations: four dependence relations and both constraints exact"):
-        table = derive_mod.verify_dependence_relations(derived.equations)
+        table = recorded(derive_mod.verify_dependence_relations, derived.equations)
         for name in ("e3", "e1", "i1", "i3", "intro_a", "intro_b"):
-            assert table[name]["ok"], (name, table[name])
+            assert table[f"combo-{name}"]["status"] == "pass", table[f"combo-{name}"]
 
 
 def test_case_pipelines(system, derived):
@@ -157,16 +159,14 @@ def test_numeric_sweep():
 
 def test_symmetry_claims(system, derived):
     with criterion("symmetry: order 32, conjugation rules, exact rotation expansion"):
-        _, group_report = derive_mod.symmetry_group()
-        assert group_report["order"] == 32
-        assert group_report["cng_conjugation"]
-        assert group_report["cng_composition"]
-        rotation = derive_mod.rotation_invariance()
-        assert rotation["ok"]
-        closure = derive_mod.verify_group_closure(derived.equations)
-        assert closure["closure_ok"]
-        invariance = derive_mod.verify_system_invariance(system)
-        assert invariance["ok"], invariance["failures"]
+        group = recorded(derive_mod.verify_group)
+        assert group["order"]["detail"] == "32"
+        assert all(c["status"] == "pass" for c in group.values())
+        assert recorded(derive_mod.rotation_invariance)["rotation"]["status"] == "pass"
+        closure = recorded(derive_mod.verify_group_closure, derived.equations)["closure"]
+        assert closure["status"] == "pass", closure["detail"]
+        invariance = recorded(derive_mod.verify_system_invariance, system)["system-invariance"]
+        assert invariance["status"] == "pass", invariance["detail"]
         pt = numeric_mod.build_curvature(1.5, -0.5)
         orbit = numeric_mod.symmetry_orbit_check(pt, seed=0, angles=16)
         assert orbit["group_elements"] == 32

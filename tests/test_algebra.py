@@ -784,6 +784,23 @@ def test_cases_divides_only_through_the_fact_store():
     assert not offenders
 
 
+def test_checks_are_recorded_where_they_are_decided():
+    """No routine of derive.py or structure.py returns a dict display (a
+    verdict is a `check` record appended to the list the routine is given),
+    and cli.py reads no verdict out of a report dict."""
+    package = Path(algebra.__file__).parent
+    offenders = []
+    for name in ("derive.py", "structure.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        offenders += [f"{name}:{node.lineno}: returns a dict" for node in ast.walk(tree)
+                      if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)]
+    tree = ast.parse((package / "cli.py").read_text(), "cli.py")
+    offenders += [f"cli.py:{node.lineno}: [{node.slice.value!r}]" for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                  and node.slice.value in ("ok", "failures", "closure_ok")]
+    assert not offenders
+
+
 def test_split_power_divides_off_the_power():
     rng = random.Random(101)
     seen = set()

@@ -295,3 +295,26 @@ def test_pipelines_observe_the_atoms_they_divide_by(system, derived, monkeypatch
     C.run_case_iii(system, derived.equations)
     assert [list(store.divides_by) for store in stores] == [
         ["lam", "sig"], ["sig", "lam3", "lam", "mu+", "mu-"], ["lam", "sig"]]
+
+
+def test_case_iii_sig_prime_relation_differentiates_to_lam_i_times_one_core(system, case_iii):
+    """Under case iii's facts (lam4 = 0, sig_i = sig' lam_i and
+    sig_ij = sig' lam_ij + sig'' lam_i lam_j), d_i of the sig' relation is
+    lam_i times one core for each of i = 1, 2, 3, so the core vanishes
+    wherever the gradient does not; `fsq-ii-a` records all three."""
+    P = Poly.var
+    sigp, sigpp = P("sigp"), P("sigpp")
+    store = C.FactStore(system.ctx)
+    store.add("lam4", 0, with_derivatives=True)
+    for i in (1, 2, 3, 4):
+        store.add(f"sig{i}", sigp * P(f"lam{i}"))
+        for j in (1, 2, 3, 4):
+            store.add(f"sig{i}{j}", sigp * P(f"lam{i}{j}") + sigpp * P(f"lam{i}") * P(f"lam{j}"))
+    core = 8 * lam * sig * sigpp + 8 * lam * sigp**2 - 16 * sig * sigp + 2 * lam
+    for i in (1, 2, 3):
+        assert store.reduce(system.ctx.derive(FSQ_I, i)) == LocFrac(P(f"lam{i}") * core), i
+    assert store.reduce(system.ctx.derive(FSQ_I, 4)).is_zero()
+    assert not store.divides_by
+    [step] = [c for c in case_iii if c["id"] == "fsq-ii-a"]
+    assert step == {"id": "fsq-ii-a", "status": "pass", "detail": "",
+                    "label": "d_i of the sig' relation is lam_i times one core (i = 1, 2, 3)"}

@@ -123,6 +123,33 @@ def test_modified_system_fails_cleanly(tmp_path):
     assert data["overall"] == "fail"
 
 
+def test_a_missing_auxiliary_rule_fails_only_the_structure_checks_that_read_it(tmp_path):
+    """Without its `d S` line a file has no curvature and no d^2 of the
+    coframe, since both reach d S; each of those checks fails naming the
+    missing rule, and the checks that read only the coframe rules and the
+    connection grid still report."""
+    from importlib import resources
+
+    shipped = resources.files("edsverify").joinpath("data", "weakly-einstein.eds").read_text()
+    line = "d S = -lambda A^B + lambda C^D\n"
+    assert line in shipped
+    eds = tmp_path / "no-dS.eds"
+    eds.write_text(shipped.replace(line, ""))
+    out = tmp_path / "r.json"
+    assert main(["structure", "--eds", str(eds), "--json", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    missing = "no exterior-derivative rule for basis form 'S'"
+    failed = ["curvature-table", "d2-A", "d2-B", "d2-C", "d2-D"]
+    assert [c["id"] for c in checks] == [
+        "connection-pattern", "torsion-1", "torsion-2", "torsion-3", "torsion-4",
+        "curvature-table", "covariant-derivatives", *failed[1:], "kahler-closed"]
+    for c in checks:
+        if c["id"] in failed:
+            assert (c["status"], c["detail"]) == ("fail", missing), c
+        else:
+            assert c["status"] == "pass", c
+
+
 #: the six single-term mutants of the shipped `d G` rule: each term doubled
 #: or sign-flipped in turn
 G_MUTANTS = (

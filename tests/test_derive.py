@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from fractions import Fraction
@@ -8,12 +9,12 @@ import pytest
 import edsverify.derive as D
 from edsverify.algebra import ATOMS, AlgebraError, LocFrac, Poly
 from edsverify.equations import EQ36, NEL, SOL, VARIANTS, lam, sig, mup, mum
-from edsverify.forms import coeff6
+from edsverify.forms import DForm, RuleSystem, coeff6
 from edsverify.jets import SubstitutionError
 from edsverify.cli import main
-from edsverify.structure import Equation, load_system
+from edsverify.structure import Equation, lie_bracket, load_system
 
-from conftest import random_locfrac
+from conftest import random_locfrac, recorded
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,8 @@ def test_sol_specific_components(solution):
 
 
 def test_inp_identities(solution):
-    assert D.verify_inp(solution) == [True, True]
+    checks = recorded(D.verify_inp, solution)
+    assert [(c["id"], c["status"]) for c in checks.values()] == [("inp-1", "pass"), ("inp-2", "pass")]
 
 
 def test_back_substitution_zero(system, nel, solution):
@@ -84,12 +86,12 @@ def test_equation_sources(derived36):
 
 def test_multipliers_recovered(derived36):
     rows, _ = derived36
-    table = D.verify_multipliers(rows)
-    assert all(entry["ok"] for entry in table.values())
-    assert table["c"]["recovered"] == "256*lam^2*sig^3"
-    assert table["j"]["recovered"] == "32*lam*sig^2"
-    assert table["h"]["recovered"] == "-512*lam^2*sig^4"
-    negative = {label for label, entry in table.items() if entry["recovered"].startswith("-")}
+    assert recorded(D.verify_multipliers, rows)["multipliers"]["status"] == "pass"
+    recovered = {label: row.provenance["multiplier"] for label, row in rows.items()}
+    assert recovered["c"] == "256*lam^2*sig^3"
+    assert recovered["j"] == "32*lam*sig^2"
+    assert recovered["h"] == "-512*lam^2*sig^4"
+    negative = {label for label, text in recovered.items() if text.startswith("-")}
     assert negative == D.NEGATIVE_MULTIPLIERS
 
 
@@ -115,10 +117,9 @@ def test_dG_cross_checks(derived36):
 
 
 def test_symmetry_variants(derived):
-    table = D.verify_symmetry_variants(derived.equations)
-    assert all(entry["ok"] for entry in table.values())
-    assert table["h4"]["base"] == "h" and table["h4"]["case"] == 4
-    assert table["e2"]["base"] == "e" and table["e2"]["case"] == 2
+    assert recorded(D.verify_symmetry_variants, derived.equations)["variants"]["status"] == "pass"
+    assert VARIANTS["h4"] == ("h", 4)
+    assert VARIANTS["e2"] == ("e", 2)
 
 
 def test_variant_table_is_complete():
@@ -127,10 +128,10 @@ def test_variant_table_is_complete():
 
 
 def test_group_order_and_relations():
-    elements, report = D.symmetry_group()
-    assert report["order"] == 32
-    assert report["cng_conjugation"]
-    assert report["cng_composition"]
+    checks = recorded(D.verify_group)
+    assert list(checks) == ["order", "conjugation", "composition"]
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert checks["order"]["detail"] == "32"
     # v is iv, then i; i and iv do not commute
     assert D.REP_I.compose(D.REP_IV) == D.REP_V
     assert D.REP_IV.compose(D.REP_I) != D.REP_V
@@ -139,7 +140,7 @@ def test_group_order_and_relations():
 def test_compose_is_earlier_then_self_on_rename_maps():
     """h.compose(g) renames as g's rename followed by h's, on all 32 x 32
     pairs."""
-    elements, _ = D.symmetry_group()
+    elements = D.symmetry_group()
     assert len(elements) == 32
     for g in elements:
         for h in elements:
@@ -149,8 +150,8 @@ def test_compose_is_earlier_then_self_on_rename_maps():
 
 
 def test_group_closure_on_equations(derived):
-    report = D.verify_group_closure(derived.equations)
-    assert report["closure_ok"], report["failures"]
+    closure = recorded(D.verify_group_closure, derived.equations)["closure"]
+    assert closure["status"] == "pass", closure["detail"]
 
 
 def jet_substitution(elem):
@@ -180,8 +181,7 @@ def test_rename_matches_jet_substitution(system, derived):
     fractions += [random_locfrac(rng) for _ in range(200)]
     dens = set()
     raised = 0
-    elements, _ = D.symmetry_group()
-    for elem in elements:
+    for elem in D.symmetry_group():
         sub = jet_substitution(elem)
         for p in [*EQ36.values(), hand]:
             image = ctx.substitute(p, sub)
@@ -253,9 +253,10 @@ def tampered_eq36():
 
 def test_group_closure_catches_a_tampered_equation():
     """Changing one coefficient of one equation must break the closure."""
-    report = D.verify_group_closure(tampered_eq36())
-    assert report["closure_ok"] is False
-    assert any(failed == "c" for _, failed in report["failures"]), report["failures"]
+    closure = recorded(D.verify_group_closure, tampered_eq36())["closure"]
+    assert closure["status"] == "fail"
+    failures = ast.literal_eval(closure["detail"])
+    assert any(failed == "c" for _, failed in failures), failures
 
 
 def test_generators_decide_like_the_whole_group(system, monkeypatch):
@@ -264,18 +265,17 @@ def test_generators_decide_like_the_whole_group(system, monkeypatch):
     systems and a tampered equation set."""
     data = Path(__file__).parent / "data"
     systems = [system] + [load_system(str(data / f"mutant-{m}.eds")) for m in ("F.1.double", "L.1.flip")]
-    elements, _ = D.symmetry_group()
 
     def verdicts():
-        invariance = [D.verify_system_invariance(s)["ok"] for s in systems]
-        closure = []
-        for catalog in (EQ36, tampered_eq36()):
-            closure.append(D.verify_group_closure(catalog)["closure_ok"])
+        invariance = [recorded(D.verify_system_invariance, s)["system-invariance"]["status"]
+                      for s in systems]
+        closure = [recorded(D.verify_group_closure, catalog)["closure"]["status"]
+                   for catalog in (EQ36, tampered_eq36())]
         return invariance, closure
 
     on_generators = verdicts()
-    assert on_generators == ([True, False, False], [True, False])
-    monkeypatch.setattr(D, "GENERATORS", {str(k): e for k, e in enumerate(elements)})
+    assert on_generators == (["pass", "fail", "fail"], ["pass", "fail"])
+    monkeypatch.setattr(D, "GENERATORS", {str(k): e for k, e in enumerate(D.symmetry_group())})
     assert verdicts() == on_generators
 
 
@@ -301,15 +301,17 @@ def test_form_action_matches_displayed_table(system):
 
 
 def test_system_invariance_under_group(system):
-    report = D.verify_system_invariance(system)
-    assert report["ok"], report["failures"]
-    assert report["generators"] == ["i", "iv"]
+    invariance = recorded(D.verify_system_invariance, system)["system-invariance"]
+    assert invariance["status"] == "pass", invariance["detail"]
+    assert list(D.GENERATORS) == ["i", "iv"]
 
 
 def test_dependence_relations(derived):
-    table = D.verify_dependence_relations(derived.equations)
-    for name in ("e3", "e1", "i1", "i3", "intro_a", "intro_b"):
-        assert table[name]["ok"], table[name]
+    checks = recorded(D.verify_dependence_relations, derived.equations)
+    names = ("e3", "e1", "i1", "i3", "intro_a", "intro_b")
+    assert list(checks) == [f"combo-{name}" for name in names]
+    for name, c in zip(names, checks.values()):
+        assert (c["label"], c["status"], c["detail"]) == (name, "pass", "0"), c
 
 
 def test_check_combination_example():
@@ -340,27 +342,39 @@ def test_printed_d2_variant_fails_membership(system, derived):
 
 
 def test_integrability_criterion(system, derived):
-    report = D.integrability_criterion(derived.rules)
-    assert report["ok"]
-    assert report["span12_coefficients"] == ["(-lam4)/(lam)", "(lam3)/(lam)"]
-    assert report["span34_coefficients"] == ["(-lam2)/(lam)", "(lam1)/(lam)"]
+    integrability = recorded(D.integrability_criterion, derived.rules)["integrability"]
+    assert integrability["status"] == "pass"
+    assert integrability["detail"] == "span(e1,e2): ['(-lam4)/(lam)', '(lam3)/(lam)']"
+    span34 = [str(2 * c) for c in lie_bracket(3, 4, derived.rules)[:2]]
+    assert span34 == ["(-lam2)/(lam)", "(lam1)/(lam)"]
+
+
+@pytest.mark.parametrize("rule, pair", [("A", "CD"), ("C", "AB")])
+def test_integrability_fails_on_a_scaled_bracket_coefficient(derived, rule, pair):
+    """Doubling the coefficient that gives [e3,e4] on e1 (d A on C^D), or
+    [e1,e2] on e3 (d C on A^B), fails the check."""
+    rules = derived.rules
+    basis = rules.basis
+    idx = tuple(basis.index[n] for n in pair)
+    form = rules.d_rule(rule)
+    assert not form.terms[idx].is_zero()
+    scaled = DForm(basis, 2, {**form.terms, idx: 2 * form.terms[idx]})
+    copy = RuleSystem(basis, rules.ctx, {**rules.d_rules, rule: scaled})
+    assert recorded(D.integrability_criterion, copy)["integrability"]["status"] == "fail"
 
 
 def test_rotation_invariance():
-    report = D.rotation_invariance()
-    assert report["ok"]
-    assert report["rotated_1313_equals_factor_sigma"]
-    assert report["identity_rotation_fixes_sigma"]
-    assert not report["failures"]
+    assert recorded(D.rotation_invariance) == {"rotation": {
+        "id": "rotation", "label": "rce", "status": "pass",
+        "detail": "R(c e1 + s e2, ...) = (c^2+s^2)^2 sigma",
+    }}
 
 
 def test_rotation_invariance_catches_a_perturbed_entry(monkeypatch):
     table = D.eqs.curvature_table()
     table[0][1][0][1] = 2 * table[0][1][0][1]
     monkeypatch.setattr(D.eqs, "curvature_table", lambda: table)
-    report = D.rotation_invariance()
-    assert not report["ok"] and not report["all_components_scale"]
-    assert (1, 2, 1, 2) in report["failures"]
+    assert recorded(D.rotation_invariance)["rotation"]["status"] == "fail"
 
 
 def test_every_equation_symbol_is_registered(system):

@@ -17,6 +17,8 @@ from edsverify.structure import (
     verify_parallel_g_J,
 )
 
+from conftest import recorded
+
 
 def abstract_forms(system):
     E, H = system.form_E(), system.form_H()
@@ -41,10 +43,10 @@ def test_connection_skew(system):
 
 
 def test_pattern_verification_passes(system):
-    report = verify_parallel_g_J(system.connection)
-    assert report["ok"]
-    assert report["free_count"] == 4
-    assert sorted(report["free_classes"]) == [(1, 2), (1, 3), (1, 4), (3, 4)]
+    pattern = recorded(verify_parallel_g_J, system.connection)["connection-pattern"]
+    assert pattern["status"] == "pass"
+    assert pattern["detail"] == "free 1-forms: 4"
+    assert sorted(structure._pattern_classes()) == [(1, 2), (1, 3), (1, 4), (3, 4)]
 
 
 def pattern_classes_by_union_find():
@@ -114,21 +116,19 @@ def test_pattern_classes_match_the_signed_union_find():
 
 
 def test_pattern_detects_nonzero_diagonal(system):
+    """Gamma_1^1 = Gamma_2^2 = F commutes with J but is not skew."""
     E, F, G, H = abstract_forms(system)
     grid = build_connection(E, F, G, H)
-    grid[0][0] = F  # Gamma_1^1 = F
-    report = verify_parallel_g_J(grid)
-    assert not report["ok"]
-    assert any("Gamma_1^1" in v and "skew" in v for v in report["violations"])
+    grid[0][0] = grid[1][1] = F
+    assert recorded(verify_parallel_g_J, grid)["connection-pattern"]["status"] == "fail"
 
 
 def test_pattern_detects_J_violation(system):
+    """Gamma_3^1 = G, Gamma_1^3 = -G is skew but breaks Gamma_4^2 = Gamma_3^1."""
     E, F, G, H = abstract_forms(system)
     grid = build_connection(E, F, G, H)
-    grid[2][3] = -H  # display entry (3,4): H -> -H
-    report = verify_parallel_g_J(grid)
-    assert not report["ok"]
-    assert any("J-commuting" in v for v in report["violations"])
+    grid[0][2], grid[2][0] = G, -G  # display entries (1,3) and (3,1): F -> G
+    assert recorded(verify_parallel_g_J, grid)["connection-pattern"]["status"] == "fail"
 
 
 def test_torsion_residuals_zero(system):
@@ -208,8 +208,8 @@ def test_lie_bracket_antisymmetric(system):
 
 
 def test_covariant_derivative_table(system):
-    report = verify_covariant_derivatives(system)
-    assert report["ok"], report["failures"]
+    covariant = recorded(verify_covariant_derivatives, system)["covariant-derivatives"]
+    assert (covariant["status"], covariant["detail"]) == ("pass", "")
 
 
 def test_nabla_A_display(system):
@@ -290,8 +290,8 @@ def test_covariant_check_sees_a_swapped_grid(system):
     swapped = load_system()
     E, F, G, H = abstract_forms(swapped)
     swapped.connection = build_connection(E, G, F, H)
-    report = verify_covariant_derivatives(swapped)
-    assert not report["ok"]
-    assert "nabla A" in report["failures"]
+    covariant = recorded(verify_covariant_derivatives, swapped)["covariant-derivatives"]
+    assert covariant["status"] == "fail"
+    assert "nabla A" in covariant["detail"].split("; ")
     A, B, C, D = (system.one_form(n) for n in COFRAME)
     assert ext_d(wedge(A, B) + wedge(C, D), grid_rules(system)).is_zero()
