@@ -30,7 +30,7 @@ from .equations import (
     SUC,
 )
 from .forms import COFRAME, DForm, ext_d
-from .jets import DIRECTIONS, JetContext, mentioned
+from .jets import DIRECTIONS, ROLES, JetContext, mentioned
 from .structure import StructureSystem, check
 
 lam, sig, mup, mum, mus = eqs.lam, eqs.sig, eqs.mup, eqs.mum, eqs.mus
@@ -129,20 +129,17 @@ def run_const_lambda(sys: StructureSystem, comp: dict[str, DForm]) -> list:
     for i in DIRECTIONS:
         store.add(f"lam{i}", 0, with_derivatives=True)
     # F and G vanish by the solved components
-    for name in ("F", "G"):
+    F, G, L, _ = sys.roles
+    for role, name in zip(ROLES, (F, G)):
         for i in DIRECTIONS:
-            _expect(steps, f"{name}{i}=0", f"component {name}{i} under d lam = 0",
+            _expect(steps, f"{role}{i}=0", f"component {role}{i} under d lam = 0",
                     store.reduce(comp[name].coefficient(COFRAME[i - 1])), 0)
     # the dF rule then reads 0 = sig (A^C - D^B)
-    reduced = {
-        "F": DForm(sys.basis, 1),
-        "G": DForm(sys.basis, 1),
-        "L": DForm(sys.basis, 1, {idx: store.reduce(c) for idx, c in comp["L"].terms.items()}),
-        "S": comp["S"],
-    }
-    rules = sys.component_rules(reduced, (*COFRAME, "F"))
-    lhs = ext_d(reduced["F"], rules)  # d of the zero 1-form
-    rhs = rules.d_rule("F")
+    reduced = {**comp, F: DForm(sys.basis, 1), G: DForm(sys.basis, 1),
+               L: DForm(sys.basis, 1, {idx: store.reduce(c) for idx, c in comp[L].terms.items()})}
+    rules = sys.component_rules(reduced, (*COFRAME, F))
+    lhs = ext_d(reduced[F], rules)  # d of the zero 1-form
+    rhs = rules.d_rule(F)
     residual = rhs - lhs
     coeff_ac = residual.coefficient("A", "C")
     coeff_bd = residual.coefficient("B", "D")

@@ -49,7 +49,7 @@ def run_structure(derived, args) -> list:
     except FormError as exc:
         curvature = (False, str(exc))
     checks = []
-    verify_parallel_g_J(sys_.connection, checks)
+    verify_parallel_g_J(sys_, checks)
     for k, resid in enumerate(torsion_equations(sys_), start=1):
         check(checks, f"torsion-{k}", f"de^{k}", resid.is_zero(),
               "0" if resid.is_zero() else str(resid))

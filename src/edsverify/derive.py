@@ -20,16 +20,18 @@ from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
 from .cases import combination
 from .equations import EQ36, INP, NEL, NEL_UNKNOWNS
-from .forms import COEFF6_ORDER, DForm, RuleSystem, coeff6, d_scalar, ext_d, substitute_one_forms
-from .jets import DIRECTIONS, standard_context
+from .forms import (COEFF6_ORDER, COFRAME, DForm, FormError, RuleSystem, coeff6, d_scalar,
+                    ext_d, substitute_one_forms)
+from .jets import DIRECTIONS, TRACE, standard_context
 from .structure import (
     Equation,
     StructureSystem,
-    build_connection,
     check,
     curvature_forms,
     gamma,
     lie_bracket,
+    pattern_break,
+    role_slots,
 )
 
 #: identity name -> labels of its six 2-form coefficients, in coeff6 order
@@ -120,18 +122,18 @@ def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source:
 # ---------------------------------------------------------------------------
 
 
-def identity_forms(rules: RuleSystem, comp: dict[str, DForm],
+def identity_forms(rules: RuleSystem, comp: dict[str, DForm], roles,
                    which=("d2lam", "d2sig", "dF", "dL", "dS", "dG")):
     """The 2-form identities that vanish on solutions: d(d lam), d(d sig),
-    and d X minus its rule for X in F, L, S, G, with `rules` the d-rules
-    expanded by the component map `comp` (`Derivation.rules`)."""
+    and d X minus its rule for the role X in F, L, S, G (its 1-form named by
+    `roles`), with `rules` the d-rules expanded by `comp` (`Derivation.rules`)."""
     out = {}
     for name in which:
         if name.startswith("d2"):
             scalar = rules.ctx.symbol(name[2:])
             out[name] = ext_d(d_scalar(rules.ctx, rules.basis, scalar), rules)
         else:
-            z = name[1:]
+            z = getattr(roles, name[1:])
             out[name] = ext_d(comp[z], rules) - rules.d_rule(z)
     return out
 
@@ -142,28 +144,37 @@ def identity_forms(rules: RuleSystem, comp: dict[str, DForm],
 
 
 def derive_nel(sys: StructureSystem):
-    """Twelve first-order rows from d applied to the dF, d(S-L), d(S+L) rules.
+    """Twelve first-order rows from d applied to the dF, d(S-L), d(S+L) rules
+    of the roles (`StructureSystem.role_forms`).
 
     Free components this time: the rows constrain F_i, G_i, L_i.  Returns
     `match_rows` over the labels nel-i .. nel-xii: the matched rows, and a
-    report in which an unmatched row carries its residual.
+    report in which an unmatched row carries its residual, or the FormError
+    of a source that cannot be formed (a missing d-rule, a role slot).
     """
-    comp = sys.free_components()
-    three_forms = {
-        "d(dF)": (sys.d_rule("F"), ("i", "ii", "iii", "iv")),
-        "d(dS-dL)": (sys.d_rule("S") - sys.d_rule("L"), ("v", "vi", "vii", "viii")),
-        "d(dS+dL)": (sys.d_rule("S") + sys.d_rule("L"), ("ix", "x", "xi", "xii")),
+    one_forms = {
+        "d(dF)": (lambda r: r.F, ("i", "ii", "iii", "iv")),
+        "d(dS-dL)": (lambda r: r.S - r.L, ("v", "vi", "vii", "viii")),
+        "d(dS+dL)": (lambda r: r.S + r.L, ("ix", "x", "xi", "xii")),
     }
     slots = (("A", "B", "C"), ("A", "B", "D"), ("A", "C", "D"), ("B", "C", "D"))
-    transcriptions, raw, source = {}, {}, {}
-    for src, (two_form, row_names) in three_forms.items():
-        expanded = substitute_one_forms(ext_d(two_form, sys), comp)
-        for names, row in zip(slots, row_names):
-            label = f"nel-{row}"
+    transcriptions, raw, source, errors = {}, {}, {}, {}
+    for src, (pick, row_names) in one_forms.items():
+        labels = [f"nel-{row}" for row in row_names]
+        try:
+            three_form = ext_d(ext_d(pick(sys.role_forms()), sys), sys)
+            expanded = substitute_one_forms(three_form, sys.free_components())
+        except FormError as exc:
+            expanded = DForm(sys.basis, 3)
+            errors.update(dict.fromkeys(labels, str(exc)))
+        for names, row, label in zip(slots, row_names, labels):
             transcriptions[label] = NEL[row]
             raw[label] = expanded.coefficient(*names)
             source[label] = f"{src} @ {'^'.join(names)}"
-    return match_rows(transcriptions, raw, source, sys.nonzero)
+    rows, report = match_rows(transcriptions, raw, source, sys.nonzero)
+    for label, error in errors.items():
+        report[label]["residual"] = error
+    return rows, report
 
 
 def nel_system(rows: dict[str, Equation]):
@@ -249,12 +260,12 @@ class SymmetryElement:
             p, si = self.perm[i - 1], self.signs[i - 1]
             out[f"lam{i}"] = (self.s_lam * si, f"lam{p}")
             out[f"sig{i}"] = (self.s_sig * si, f"sig{p}")
-            out[f"S{i}"] = (si, f"S{p}")
+            out[f"{TRACE}{i}"] = (si, f"{TRACE}{p}")
             for j in DIRECTIONS:
                 q, sj = self.perm[j - 1], self.signs[j - 1]
                 out[f"lam{i}{j}"] = (self.s_lam * si * sj, f"lam{p}{q}")
                 out[f"sig{i}{j}"] = (self.s_sig * si * sj, f"sig{p}{q}")
-                out[f"S{i}{j}"] = (si * sj, f"S{p}{q}")
+                out[f"{TRACE}{i}{j}"] = (si * sj, f"{TRACE}{p}{q}")
         return out
 
     @cached_property
@@ -274,39 +285,23 @@ class SymmetryElement:
         return x.rename(self._permutation)
 
 
+def conjugated_grid(elem: SymmetryElement, grid):
+    """Gamma-hat_j^k = sum_{p,q} M_jp M_kq Gamma_p^q, M the element's signed permutation."""
+    s, m = elem.signs, elem.perm
+    return [[s[j] * s[k] * gamma(grid, m[j], m[k]) for j in range(4)] for k in range(4)]
+
+
 def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]:
-    """The induced map on the 1-forms A, B, C, D, F, G, L, S.
+    """The induced map on the coframe and on the 1-forms of the roles.
 
-    The coframe transforms like the frame (signed permutation); the connection
-    forms transform by conjugating the matrix pattern, Gamma-hat_j^k =
-    sum_{p,q} M_jp M_kq Gamma_p^q, and reading E, F, G, H back off the
-    displayed slots.  S = E + H is invariant for every group element.
+    The coframe transforms like the frame (signed permutation); each role's
+    1-form becomes its slot (`role_slots`) of the conjugated grid.  S = E + H
+    is invariant for every group element.
     """
-    basis = sys.basis
-    out = {}
-    for i in range(4):
-        name = basis.names[i]
-        target = basis.names[elem.perm[i] - 1]
-        out[name] = DForm(basis, 1, {(basis.index[target],): elem.signs[i]})
-    grid = sys.connection
-
-    def conjugated(j, k):
-        p = elem.perm[j - 1]
-        q = elem.perm[k - 1]
-        piece = gamma(grid, p, q)
-        sign = elem.signs[j - 1] * elem.signs[k - 1]
-        return piece if sign > 0 else -piece
-
-    E_hat = conjugated(2, 1)
-    F_hat = conjugated(3, 1)
-    G_hat = conjugated(4, 1)
-    H_hat = conjugated(4, 3)
-    out["F"] = F_hat
-    out["G"] = G_hat
-    out["L"] = E_hat - H_hat
-    out["S"] = E_hat + H_hat
-    out["E"] = E_hat
-    out["H"] = H_hat
+    out = {name: elem.signs[i] * sys.one_form(COFRAME[elem.perm[i] - 1])
+           for i, name in enumerate(COFRAME)}
+    slots = role_slots(conjugated_grid(elem, sys.connection))
+    out.update((name, slot) for name, slot in zip(sys.roles, slots) if name)
     return out
 
 
@@ -314,34 +309,22 @@ def verify_system_invariance(sys: StructureSystem, checks: list):
     """Record system-invariance: the group maps the exterior system to itself.
 
     Checked on the generators, which suffices for the whole group: for each
-    generator and each rule d X = R, the transformed left-hand side d(Phi X),
-    computed with the original rules, must equal Phi(R) (1-forms mapped by
-    the induced action, coefficients by the element's rename).  The
-    conjugated connection grid must also reproduce the displayed pattern.
+    generator and each rule d X = R of the coframe and the roles' 1-forms,
+    the transformed left-hand side d(Phi X), computed with the original
+    rules, must equal Phi(R) (1-forms mapped by the induced action,
+    coefficients by the element's rename).  Each conjugated grid must also
+    keep the relations `connection-pattern` checks (`pattern_break`).
     """
-    grid = sys.connection
     failures = []
     for gen, elem in GENERATORS.items():
+        broken = pattern_break(conjugated_grid(elem, sys.connection))
+        if broken:
+            failures.append((gen, f"pattern {broken}"))
         act = form_action(elem, sys)
-        pattern = build_connection(act["E"], act["F"], act["G"], act["H"])
-        for j in range(1, 5):
-            for k in range(1, 5):
-                p, q = elem.perm[j - 1], elem.perm[k - 1]
-                sign = elem.signs[j - 1] * elem.signs[k - 1]
-                expect = gamma(grid, p, q)
-                expect = expect if sign > 0 else -expect
-                if not (gamma(pattern, j, k) - expect).is_zero():
-                    failures.append((gen, f"pattern ({j},{k})"))
-        one_form_map = {n: act[n] for n in ("F", "G", "L", "S")}
-        coframe_map = {n: act[n] for n in ("A", "B", "C", "D")}
-        for name in sys.basis.names:
-            lhs = ext_d(act[name], sys)
+        for name, image in act.items():
             rule = sys.d_rule(name)
-            renamed = DForm(
-                rule.basis, rule.degree, {i: elem.apply(c) for i, c in rule.terms.items()}
-            )
-            rhs = substitute_one_forms(renamed, {**coframe_map, **one_form_map})
-            if not (lhs - rhs).is_zero():
+            renamed = DForm(rule.basis, 2, {i: elem.apply(c) for i, c in rule.terms.items()})
+            if not (ext_d(image, sys) - substitute_one_forms(renamed, act)).is_zero():
                 failures.append((gen, f"rule d{name}"))
     check(checks, "system-invariance", "swp", not failures, str(failures[:8]) if failures else "")
 
@@ -392,9 +375,9 @@ def verify_group(checks: list):
 # ---------------------------------------------------------------------------
 
 
-def derive_36(rules: RuleSystem, comp: dict[str, DForm], nonzero):
+def derive_36(rules: RuleSystem, comp: dict[str, DForm], roles, nonzero):
     """Engine-derived equation set matched against all 36 transcriptions,
-    from the `identity_forms` of `rules` and `comp`, under the
+    from the `identity_forms` of `rules`, `comp` and `roles`, under the
     declared-nonzero atoms `nonzero`.
 
     Returns `match_rows` over EQ36: the matched rows, and a report whose
@@ -403,7 +386,7 @@ def derive_36(rules: RuleSystem, comp: dict[str, DForm], nonzero):
     The six symmetry-generated equations are additionally cross-checked
     against the dG-rule identity (`dG_cross_check` in their entries).
     """
-    forms = identity_forms(rules, comp)
+    forms = identity_forms(rules, comp, roles)
     raw: dict[str, LocFrac] = {}
     source: dict[str, str] = {}
     for ident in ("d2lam", "d2sig", "dF", "dL", "dS"):
@@ -548,13 +531,15 @@ def integrability_criterion(rules: RuleSystem, checks: list):
     span(e1,e2) is involutive iff lam3 = lam4 = 0: its doubled coefficients
     are (-lam4/lam, lam3/lam).  Those of span(e3,e4) must be the
     replacement-iv image of that pair, (-lam2/lam, lam1/lam), so that
-    lam1 = lam2 = 0 is its criterion.
+    lam1 = lam2 = 0 is its criterion.  The detail shows the span(e1,e2)
+    pair, or the span(e3,e4) pair when only that one fails.
     """
     doubled12 = [2 * c for c in lie_bracket(1, 2, rules)[2:]]
     doubled34 = [2 * c for c in lie_bracket(3, 4, rules)[:2]]
     typed = [LocFrac(-Poly.var("lam4"), {"lam": 1}), LocFrac(Poly.var("lam3"), {"lam": 1})]
-    ok = doubled12 == typed and doubled34 == [REP_IV.apply(c) for c in typed]
-    check(checks, "integrability", "inp", ok, f"span(e1,e2): {[str(c) for c in doubled12]}")
+    ok12, ok34 = doubled12 == typed, doubled34 == [REP_IV.apply(c) for c in typed]
+    span, pair = ("e3,e4", doubled34) if ok12 and not ok34 else ("e1,e2", doubled12)
+    check(checks, "integrability", "inp", ok12 and ok34, f"span({span}): {[str(c) for c in pair]}")
 
 
 def rotation_invariance(checks: list):
@@ -640,10 +625,7 @@ class Derivation:
         assignment, solved = self.solve
         if assignment is None:
             raise Blocked(solved)
-        out = self.sys.free_components()
-        for name in ("F", "G", "L"):
-            out[name] = DForm(self.sys.basis, 1, {(i,): assignment[f"{name}{i + 1}"] for i in range(4)})
-        return out
+        return self.sys.free_components(assignment)
 
     @cached_property
     def rules(self) -> RuleSystem:
@@ -660,7 +642,7 @@ class Derivation:
     def eq36(self):
         """(rows whose check passed, label -> `eq-` check with its `trace`);
         a symmetry-generated row must also agree with the dG identity."""
-        rows, report = derive_36(self.rules, self.components, self.sys.nonzero)
+        rows, report = derive_36(self.rules, self.components, self.sys.roles, self.sys.nonzero)
         checks = []
         for label, entry in report.items():
             ok = entry["matched"] and entry.get("dG_cross_check", True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .algebra import LocFrac, Poly, _coerce_frac
-from .jets import JetContext, Scalar
+from .jets import ROLES, JetContext, Scalar
 
 COFRAME = ("A", "B", "C", "D")
 
@@ -43,7 +43,7 @@ class FormBasis:
         return hash(self.names)
 
 
-DEFAULT_BASIS = FormBasis(COFRAME + ("F", "G", "L", "S"))
+DEFAULT_BASIS = FormBasis(COFRAME + ROLES)
 
 
 def _merge_sign(a: tuple, b: tuple):

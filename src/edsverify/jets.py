@@ -19,6 +19,10 @@ from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly, _coerce_f
 
 DIRECTIONS = (1, 2, 3, 4)
 
+#: the auxiliary 1-forms by role (`structure.Roles`); the trace form's components carry jets
+ROLES = ("F", "G", "L", "S")
+TRACE = ROLES[-1]
+
 Scalar = Union[int, Fraction, Poly, LocFrac]
 
 
@@ -154,11 +158,11 @@ def standard_context() -> JetContext:
     ctx.register_jet_family("lam")
     ctx.register_jet_family("sig")
     for i in DIRECTIONS:
-        ctx.register(f"S{i}")
+        ctx.register(f"{TRACE}{i}")
         for j in DIRECTIONS:
-            ctx.register(f"S{i}{j}")
-            ctx.link(f"S{i}", j, Poly.var(f"S{i}{j}"))
-    for fam in ("F", "G", "L"):
+            ctx.register(f"{TRACE}{i}{j}")
+            ctx.link(f"{TRACE}{i}", j, Poly.var(f"{TRACE}{i}{j}"))
+    for fam in ROLES[:-1]:
         for i in DIRECTIONS:
             ctx.register(f"{fam}{i}")
     # sig as a function of lam: d_j sigp = sigpp * lam_j

@@ -1,10 +1,10 @@
-"""Machine form of the frame formalism: the u(2)-patterned connection matrix,
-the shipped exterior system, torsion and curvature residuals, Lie brackets,
-covariant derivatives, and the line-oriented EDS text format.
+"""Machine form of the frame formalism: the connection read off the coframe
+rules, the auxiliary 1-forms by role, torsion and curvature residuals, Lie
+brackets, covariant derivatives, and the line-oriented EDS text format.
 
 Index conventions: grid[k][l] with 1-based accessors gamma(j, k) = the
-connection 1-form with lower index j and upper index k; the displayed pattern
-is rows = upper index, columns = lower index:
+connection 1-form with lower index j and upper index k; the pattern it must
+keep is, rows = upper index, columns = lower index:
 
     [ 0   E   F   G ]
     [-E   0  -G   F ]          E = (S+L)/2,  H = (S-L)/2,
@@ -15,10 +15,12 @@ is rows = upper index, columns = lower index:
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from itertools import product
 from typing import Mapping, Sequence
 
 from .algebra import LocFrac, Poly
@@ -33,7 +35,7 @@ from .forms import (
     substitute_one_forms,
     wedge,
 )
-from .jets import JetContext, standard_context
+from .jets import ROLES, JetContext, standard_context
 
 DATA_FILE = "weakly-einstein.eds"
 
@@ -54,6 +56,9 @@ def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -
         {"id": check_id, "label": label, "status": "pass" if ok else "fail", "detail": detail}
     )
     return ok
+
+
+Roles = namedtuple("Roles", ROLES)
 
 
 class EdsParseError(Exception):
@@ -91,33 +96,43 @@ class StructureSystem(RuleSystem):
     def one_form(self, name: str) -> DForm:
         return DForm.one_form(self.basis, name)
 
-    # E and H are macros over S and L, never independent symbols
-    def form_E(self) -> DForm:
-        half = Fraction(1, 2)
-        return self.one_form("S").scale(half) + self.one_form("L").scale(half)
-
-    def form_H(self) -> DForm:
-        half = Fraction(1, 2)
-        return self.one_form("S").scale(half) + self.one_form("L").scale(-half)
-
     @cached_property
     def connection(self):
-        """The connection grid (`build_connection`), built once per system."""
-        return build_connection(self.form_E(), self.one_form("F"), self.one_form("G"), self.form_H())
+        """grid[k-1][j-1] = Gamma_j^k, read off d e^k = sum_j e^j ^ Gamma_j^k
+        (Cartan's first structure equation): its component on an auxiliary
+        1-form a is the coefficient of e^j ^ a in d e^k.  Built once, on first read."""
+        return [[DForm(self.basis, 1, {(a,): c for (i, a), c in self.d_rule(name).terms.items()
+                                       if i == j and a >= 4}) for j in range(4)]
+                for name in COFRAME]
+
+    @cached_property
+    def roles(self) -> Roles:
+        """The name of the auxiliary 1-form each role's slot (`role_slots`)
+        equals, or None for a zero slot; a slot that is neither raises
+        FormError naming it."""
+        names = []
+        for role, slot, form in zip(ROLES, ROLE_SLOTS, role_slots(self.connection)):
+            names.append(next((n for n in self.basis.names[4:] if form == self.one_form(n)), None))
+            if names[-1] is None and not form.is_zero():
+                raise FormError(f"role {role} = {slot} is {form}: neither a basis 1-form nor zero")
+        return Roles(*names)
+
+    def role_forms(self) -> Roles:
+        """The roles as 1-forms: each its basis 1-form (`roles`), or zero."""
+        return Roles(*(self.one_form(n) if n else DForm(self.basis, 1) for n in self.roles))
 
     def component_rules(self, comp_map: Mapping[str, DForm], names) -> RuleSystem:
         """The d-rules of `names` with auxiliary 1-forms expanded in components."""
         rules = {name: substitute_one_forms(self.d_rule(name), comp_map) for name in names}
         return RuleSystem(self.basis, self.ctx, rules)
 
-    def free_components(self) -> dict[str, DForm]:
-        """F = F_i e^i and friends, with free component symbols."""
-        out = {}
-        for name in ("F", "G", "L", "S"):
-            out[name] = DForm(
-                self.basis, 1, {(i,): self.ctx.symbol(f"{name}{i + 1}") for i in range(4)}
-            )
-        return out
+    def free_components(self, values: Mapping[str, LocFrac] = {}) -> dict[str, DForm]:
+        """Each role's basis 1-form, by name, in components F = F_i e^i and
+        friends: the symbols carry the role names, and those in `values`
+        take their values there."""
+        value = lambda s: values[s] if s in values else self.ctx.symbol(s)
+        return {name: DForm(self.basis, 1, {(i,): value(f"{role}{i + 1}") for i in range(4)})
+                for role, name in zip(ROLES, self.roles) if name}
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +140,19 @@ class StructureSystem(RuleSystem):
 # ---------------------------------------------------------------------------
 
 
-def build_connection(E: DForm, F: DForm, G: DForm, H: DForm):
-    """4x4 grid of 1-forms, grid[k-1][j-1] = Gamma_j^k, in the displayed pattern."""
-    basis = E.basis
-    zero = DForm(basis, 1)
-    return [
-        [zero, E, F, G],
-        [-E, zero, -G, F],
-        [-F, G, zero, H],
-        [-G, -F, -H, zero],
-    ]
-
-
 def gamma(grid, j: int, k: int) -> DForm:
     """Gamma_j^k (lower j, upper k), 1-based."""
     return grid[k - 1][j - 1]
+
+
+def role_slots(grid) -> Roles:
+    """The roles in the grid's slots: F = Gamma_3^1, G = Gamma_4^1, L = E - H
+    and S = E + H, with E = Gamma_2^1 and H = Gamma_4^3."""
+    E, H = gamma(grid, 2, 1), gamma(grid, 4, 3)
+    return Roles(gamma(grid, 3, 1), gamma(grid, 4, 1), E - H, E + H)
+
+
+ROLE_SLOTS = Roles("Gamma_3^1", "Gamma_4^1", "Gamma_2^1 - Gamma_4^3", "Gamma_2^1 + Gamma_4^3")
 
 
 # full commutation conditions for nabla J = 0: with J e_j = s_j e_{m(j)},
@@ -150,25 +163,32 @@ def gamma(grid, j: int, k: int) -> DForm:
 _J_MAP = (2, 1, 4, 3)
 _J_SIGNS = (1, -1, 1, -1)
 
-_J_RELATIONS = [
-    (_J_MAP[j - 1], _J_MAP[k - 1], j, k, _J_SIGNS[j - 1] * _J_SIGNS[k - 1])
-    for j in range(1, 5)
-    for k in range(1, 5)
-]
+
+def pattern_break(grid) -> str:
+    """The first slot off the pattern `_pattern_classes` solves for, with its
+    residual: not its sign times the lowest slot of its class, or nonzero
+    outside every class; "" when the grid keeps the pattern."""
+    solution = {slot: (rep, s) for rep, members in _pattern_classes().items() for slot, s in members}
+    for j, k in product(range(1, 5), repeat=2):
+        (p, q), s = solution.get((j, k), ((j, k), 0))
+        residual = gamma(grid, j, k) - s * gamma(grid, p, q)
+        if not residual.is_zero():
+            return f"Gamma_{j}^{k}" + (f" - ({s}) Gamma_{p}^{q}" if s else "") + f" = {residual}"
+    return ""
 
 
-def verify_parallel_g_J(grid, checks: list):
-    """Record connection-pattern: the grid solves nabla g = 0 and
-    nabla J = 0, and those equations admit exactly the displayed pattern
-    (the free 1-forms of `_pattern_classes`, four)."""
-    # nabla g = 0: skew-symmetry in (j, k), the diagonal (k = j) included
-    skew = all((gamma(grid, j, k) + gamma(grid, k, j)).is_zero()
-               for j in range(1, 5) for k in range(j, 5))
-    # nabla J = 0: signed identifications under conjugation by J
-    commutes = all((gamma(grid, j, k) - sign * gamma(grid, p, q)).is_zero()
-                   for j, k, p, q, sign in _J_RELATIONS)
-    check(checks, "connection-pattern", "mtx", skew and commutes,
-          f"free 1-forms: {len(_pattern_classes())}")
+def verify_parallel_g_J(sys: StructureSystem, checks: list):
+    """Record connection-pattern: the grid solves nabla g = 0 and nabla J = 0,
+    which admit exactly the displayed pattern (the free 1-forms of
+    `_pattern_classes`, four), and each role slot is a basis 1-form or zero.
+    A failure names the first slot off the pattern, or the role slot."""
+    broken = pattern_break(sys.connection)
+    try:
+        sys.roles
+    except FormError as exc:
+        broken = broken or str(exc)
+    check(checks, "connection-pattern", "mtx", not broken,
+          broken or f"free 1-forms: {len(_pattern_classes())}")
 
 
 def _pattern_classes():
@@ -225,7 +245,8 @@ def grid_rules(sys: StructureSystem) -> RuleSystem:
 
 def torsion_equations(sys: StructureSystem):
     """Residuals d e^k - e^j ^ Gamma_j^k for k = 1..4 (zero iff torsion-free):
-    the system's coframe rules minus `grid_rules`."""
+    the system's coframe rules minus `grid_rules`: the terms the read-off
+    grid cannot absorb, coframe ^ coframe and aux ^ aux."""
     implied = grid_rules(sys)
     return [sys.d_rule(name) - implied.d_rule(name) for name in COFRAME]
 
@@ -274,9 +295,15 @@ def verify_covariant_derivatives(sys: StructureSystem, checks: list):
     -2 G^zeta + L^theta and nabla theta = 2 F^zeta - L^eta, each nabla taken
     as `ext_d` under `grid_rules` and each 1-form factor written on the left
     (the factor is an auxiliary 1-form, the rest coframe forms, so the wedge
-    is faithful).  A failure names each nabla that differs."""
+    is faithful), with E = (S + L)/2 and the roles' 1-forms (`role_forms`).
+    A failure names each nabla that differs, or a role slot."""
+    try:
+        F, G, L, S = sys.role_forms()
+    except FormError as exc:
+        check(checks, "covariant-derivatives", "lmn", False, str(exc))
+        return
     A, B, C, D = (sys.one_form(n) for n in COFRAME)
-    E, F, G, L = sys.form_E(), sys.one_form("F"), sys.one_form("G"), sys.one_form("L")
+    E = (S + L).scale(Fraction(1, 2))
     zeta = -wedge(A, B) + wedge(C, D)
     eta = -wedge(A, C) + wedge(D, B)
     theta = -wedge(A, D) + wedge(B, C)

@@ -81,7 +81,7 @@ def test_first_order_rows_and_solution(system):
 def test_thirty_six_equations(system, derived):
     with criterion("36 equations: exact membership with stated multipliers, < 60 s"):
         t0 = time.perf_counter()
-        rows, report = derive_mod.derive_36(derived.rules, derived.components, system.nonzero)
+        rows, report = derive_mod.derive_36(derived.rules, derived.components, system.roles, system.nonzero)
         assert len(rows) == 36
         assert all(entry["matched"] for entry in report.values())
         assert recorded(derive_mod.verify_multipliers, rows)["multipliers"]["status"] == "pass"

@@ -505,9 +505,9 @@ def test_coefficients_are_canonical(system, derived):
     matrix = [[LocFrac(half * lam), LocFrac(sig)], [LocFrac(Poly.zero()), LocFrac(Fraction(3, 2))]]
     assert_canonical(*linear_solve(matrix, [LocFrac(Poly.const(1)), LocFrac(half)], ATOMS))
     assert_canonical(*EQ36.values(), *SOL.values())
-    for form in identity_forms(derived.rules, derived.components).values():
+    for form in identity_forms(derived.rules, derived.components, derived.sys.roles).values():
         assert_canonical(*form.terms.values())
-    rows, _ = derive_36(derived.rules, derived.components, system.nonzero)
+    rows, _ = derive_36(derived.rules, derived.components, system.roles, system.nonzero)
     assert_canonical(*(e.provenance["multiplier_value"][0] for e in rows.values()))
 
 
@@ -781,6 +781,25 @@ def test_cases_divides_only_through_the_fact_store():
             offenders.append(f"{node.lineno}: .inverse()")
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             offenders.append(f"{node.lineno}: /")
+    assert not offenders
+
+
+def test_only_jets_spells_the_role_names():
+    """No module of the package spells a role name "F", "G", "L" or "S" as
+    a string constant, f-string parts included, except `jets.ROLES`, which
+    defines them, and the transcriptions in equations.py: every other module
+    reads the roles through `jets.ROLES` and `structure.StructureSystem.roles`."""
+    offenders = []
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        if path.name == "equations.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        definition = [n for n in tree.body if isinstance(n, ast.Assign)
+                      and [getattr(t, "id", None) for t in n.targets] == ["ROLES"]]
+        allowed = {id(n) for d in definition for n in ast.walk(d)}
+        offenders += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and node.value in ("F", "G", "L", "S")
+                      and id(node) not in allowed]
     assert not offenders
 
 

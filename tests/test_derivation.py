@@ -11,12 +11,16 @@ one.
 import contextlib
 import io
 import json
-import sys
+import re
+import tempfile
 from collections import Counter
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edsverify.derive as D
 import edsverify.structure as S
@@ -125,6 +129,83 @@ def test_dropping_one_atom_fails_exactly_what_divides_by_it(word, atom, tmp_path
         assert failed == [("case-ii", "assumptions", f"divides by atoms not declared nonzero: {atom}")]
 
 
+def test_a_file_without_d_S_fails_only_the_nel_rows_that_read_it(tmp_path):
+    """d F gives nel-i..iv without d S, so they still match; d(dS-dL) and
+    d(dS+dL) cannot be formed, and their eight rows fail with the missing
+    rule as the residual.  The solve fails on exactly those rows."""
+    code, suites = run_all("".join(l for l in SHIPPED.splitlines(True) if not l.startswith("d S ")),
+                           tmp_path)
+    assert code == 1
+    first = [f"nel-{row}" for row in ("i", "ii", "iii", "iv")]
+    rest = [f"nel-{row}" for row in ("v", "vi", "vii", "viii", "ix", "x", "xi", "xii")]
+    nel = {c["id"]: (c["status"], c["detail"]) for c in suites["nel"]}
+    assert sorted(nel) == sorted(first + rest)
+    assert all(nel[label][0] == "pass" for label in first)
+    missing = "residual no exterior-derivative rule for basis form 'S'"
+    assert {label: nel[label] for label in rest} == dict.fromkeys(rest, ("fail", missing))
+    assert suites["sol"][0]["detail"] == f"unmatched first-order rows: {', '.join(rest)}"
+
+
+def test_the_product_model_fails_only_the_curvature_table_in_structure(tmp_path):
+    """S^2(lambda) x H^2(-lambda), written in the shipped format, has F and G
+    inert: their role slots are zero.  Its grid keeps the pattern and
+    absorbs every coframe rule, so every structure check passes but
+    curvature-table, whose table holds the proper system's sigma."""
+    text = (Path(__file__).parent / "data" / "product-s2xh2.eds").read_text()
+    assert S.parse_eds(text).roles == (None, None, "L", "S")
+    code, suites = run_all(text, tmp_path)
+    assert code == 1
+    assert [(c["id"], c["status"]) for c in suites["structure"]] == [
+        ("connection-pattern", "pass"), ("torsion-1", "pass"), ("torsion-2", "pass"),
+        ("torsion-3", "pass"), ("torsion-4", "pass"), ("curvature-table", "fail"),
+        ("covariant-derivatives", "pass"), ("d2-A", "pass"), ("d2-B", "pass"), ("d2-C", "pass"),
+        ("d2-D", "pass"), ("kahler-closed", "pass"),
+    ]
+
+
+def renamed(text: str, names: dict) -> str:
+    """The EDS text with each word that `names` holds renamed."""
+    return re.sub(r"[A-Za-z][A-Za-z0-9_]*", lambda m: names.get(m.group(), m.group()), text)
+
+
+def seed0_report(text: str, tmp: Path) -> tuple[int, bytes]:
+    """`all --seed 0` on the EDS text: the exit code and the JSON report bytes."""
+    eds, out = tmp / "system.eds", tmp / "all.json"
+    eds.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["all", "--seed", "0", "--eds", str(eds), "--json", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def shipped_seed0(tmp_path_factory):
+    code, report = seed0_report(SHIPPED, tmp_path_factory.mktemp("shipped"))
+    assert code == 0
+    return code, report
+
+
+@pytest.mark.parametrize("names", [
+    {"F": "P"}, {"S": "T"}, {"F": "Phi", "G": "Gam", "L": "Lo", "S": "Tr"},
+])
+def test_renaming_the_auxiliary_forms_keeps_the_report(names, shipped_seed0, tmp_path):
+    """The connection and the roles are read off the rules, so the names of
+    the auxiliary 1-forms do not reach the report."""
+    assert seed0_report(renamed(SHIPPED, names), tmp_path) == shipped_seed0
+
+
+#: a 1-form name the parser accepts that the shipped file does not use
+fresh_names = st.builds(
+    str.__add__, st.sampled_from("PQTUVWXYZabcdefghijk"), st.text("EHMNabcxyz0123_", max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(st.dictionaries(st.sampled_from("FGLS"), fresh_names, min_size=1, max_size=4)
+       .filter(lambda names: len(set(names.values())) == len(names)))
+def test_any_fresh_names_keep_the_report(shipped_seed0, names):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert seed0_report(renamed(SHIPPED, names), Path(tmp)) == shipped_seed0
+
+
 def test_derivation_runs_once_per_run(monkeypatch):
     """One `all` derives the nel rows, the solve and the 36 rows once each;
     `numeric` derives nothing, and a second run derives again."""
@@ -144,8 +225,8 @@ def test_derivation_runs_once_per_run(monkeypatch):
 
 def test_each_derived_input_is_built_once(monkeypatch):
     """One `all --seed 0` expands each d-rule in the solved components once
-    and builds one connection grid for the system (`build_connection`
-    called from `StructureSystem.connection`)."""
+    and reads one connection grid off the system's coframe rules
+    (`StructureSystem.connection`)."""
     derivations, expanded, grids = [], Counter(), []
 
     class Recorded(D.Derivation):
@@ -159,20 +240,22 @@ def test_each_derived_input_is_built_once(monkeypatch):
                 expanded.update(n for n, rule in d.sys.d_rules.items() if rule is form)
         return real_substitute(form, mapping)
 
-    def build(*forms):
-        grids.append(sys._getframe(1).f_code.co_name)
-        return real_build(*forms)
+    def read_off(system):
+        grids.append(system)
+        return real_read_off(system)
 
-    real_substitute, real_build = S.substitute_one_forms, S.build_connection
+    real_substitute, real_read_off = S.substitute_one_forms, S.StructureSystem.connection.func
     monkeypatch.setattr(D, "Derivation", Recorded)
     for module in (S, D):
         monkeypatch.setattr(module, "substitute_one_forms", substitute)
-    monkeypatch.setattr(S, "build_connection", build)
+    connection = cached_property(read_off)
+    connection.__set_name__(S.StructureSystem, "connection")
+    monkeypatch.setattr(S.StructureSystem, "connection", connection)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["all", "--seed", "0"]) == 0
     (derived,) = derivations
     assert expanded == Counter(dict.fromkeys(derived.sys.d_rules, 1))
-    assert grids.count("connection") == 1
+    assert grids == [derived.sys]
 
 
 def test_the_printed_determinant_is_the_determinant_of_the_solved_system(derived, tmp_path):

@@ -30,7 +30,7 @@ def solution(system, nel):
 
 @pytest.fixture(scope="module")
 def derived36(system, derived):
-    return D.derive_36(derived.rules, derived.components, system.nonzero)
+    return D.derive_36(derived.rules, derived.components, system.roles, system.nonzero)
 
 
 def test_nel_row_count(nel):
@@ -176,7 +176,8 @@ def test_rename_matches_jet_substitution(system, derived):
         - 7 * P("lam") * P("lam1", 2) * P("sig34")
     )
     rng = random.Random(0)
-    fractions = [c for form in D.identity_forms(derived.rules, derived.components).values()
+    forms = D.identity_forms(derived.rules, derived.components, derived.sys.roles)
+    fractions = [c for form in forms.values()
                  for c in form.terms.values()]
     fractions += [random_locfrac(rng) for _ in range(200)]
     dens = set()
@@ -209,7 +210,7 @@ def test_generated_coefficients_are_reference_images(system, derived, derived36)
     transcription and multiplier, is the substitution image of its base
     coefficient, sign included."""
     rows, _ = derived36
-    forms = D.identity_forms(derived.rules, derived.components)
+    forms = D.identity_forms(derived.rules, derived.components, derived.sys.roles)
     raw = {}
     for ident, labels in D.IDENTITY_SLOTS.items():
         if ident != "dG":
@@ -297,7 +298,7 @@ def test_form_action_matches_displayed_table(system):
     act4 = D.form_action(D.RPL_CASES[4], system)
     assert act4["A"] == one("C") and act4["F"] == one("F", -1)
     assert act4["L"] == one("L", -1) and act4["S"] == one("S")
-    assert act4["E"] == system.form_H() and act4["H"] == system.form_E()
+    assert list(act4) == ["A", "B", "C", "D", "F", "G", "L", "S"]
 
 
 def test_system_invariance_under_group(system):
@@ -333,7 +334,7 @@ def test_printed_d2_variant_fails_membership(system, derived):
     """Regression: the as-printed lam4 sig4 sign in the d2 display is not a
     consequence of the system; the corrected transcription is."""
     printed = EQ36["d2"] - 64 * lam**2 * sig * Poly.var("lam4") * Poly.var("sig4")
-    forms = D.identity_forms(derived.rules, derived.components, which=("dG",))
+    forms = D.identity_forms(derived.rules, derived.components, derived.sys.roles, which=("dG",))
     from edsverify.forms import coeff6
 
     raw = dict(zip(D.IDENTITY_SLOTS["dG"], coeff6(forms["dG"])))["d2"]
@@ -349,10 +350,19 @@ def test_integrability_criterion(system, derived):
     assert span34 == ["(-lam2)/(lam)", "(lam1)/(lam)"]
 
 
+#: the detail of the check that fails when a rule's coefficient is doubled:
+#: the bracket pair that failed
+SCALED_BRACKET_DETAILS = {
+    "A": "span(e3,e4): ['(-2*lam2)/(lam)', '(lam1)/(lam)']",
+    "C": "span(e1,e2): ['(-2*lam4)/(lam)', '(lam3)/(lam)']",
+}
+
+
 @pytest.mark.parametrize("rule, pair", [("A", "CD"), ("C", "AB")])
 def test_integrability_fails_on_a_scaled_bracket_coefficient(derived, rule, pair):
     """Doubling the coefficient that gives [e3,e4] on e1 (d A on C^D), or
-    [e1,e2] on e3 (d C on A^B), fails the check."""
+    [e1,e2] on e3 (d C on A^B), fails the check, and the detail shows the
+    pair that failed."""
     rules = derived.rules
     basis = rules.basis
     idx = tuple(basis.index[n] for n in pair)
@@ -360,7 +370,8 @@ def test_integrability_fails_on_a_scaled_bracket_coefficient(derived, rule, pair
     assert not form.terms[idx].is_zero()
     scaled = DForm(basis, 2, {**form.terms, idx: 2 * form.terms[idx]})
     copy = RuleSystem(basis, rules.ctx, {**rules.d_rules, rule: scaled})
-    assert recorded(D.integrability_criterion, copy)["integrability"]["status"] == "fail"
+    integrability = recorded(D.integrability_criterion, copy)["integrability"]
+    assert (integrability["status"], integrability["detail"]) == ("fail", SCALED_BRACKET_DETAILS[rule])
 
 
 def test_rotation_invariance():

@@ -99,7 +99,8 @@ def test_ext_d_coframe_rule(system):
     rules = RuleSystem(system.basis, system.ctx, system.d_rules)
     A = DForm.one_form(system.basis, "A")
     B, C, D = (DForm.one_form(system.basis, n) for n in "BCD")
-    E, F, G = system.form_E(), system.one_form("F"), system.one_form("G")
+    F, G, L, S = (system.one_form(n) for n in ("F", "G", "L", "S"))
+    E = (S + L).scale(Fraction(1, 2))
     assert ext_d(A, rules) == wedge(B, E) + wedge(C, F) + wedge(D, G)
 
 
@@ -156,7 +157,7 @@ def test_dd_coframe_reduces_to_rule_identities(system, derived):
     from edsverify.derive import identity_forms
 
     rules = derived.rules
-    idf = identity_forms(rules, derived.components, which=("dF", "dG", "dL", "dS"))
+    idf = identity_forms(rules, derived.components, derived.sys.roles, which=("dF", "dG", "dL", "dS"))
     I_E = (idf["dS"] + idf["dL"]).scale(Fraction(1, 2))
     I_H = (idf["dS"] - idf["dL"]).scale(Fraction(1, 2))
     A, B, C, D = (DForm.one_form(system.basis, n) for n in COFRAME)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from edsverify import structure
@@ -34,9 +36,8 @@ def test_macro_E_supported():
         "d A = B^E + C^F + D^G\n"
     )
     sys_ = parse_eds(text)
-    E = sys_.form_E()
-    B, C, D = (sys_.one_form(n) for n in "BCD")
-    F, G = sys_.one_form("F"), sys_.one_form("G")
+    B, C, D, F, G, L, S = (sys_.one_form(n) for n in "BCDFGLS")
+    E = (S + L).scale(Fraction(1, 2))
     assert sys_.d_rule("A") == wedge(B, E) + wedge(C, F) + wedge(D, G)
 
 

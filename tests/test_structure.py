@@ -5,13 +5,13 @@ from edsverify.algebra import LocFrac, Poly
 from edsverify.forms import COFRAME, DForm, ext_d, substitute_one_forms, wedge
 from edsverify.structure import (
     StructureSystem,
-    build_connection,
     curvature_forms,
     expected_curvature,
     gamma,
     grid_rules,
     lie_bracket,
     load_system,
+    role_slots,
     torsion_equations,
     verify_covariant_derivatives,
     verify_parallel_g_J,
@@ -21,18 +21,42 @@ from conftest import recorded
 
 
 def abstract_forms(system):
-    E, H = system.form_E(), system.form_H()
-    F, G = system.one_form("F"), system.one_form("G")
-    return E, F, G, H
+    """E, F, G, H of the displayed pattern in the shipped basis 1-forms."""
+    F, G, L, S = (system.one_form(n) for n in ("F", "G", "L", "S"))
+    half = Fraction(1, 2)
+    return (S + L).scale(half), F, G, (S - L).scale(half)
+
+
+def display(E, F, G, H):
+    """The displayed pattern, grid[k-1][j-1] = Gamma_j^k."""
+    zero = DForm(E.basis, 1)
+    return [
+        [zero, E, F, G],
+        [-E, zero, -G, F],
+        [-F, G, zero, H],
+        [-G, -F, -H, zero],
+    ]
+
+
+def with_grid(grid):
+    """The shipped system with its connection replaced by `grid`."""
+    system = load_system()
+    system.connection = grid
+    return system
 
 
 def test_connection_entries(system):
+    """The grid read off the shipped coframe rules is the displayed pattern,
+    slot for slot, and its role slots are the basis 1-forms F, G, L, S."""
     E, F, G, H = abstract_forms(system)
-    grid = build_connection(E, F, G, H)
+    grid = system.connection
+    assert grid == display(E, F, G, H)
     assert gamma(grid, 2, 1) == E  # entry (1,2) of the display
     assert gamma(grid, 3, 2) == -G  # entry (2,3)
     assert gamma(grid, 4, 3) == H
     assert gamma(grid, 1, 1).is_zero()
+    assert system.roles == ("F", "G", "L", "S")
+    assert role_slots(grid) == tuple(system.one_form(n) for n in system.roles)
 
 
 def test_connection_skew(system):
@@ -43,7 +67,7 @@ def test_connection_skew(system):
 
 
 def test_pattern_verification_passes(system):
-    pattern = recorded(verify_parallel_g_J, system.connection)["connection-pattern"]
+    pattern = recorded(verify_parallel_g_J, system)["connection-pattern"]
     assert pattern["status"] == "pass"
     assert pattern["detail"] == "free 1-forms: 4"
     assert sorted(structure._pattern_classes()) == [(1, 2), (1, 3), (1, 4), (3, 4)]
@@ -89,8 +113,11 @@ def pattern_classes_by_union_find():
         for k in range(1, 5):
             if j != k:
                 union((j, k), (k, j), -1)
-    for j, k, p, q, rel in structure._J_RELATIONS:
-        union((j, k), (p, q), rel)
+    # nabla J = 0: Gamma_{m(j)}^{m(k)} = s_j s_k Gamma_j^k
+    m, sgn = structure._J_MAP, structure._J_SIGNS
+    for j in range(1, 5):
+        for k in range(1, 5):
+            union((m[j - 1], m[k - 1]), (j, k), sgn[j - 1] * sgn[k - 1])
     zroot, _ = find(zero)
     groups: dict = {}
     for j in range(1, 5):
@@ -118,17 +145,33 @@ def test_pattern_classes_match_the_signed_union_find():
 def test_pattern_detects_nonzero_diagonal(system):
     """Gamma_1^1 = Gamma_2^2 = F commutes with J but is not skew."""
     E, F, G, H = abstract_forms(system)
-    grid = build_connection(E, F, G, H)
+    grid = display(E, F, G, H)
     grid[0][0] = grid[1][1] = F
-    assert recorded(verify_parallel_g_J, grid)["connection-pattern"]["status"] == "fail"
+    pattern = recorded(verify_parallel_g_J, with_grid(grid))["connection-pattern"]
+    assert (pattern["status"], pattern["detail"]) == ("fail", "Gamma_1^1 = (1) F")
 
 
 def test_pattern_detects_J_violation(system):
     """Gamma_3^1 = G, Gamma_1^3 = -G is skew but breaks Gamma_4^2 = Gamma_3^1."""
     E, F, G, H = abstract_forms(system)
-    grid = build_connection(E, F, G, H)
+    grid = display(E, F, G, H)
     grid[0][2], grid[2][0] = G, -G  # display entries (1,3) and (3,1): F -> G
-    assert recorded(verify_parallel_g_J, grid)["connection-pattern"]["status"] == "fail"
+    pattern = recorded(verify_parallel_g_J, with_grid(grid))["connection-pattern"]
+    assert (pattern["status"], pattern["detail"]) == (
+        "fail", "Gamma_2^4 - (1) Gamma_1^3 = (-1) F + (1) G")
+
+
+def test_pattern_names_a_role_slot_that_is_no_basis_form(system):
+    """A grid with 2F in every F slot keeps the pattern, but its role F is
+    neither a basis 1-form nor zero: connection-pattern and the covariant
+    derivatives fail naming the slot."""
+    E, F, G, H = abstract_forms(system)
+    broken = with_grid(display(E, F.scale(2), G, H))
+    detail = "role F = Gamma_3^1 is (2) F: neither a basis 1-form nor zero"
+    for verify, check_id in ((verify_parallel_g_J, "connection-pattern"),
+                             (verify_covariant_derivatives, "covariant-derivatives")):
+        found = recorded(verify, broken)[check_id]
+        assert (found["status"], found["detail"]) == ("fail", detail)
 
 
 def test_torsion_residuals_zero(system):
@@ -137,15 +180,21 @@ def test_torsion_residuals_zero(system):
 
 
 def test_torsion_detects_injected_defect(system):
-    B, E = system.one_form("B"), system.form_E()
-    C, D = system.one_form("C"), system.one_form("D")
-    F, G = system.one_form("F"), system.one_form("G")
+    """A coframe ^ coframe term in d A is torsion the read-off grid cannot
+    absorb.  Dropping C^F + D^G changes the grid instead: no torsion, and
+    connection-pattern names the broken skew pair."""
+    B, C, D = (system.one_form(n) for n in "BCD")
+    lam = system.ctx.symbol("lam")
     rules = dict(system.d_rules)
-    rules["A"] = wedge(B, E)  # drop C^F + D^G
-    broken = StructureSystem(system.basis, system.ctx, rules, system.nonzero)
-    residuals = torsion_equations(broken)
-    assert residuals[0] == -(wedge(C, F) + wedge(D, G))
+    rules["A"] = rules["A"] + wedge(C, D).scale(lam)
+    residuals = torsion_equations(StructureSystem(system.basis, system.ctx, rules, system.nonzero))
+    assert residuals[0] == wedge(C, D).scale(lam)
     assert all(r.is_zero() for r in residuals[1:])
+    rules["A"] = wedge(B, abstract_forms(system)[0])  # drop C^F + D^G
+    dropped = StructureSystem(system.basis, system.ctx, rules, system.nonzero)
+    assert all(r.is_zero() for r in torsion_equations(dropped))
+    pattern = recorded(verify_parallel_g_J, dropped)["connection-pattern"]
+    assert pattern["detail"] == "Gamma_3^1 - (-1) Gamma_1^3 = (-1) F"
 
 
 def test_curvature_matches_display(system):
@@ -285,13 +334,17 @@ def test_nabla_forms_match_the_per_direction_reference(system):
 
 
 def test_covariant_check_sees_a_swapped_grid(system):
-    """A grid with F and G swapped breaks nabla A; on the system's own grid
-    the Kahler form is parallel."""
-    swapped = load_system()
-    E, F, G, H = abstract_forms(swapped)
-    swapped.connection = build_connection(E, G, F, H)
-    covariant = recorded(verify_covariant_derivatives, swapped)["covariant-derivatives"]
-    assert covariant["status"] == "fail"
-    assert "nabla A" in covariant["detail"].split("; ")
+    """Swapping F and G in every slot keeps the pattern and swaps the roles,
+    so the covariant derivatives hold.  Swapping them only in the slots
+    Gamma_4^2 and Gamma_2^4 leaves nabla A as it is and breaks nabla zeta
+    and nabla theta.  On the system's own grid the Kahler form is parallel."""
+    E, F, G, H = abstract_forms(system)
+    swapped = with_grid(display(E, G, F, H))
+    assert swapped.roles == ("G", "F", "L", "S")
+    assert recorded(verify_covariant_derivatives, swapped)["covariant-derivatives"]["status"] == "pass"
+    grid = display(E, F, G, H)
+    grid[1][3], grid[3][1] = G, -G
+    covariant = recorded(verify_covariant_derivatives, with_grid(grid))["covariant-derivatives"]
+    assert (covariant["status"], covariant["detail"]) == ("fail", "nabla zeta; nabla theta")
     A, B, C, D = (system.one_form(n) for n in COFRAME)
     assert ext_d(wedge(A, B) + wedge(C, D), grid_rules(system)).is_zero()
