@@ -288,7 +288,8 @@ class SymmetryElement:
 def conjugated_grid(elem: SymmetryElement, grid):
     """Gamma-hat_j^k = sum_{p,q} M_jp M_kq Gamma_p^q, M the element's signed permutation."""
     s, m = elem.signs, elem.perm
-    return [[s[j] * s[k] * gamma(grid, m[j], m[k]) for j in range(4)] for k in range(4)]
+    return [[gamma(grid, m[j], m[k]) if s[j] == s[k] else -gamma(grid, m[j], m[k])
+             for j in range(4)] for k in range(4)]
 
 
 def form_action(elem: SymmetryElement, sys: StructureSystem) -> dict[str, DForm]:

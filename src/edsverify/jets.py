@@ -18,7 +18,6 @@ from typing import Mapping, Union
 from .algebra import ATOMS, AlgebraError, LocFrac, NonUnitError, Poly, _coerce_frac, frac_sum
 
 DIRECTIONS = (1, 2, 3, 4)
-
 #: the auxiliary 1-forms by role (`structure.Roles`); the trace form's components carry jets
 ROLES = ("F", "G", "L", "S")
 TRACE = ROLES[-1]

@@ -59,6 +59,8 @@ def check(checks: list, check_id: str, label: str, ok: bool, detail: str = "") -
 
 
 Roles = namedtuple("Roles", ROLES)
+#: each role's slot (`role_slots`), as failure details name it
+ROLE_SLOTS = Roles("Gamma_3^1", "Gamma_4^1", "Gamma_2^1 - Gamma_4^3", "Gamma_2^1 + Gamma_4^3")
 
 
 class EdsParseError(Exception):
@@ -150,9 +152,6 @@ def role_slots(grid) -> Roles:
     and S = E + H, with E = Gamma_2^1 and H = Gamma_4^3."""
     E, H = gamma(grid, 2, 1), gamma(grid, 4, 3)
     return Roles(gamma(grid, 3, 1), gamma(grid, 4, 1), E - H, E + H)
-
-
-ROLE_SLOTS = Roles("Gamma_3^1", "Gamma_4^1", "Gamma_2^1 - Gamma_4^3", "Gamma_2^1 + Gamma_4^3")
 
 
 # full commutation conditions for nabla J = 0: with J e_j = s_j e_{m(j)},
