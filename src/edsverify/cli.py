@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -26,72 +25,36 @@ import time
 # core.  Set before numpy's first import; a value the user set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import cases, derive, numeric
-from .equations import SOL
-from .forms import COFRAME, FormError, ext_d, wedge
-from .structure import (
-    EdsParseError,
-    check,
-    expected_curvature,
-    load_system,
-    torsion_equations,
-    verify_covariant_derivatives,
-    verify_parallel_g_J,
-)
+from . import cases, derive, numeric, structure
+from .structure import EdsParseError, check, load_system
 
 
 def run_structure(derived, args) -> list:
-    sys_ = derived.sys
-    try:  # a file without the d-rule of an auxiliary 1-form has no curvature
-        R, X = derived.curvature, expected_curvature(sys_)
-        bad = [(k + 1, l + 1) for k in range(4) for l in range(4) if not (R[k][l] - X[k][l]).is_zero()]
-        curvature = (not bad, f"mismatches: {bad}" if bad else "0")
-    except FormError as exc:
-        curvature = (False, str(exc))
     checks = []
-    verify_parallel_g_J(sys_, checks)
-    for k, resid in enumerate(torsion_equations(sys_), start=1):
-        check(checks, f"torsion-{k}", f"de^{k}", resid.is_zero(),
-              "0" if resid.is_zero() else str(resid))
-    check(checks, "curvature-table", "R_k^l", *curvature)
-    verify_covariant_derivatives(sys_, checks)
-    for name in COFRAME:
-        try:
-            ok, detail = ext_d(sys_.d_rule(name), sys_).is_zero(), ""
-        except FormError as exc:
-            ok, detail = False, str(exc)
-        check(checks, f"d2-{name}", f"d^2 {name}", ok, detail)
-    A, B, C, D = (sys_.one_form(n) for n in COFRAME)
-    omega = wedge(A, B) + wedge(C, D)
-    check(checks, "kahler-closed", "d omega", ext_d(omega, sys_).is_zero())
+    structure.verify_parallel_g_J(derived.sys, checks)
+    structure.verify_torsion(derived.sys, checks)
+    structure.verify_curvature(derived.sys, checks)
+    structure.verify_covariant_derivatives(derived.sys, checks)
+    structure.verify_closed(derived.sys, checks)
     return checks
 
 
 def run_nel(derived, args) -> list:
-    checks = []
-    _, report = derived.nel
-    for label in sorted(report):
-        entry = report[label]
-        check(checks, label, label, entry["matched"],
-              entry["multiplier"] if entry["matched"] else f"residual {entry['residual']}")
-    return checks
+    return list(derived.nel[1])
 
 
 def run_sol(derived, args) -> list:
     assignment, solved = derived.solve
     checks = [solved]
-    if assignment is None:
-        return checks
-    for name in sorted(SOL):
-        ok = (assignment[name] - SOL[name]).is_zero()
-        check(checks, f"component-{name}", name, ok, str(assignment[name]))
-    derive.verify_inp(assignment, checks)
+    if assignment is not None:
+        derive.verify_components(assignment, checks)
+        derive.verify_inp(assignment, checks)
     return checks
 
 
 def run_equations36(derived, args) -> list:
-    rows, by_label = derived.eq36
-    checks = list(by_label.values())
+    rows, checks = derived.eq36
+    checks = list(checks)
     derive.verify_multipliers(rows, checks)
     derive.verify_symmetry_variants(derived.equations, checks)
     derive.integrability_criterion(derived.rules, checks)
@@ -105,9 +68,13 @@ def run_combos(derived, args) -> list:
 
 
 def run_symmetry(derived, args) -> list:
+    """Only `closure` reads the derived rows, so a failed read blocks it alone."""
     checks = []
     derive.verify_group(checks)
-    derive.verify_group_closure(derived.equations, checks)
+    try:
+        derive.verify_group_closure(derived.equations, checks)
+    except derive.Blocked as exc:
+        _blocked(checks, exc)
     derive.verify_system_invariance(derived.sys, checks)
     derive.rotation_invariance(checks)
     return checks
@@ -127,16 +94,14 @@ def run_case_iii(derived, args) -> list:
 
 def run_numeric(derived, args) -> list:
     checks = []
-    sw = numeric.sweep(points=args.points, seed=args.seed, tol=args.tol)
-    for name, value in sorted(sw["worst"].items()):
-        check(checks, f"sweep-{name}", name, value < args.tol, f"{value:.3e}")
-    pt = numeric.build_curvature(1.25, -0.75)
-    orbit = numeric.symmetry_orbit_check(pt, seed=args.seed)
-    check(checks, "orbit-group", "32 elements",
-          orbit["group_residual"] < args.tol, f"{orbit['group_residual']:.3e}")
-    check(checks, "orbit-rotations", "16 angles",
-          orbit["rotation_residual"] < args.tol, f"{orbit['rotation_residual']:.3e}")
+    numeric.verify_sweep(args.points, args.seed, checks)
+    numeric.verify_orbit(args.seed, checks)
     return checks
+
+
+def _blocked(checks: list, exc: derive.Blocked):
+    """Record `blocked`, naming the failed check a read met, with its detail."""
+    check(checks, "blocked", exc.check["id"], False, exc.check["detail"])
 
 
 RUNNERS = {
@@ -155,22 +120,14 @@ RUNNERS = {
 SUITES = (*RUNNERS, "all")
 
 
-def _checked(convert, valid, need: str):
-    """An argparse type: the text converted, and refused unless valid."""
-    def parse(text: str):
-        try:
-            if valid(value := convert(text)):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
-    return parse
-
-
-#: --points: a sweep over no points checks nothing
-_point_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-#: --tol: an infinite or NaN tolerance passes every residual
-_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+def _point_count(text: str) -> int:
+    """--points, an argparse type: a sweep over no points checks nothing."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eds", default=None, help="EDS file (default: shipped system)")
     parser.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     parser.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    parser.add_argument("--tol", type=_tolerance, default=1e-12, help="numeric tolerance, finite and > 0")
     parser.add_argument("--points", type=_point_count, default=100,
                         help="numeric sweep size, at least 1")
     return parser
@@ -209,7 +165,7 @@ def main(argv=None) -> int:
             checks = RUNNERS[name](derived, args)
         except derive.Blocked as exc:  # a derived input this suite reads failed
             checks = []
-            check(checks, "blocked", exc.check["id"], False, exc.check["detail"])
+            _blocked(checks, exc)
         except Exception as exc:  # a non-shipped --eds system may break a suite
             checks = []
             check(checks, "suite-error", name, False, f"{type(exc).__name__}: {exc}")

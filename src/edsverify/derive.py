@@ -19,7 +19,7 @@ from sys import intern
 from . import equations as eqs
 from .algebra import LocFrac, Poly, linear_solve
 from .cases import combination
-from .equations import EQ36, INP, NEL, NEL_UNKNOWNS
+from .equations import EQ36, INP, NEL, NEL_UNKNOWNS, SOL
 from .forms import (COEFF6_ORDER, COFRAME, DForm, FormError, RuleSystem, coeff6, d_scalar,
                     ext_d, substitute_one_forms)
 from .jets import DIRECTIONS, TRACE, standard_context
@@ -27,7 +27,6 @@ from .structure import (
     Equation,
     StructureSystem,
     check,
-    curvature_forms,
     gamma,
     lie_bracket,
     pattern_break,
@@ -80,41 +79,24 @@ def multiplier_text(mult) -> str:
     return f"({factor})/({Poly({den_mono: 1})})"
 
 
-def match_rows(transcriptions: dict[str, Poly], raw: dict[str, LocFrac], source: dict[str, str],
-               nonzero):
-    """Match each transcription against its derived coefficient `raw[label]`.
-    A match whose shift (`match_transcription`) holds a variable outside the
-    declared-nonzero atoms `nonzero` is not one: raw = 0 does not give the
-    transcription then.
+def match_row(label: str, transcribed: Poly, raw: LocFrac, source: str, nonzero):
+    """Match the transcription of row `label` against its derived
+    coefficient `raw`.  A match whose shift (`match_transcription`) holds a
+    variable outside the declared-nonzero atoms `nonzero` is not one: raw = 0
+    does not give the transcription then.
 
-    Returns (rows, report).  rows maps the label of each matched transcription
-    to its Equation, with the source identity and the recovered multiplier as
-    provenance; an unmatched one is left out.  report has one entry per
-    label, in the order of `transcriptions`: source, matched, multiplier
-    (None when unmatched) and residual, the difference of the two primitive
-    parts, the raw one times a rejected shift ("0" on a match).
+    Returns (the Equation or, unmatched, None; its trace).  The trace holds
+    source, matched, multiplier and residual, the difference of the two
+    primitive parts, the raw one times a rejected shift ("0" on a match).
     """
-    rows, report = {}, {}
-    for label, transcribed in transcriptions.items():
-        r = raw[label]
-        mult = match_transcription(transcribed, r)
-        shift = Poly({mult[1]: 1}) if mult else Poly.const(1)
-        matched = mult is not None and shift.variables() <= set(nonzero)
-        residual = 0 if matched else transcribed.normalized()[2] - shift * r.num.normalized()[2]
-        report[label] = entry = {
-            "source": source[label],
-            "matched": matched,
-            "multiplier": multiplier_text(mult) if matched else None,
-            "residual": str(residual),
-        }
-        if matched:
-            rows[label] = Equation(label, transcribed, provenance={
-                "source": entry["source"],
-                "multiplier": entry["multiplier"],
-                "multiplier_value": mult,
-                "raw_denominator": dict(r.den),
-            })
-    return rows, report
+    mult = match_transcription(transcribed, raw)
+    shift = Poly({mult[1]: 1}) if mult else Poly.const(1)
+    matched = mult is not None and shift.variables() <= set(nonzero)
+    residual = 0 if matched else transcribed.normalized()[2] - shift * raw.num.normalized()[2]
+    trace = {"source": source, "matched": matched,
+             "multiplier": multiplier_text(mult) if matched else None, "residual": str(residual)}
+    provenance = {**trace, "multiplier_value": mult, "raw_denominator": dict(raw.den)}
+    return Equation(label, transcribed, provenance) if matched else None, trace
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +130,10 @@ def derive_nel(sys: StructureSystem):
     of the roles (`StructureSystem.role_forms`).
 
     Free components this time: the rows constrain F_i, G_i, L_i.  Returns
-    `match_rows` over the labels nel-i .. nel-xii: the matched rows, and a
-    report in which an unmatched row carries its residual, or the FormError
-    of a source that cannot be formed (a missing d-rule, a role slot).
+    the matched rows (`match_row`) and the nel-i .. nel-xii checks, sorted,
+    each with its multiplier, or as residual that of its row or the
+    FormError of a source that cannot be formed (a missing d-rule, a role
+    slot).
     """
     one_forms = {
         "d(dF)": (lambda r: r.F, ("i", "ii", "iii", "iv")),
@@ -158,23 +141,22 @@ def derive_nel(sys: StructureSystem):
         "d(dS+dL)": (lambda r: r.S + r.L, ("ix", "x", "xi", "xii")),
     }
     slots = (("A", "B", "C"), ("A", "B", "D"), ("A", "C", "D"), ("B", "C", "D"))
-    transcriptions, raw, source, errors = {}, {}, {}, {}
+    rows, checks = {}, []
     for src, (pick, row_names) in one_forms.items():
-        labels = [f"nel-{row}" for row in row_names]
         try:
             three_form = ext_d(ext_d(pick(sys.role_forms()), sys), sys)
             expanded = substitute_one_forms(three_form, sys.free_components())
         except FormError as exc:
-            expanded = DForm(sys.basis, 3)
-            errors.update(dict.fromkeys(labels, str(exc)))
-        for names, row, label in zip(slots, row_names, labels):
-            transcriptions[label] = NEL[row]
-            raw[label] = expanded.coefficient(*names)
-            source[label] = f"{src} @ {'^'.join(names)}"
-    rows, report = match_rows(transcriptions, raw, source, sys.nonzero)
-    for label, error in errors.items():
-        report[label]["residual"] = error
-    return rows, report
+            for row in row_names:
+                check(checks, f"nel-{row}", f"nel-{row}", False, f"residual {exc}")
+            continue
+        for names, row in zip(slots, row_names):
+            label = f"nel-{row}"
+            rows[label], trace = match_row(label, NEL[row], expanded.coefficient(*names),
+                                           f"{src} @ {'^'.join(names)}", sys.nonzero)
+            check(checks, label, label, trace["matched"],
+                  trace["multiplier"] or f"residual {trace['residual']}")
+    return {l: row for l, row in rows.items() if row}, sorted(checks, key=lambda c: c["id"])
 
 
 def nel_system(rows: dict[str, Equation]):
@@ -220,6 +202,14 @@ def solve_sol(rows: dict[str, Equation], sys: StructureSystem):
         if not sys.ctx.substitute(eq.poly, assignment).is_zero():
             raise DeriveError(f"back-substitution residual in {label}")
     return assignment
+
+
+def verify_components(assignment, checks: list):
+    """Record component-X for each solved component X: its value in
+    `assignment` equals the displayed solution SOL."""
+    for name in sorted(SOL):
+        check(checks, f"component-{name}", name, (assignment[name] - SOL[name]).is_zero(),
+              str(assignment[name]))
 
 
 def verify_inp(assignment, checks: list):
@@ -314,20 +304,25 @@ def verify_system_invariance(sys: StructureSystem, checks: list):
     the transformed left-hand side d(Phi X), computed with the original
     rules, must equal Phi(R) (1-forms mapped by the induced action,
     coefficients by the element's rename).  Each conjugated grid must also
-    keep the relations `connection-pattern` checks (`pattern_break`).
+    keep the relations `connection-pattern` checks (`pattern_break`).  A
+    FormError (a missing rule, a role slot) fails it with its message.
     """
     failures = []
-    for gen, elem in GENERATORS.items():
-        broken = pattern_break(conjugated_grid(elem, sys.connection))
-        if broken:
-            failures.append((gen, f"pattern {broken}"))
-        act = form_action(elem, sys)
-        for name, image in act.items():
-            rule = sys.d_rule(name)
-            renamed = DForm(rule.basis, 2, {i: elem.apply(c) for i, c in rule.terms.items()})
-            if not (ext_d(image, sys) - substitute_one_forms(renamed, act)).is_zero():
-                failures.append((gen, f"rule d{name}"))
-    check(checks, "system-invariance", "swp", not failures, str(failures[:8]) if failures else "")
+    try:
+        for gen, elem in GENERATORS.items():
+            broken = pattern_break(conjugated_grid(elem, sys.connection))
+            if broken:
+                failures.append((gen, f"pattern {broken}"))
+            act = form_action(elem, sys)
+            for name, image in act.items():
+                rule = sys.d_rule(name)
+                renamed = DForm(rule.basis, 2, {i: elem.apply(c) for i, c in rule.terms.items()})
+                if not (ext_d(image, sys) - substitute_one_forms(renamed, act)).is_zero():
+                    failures.append((gen, f"rule d{name}"))
+        detail = str(failures[:8]) if failures else ""
+    except FormError as exc:
+        detail = str(exc)
+    check(checks, "system-invariance", "swp", not detail, detail)
 
 
 IDENTITY_ELEMENT = SymmetryElement((1, 2, 3, 4), (1, 1, 1, 1), 1, 1)
@@ -381,11 +376,9 @@ def derive_36(rules: RuleSystem, comp: dict[str, DForm], roles, nonzero):
     from the `identity_forms` of `rules`, `comp` and `roles`, under the
     declared-nonzero atoms `nonzero`.
 
-    Returns `match_rows` over EQ36: the matched rows, and a report whose
-    entry for each label records the source identity, the recovered
-    multiplier, the match status and, for an unmatched row, its residual.
-    The six symmetry-generated equations are additionally cross-checked
-    against the dG-rule identity (`dG_cross_check` in their entries).
+    Returns the rows whose check passed and an eq- check per label of EQ36
+    with its `match_row` trace.  The six symmetry-generated rows must also
+    agree with the dG identity (`dG_cross_check` in their trace).
     """
     forms = identity_forms(rules, comp, roles)
     raw: dict[str, LocFrac] = {}
@@ -400,13 +393,20 @@ def derive_36(rules: RuleSystem, comp: dict[str, DForm], roles, nonzero):
         base, case = eqs.VARIANTS[label]
         raw[label] = RPL_CASES[case].apply(raw[base])
         source[label] = f"{source[base]} via replacement {case}"
-    rows, report = match_rows(EQ36, raw, source, nonzero)
-    # cross-check those six against the dG identity
     g_coeffs = dict(zip(IDENTITY_SLOTS["dG"], coeff6(forms["dG"])))
-    for label in SYMMETRY_GENERATED:
-        cross = match_transcription(raw[label].num, g_coeffs[label])
-        report[label]["dG_cross_check"] = cross is not None
-    return rows, report
+    rows, checks = {}, []
+    for label, transcribed in EQ36.items():
+        eq, trace = match_row(label, transcribed, raw[label], source[label], nonzero)
+        ok = eq is not None
+        if label in SYMMETRY_GENERATED:
+            trace["dG_cross_check"] = match_transcription(raw[label].num, g_coeffs[label]) is not None
+            ok = ok and trace["dG_cross_check"]
+        if ok:
+            rows[label] = eq
+        found = f"multiplier {trace['multiplier']}" if eq else f"residual {trace['residual']}"
+        check(checks, f"eq-{label}", label, ok, f"{source[label]}; {found}")
+        checks[-1]["trace"] = trace
+    return rows, checks
 
 
 #: labels whose display is the negative of the clearing factor times the raw
@@ -597,16 +597,16 @@ class DerivedRows(dict):
 
 class Derivation:
     """The nel rows, the solve, the component map, the d-rules expanded in
-    it, the 36 rows and the curvature derived from one system, each built on
-    its first read and then kept.  Reading a part built on a failed check
-    raises Blocked with that check."""
+    it and the 36 rows derived from one system, each built on its first
+    read and then kept.  Reading a part built on a failed check raises
+    Blocked with that check."""
 
     def __init__(self, sys: StructureSystem):
         self.sys = sys
 
     @cached_property
     def nel(self):
-        """`derive_nel`: the matched rows and their report."""
+        """`derive_nel`: the matched rows and the nel- checks."""
         return derive_nel(self.sys)
 
     @cached_property
@@ -635,27 +635,13 @@ class Derivation:
         return self.sys.component_rules(self.components, self.sys.d_rules)
 
     @cached_property
-    def curvature(self):
-        """`curvature_forms`: the curvature 2-forms of the connection."""
-        return curvature_forms(self.sys)
-
-    @cached_property
     def eq36(self):
-        """(rows whose check passed, label -> `eq-` check with its `trace`);
-        a symmetry-generated row must also agree with the dG identity."""
-        rows, report = derive_36(self.rules, self.components, self.sys.roles, self.sys.nonzero)
-        checks = []
-        for label, entry in report.items():
-            ok = entry["matched"] and entry.get("dG_cross_check", True)
-            found = (f"multiplier {entry['multiplier']}" if entry["matched"]
-                     else f"residual {entry['residual']}")
-            check(checks, f"eq-{label}", label, ok, f"{entry['source']}; {found}")
-            checks[-1]["trace"] = entry
-        by_label = dict(zip(report, checks))
-        return {l: row for l, row in rows.items() if by_label[l]["status"] == "pass"}, by_label
+        """`derive_36`: (the rows whose check passed, the `eq-` checks)."""
+        return derive_36(self.rules, self.components, self.sys.roles, self.sys.nonzero)
 
     @cached_property
     def equations(self) -> DerivedRows:
         """The `eq36` rows as polynomials."""
         rows, checks = self.eq36
-        return DerivedRows({label: row.poly for label, row in rows.items()}, checks)
+        return DerivedRows({label: row.poly for label, row in rows.items()},
+                           {c["label"]: c for c in checks})

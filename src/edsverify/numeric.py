@@ -37,6 +37,7 @@ import numpy as np
 
 from .derive import symmetry_group
 from .equations import curvature_table
+from .structure import check
 
 #: points per block of `sweep`; a constant, so the sweep's heap (about
 #: 77 KiB under tracemalloc) does not grow with the number of points.  Each
@@ -44,11 +45,13 @@ from .equations import curvature_table
 #: take about 0.6 times as long per point as 4-point ones, whose heap is
 #: about 42 KiB.
 BLOCK = 8
+#: the largest residual a numeric check passes with
+TOL = 1e-12
 
 
 def _constant(a) -> np.ndarray:
     """`a` as a read-only float array, safe to share between points."""
-    m = np.array(a, dtype=float)
+    m = np.asarray(a, dtype=float)
     m.flags.writeable = False
     return m
 
@@ -57,7 +60,7 @@ def _coefficient_arrays():
     """(R_LAM, R_SIG): the exact curvature table at (lam, sig) = (1, 0) and (0, 1)."""
     T = np.array(curvature_table(), dtype=object)
     return tuple(
-        np.vectorize(lambda v: float(v.evaluate(at)) if v else 0.0, otypes=[float])(T)
+        _constant(np.vectorize(lambda v: float(v.evaluate(at)) if v else 0.0, otypes=[float])(T))
         for at in ({"lam": 1, "sig": 0}, {"lam": 0, "sig": 1})
     )
 
@@ -108,7 +111,7 @@ WEYL_IMAGES = _constant([np.zeros((4, 4)), 2.0 * ETA, -2.0 * THETA] + 3 * [np.ze
 
 
 #: signs of the Ricci eigenvalues in ascending order: -|lam|, -|lam|, |lam|, |lam|
-SPECTRUM_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+SPECTRUM_SIGNS = _constant([-1.0, -1.0, 1.0, 1.0])
 
 
 def _max_abs(x: np.ndarray, axes: int) -> np.ndarray:
@@ -247,17 +250,17 @@ def _table_residual(R: np.ndarray, lam: float, sig: float) -> float:
     return float(np.max(np.abs(R - build_curvature(lam, sig).R)))
 
 
-def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0, angles: int = 16) -> dict:
-    """All 32 group elements and `angles` random rotations reproduce the
-    component table with the transformed scalars.  One 4x4 frame change at a
-    time: a batch of all 32 would grow the heap by some 0.3 MiB."""
+def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0) -> dict:
+    """All 32 group elements and 16 random rotations reproduce the component
+    table with the transformed scalars: the largest residual of each.  One
+    4x4 frame change at a time: a batch of 32 grows the heap by 0.3 MiB."""
     group = [
         _table_residual(transform(M, pt.R), s_lam * pt.lam, s_sig * pt.sig)
         for M, s_lam, s_sig in group_matrices()
     ]
     rng = random.Random(seed)
     rotations = []
-    for _ in range(angles):
+    for _ in range(16):
         t = rng.uniform(0.0, 2.0 * math.pi)
         c, s = math.cos(t), math.sin(t)
         M = np.array(
@@ -270,10 +273,18 @@ def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0, angles: int = 16) ->
         )
         rotations.append(_table_residual(transform(M, pt.R), pt.lam, pt.sig))
     return {  # np.max keeps a NaN residual, which max() drops
-        "group_elements": len(group),
         "group_residual": float(np.max(group)),
         "rotation_residual": float(np.max(rotations)),
     }
+
+
+def verify_orbit(seed: int, checks: list):
+    """Record orbit-group and orbit-rotations, the residuals of
+    `symmetry_orbit_check` at (lam, sig) = (1.25, -0.75) below TOL."""
+    orbit = symmetry_orbit_check(build_curvature(1.25, -0.75), seed=seed)
+    for check_id, label, key in (("orbit-group", "32 elements", "group_residual"),
+                                 ("orbit-rotations", "16 angles", "rotation_residual")):
+        check(checks, check_id, label, orbit[key] < TOL, f"{orbit[key]:.3e}")
 
 
 def _block_residuals(lam: np.ndarray, sig: np.ndarray) -> dict:
@@ -298,13 +309,12 @@ def _block_residuals(lam: np.ndarray, sig: np.ndarray) -> dict:
     }
 
 
-def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
+def sweep(points: int = 100, seed: int = 0) -> dict:
     """Seeded random sweep over (lam, sig) in [-2, 2]^2, evaluated in blocks
-    of `BLOCK` points; each point draws lam, then sig."""
+    of `BLOCK` points; each point draws lam, then sig.  Returns each
+    residual's worst value, by name."""
     if points < 1:
         raise ValueError(f"a sweep needs at least one point, got {points}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"a sweep needs a finite tolerance > 0, got {tol}")
     rng = random.Random(seed)
     worst = 0.0
     for start in range(0, points, BLOCK):
@@ -314,11 +324,11 @@ def sweep(points: int = 100, seed: int = 0, tol: float = 1e-12) -> dict:
         block = _block_residuals(lam, sig)
         # one maximum per residual; np.maximum keeps a NaN, which max() drops
         worst = np.maximum(worst, np.max(list(block.values()), axis=1))
-    worst = dict(zip(block, worst.tolist()))
-    return {
-        "points": points,
-        "seed": seed,
-        "tol": tol,
-        "worst": worst,
-        "ok": all(v < tol for v in worst.values()),
-    }
+    return dict(zip(block, worst.tolist()))
+
+
+def verify_sweep(points: int, seed: int, checks: list):
+    """Record sweep-<name>, the worst value of each residual of `sweep`
+    below TOL (a NaN is not)."""
+    for name, value in sorted(sweep(points, seed).items()):
+        check(checks, f"sweep-{name}", name, value < TOL, f"{value:.3e}")

@@ -180,9 +180,11 @@ def verify_parallel_g_J(sys: StructureSystem, checks: list):
     """Record connection-pattern: the grid solves nabla g = 0 and nabla J = 0,
     which admit exactly the displayed pattern (the free 1-forms of
     `_pattern_classes`, four), and each role slot is a basis 1-form or zero.
-    A failure names the first slot off the pattern, or the role slot."""
-    broken = pattern_break(sys.connection)
+    A failure names the first slot off the pattern, the role slot or the
+    missing coframe rule."""
+    broken = ""
     try:
+        broken = pattern_break(sys.connection)
         sys.roles
     except FormError as exc:
         broken = broken or str(exc)
@@ -250,6 +252,17 @@ def torsion_equations(sys: StructureSystem):
     return [sys.d_rule(name) - implied.d_rule(name) for name in COFRAME]
 
 
+def verify_torsion(sys: StructureSystem, checks: list):
+    """Record torsion-1..4, each residual of `torsion_equations` zero; a
+    missing coframe rule fails all four."""
+    try:
+        residuals = [(r.is_zero(), str(r)) for r in torsion_equations(sys)]
+    except FormError as exc:
+        residuals = [(False, str(exc))] * 4
+    for k, (ok, detail) in enumerate(residuals, start=1):
+        check(checks, f"torsion-{k}", f"de^{k}", ok, detail)
+
+
 def curvature_forms(sys: StructureSystem):
     """R_k^l = -d Gamma_k^l + Gamma_k^p ^ Gamma_p^l as a 4x4 grid of 2-forms."""
     grid = sys.connection
@@ -274,6 +287,18 @@ def expected_curvature(sys: StructureSystem):
         [DForm(sys.basis, 2, {(i, j): T[k][l][i][j] for i, j in pairs}) for l in range(4)]
         for k in range(4)
     ]
+
+
+def verify_curvature(sys: StructureSystem, checks: list):
+    """Record curvature-table: `curvature_forms` equals `expected_curvature`;
+    a failure names the (k, l) slots that differ, or the missing rule."""
+    try:
+        R, X = curvature_forms(sys), expected_curvature(sys)
+        bad = [(k + 1, l + 1) for k in range(4) for l in range(4) if not (R[k][l] - X[k][l]).is_zero()]
+        ok, detail = not bad, f"mismatches: {bad}" if bad else "0"
+    except FormError as exc:
+        ok, detail = False, str(exc)
+    check(checks, "curvature-table", "R_k^l", ok, detail)
 
 
 def lie_bracket(i: int, j: int, rules: RuleSystem):
@@ -319,6 +344,21 @@ def verify_covariant_derivatives(sys: StructureSystem, checks: list):
         if not (ext_d(form, rules) - nabla).is_zero()
     ]
     check(checks, "covariant-derivatives", "lmn", not failures, "; ".join(failures))
+
+
+def verify_closed(sys: StructureSystem, checks: list):
+    """Record d2-A..d2-D, d(d e) = 0 for each coframe form e, and
+    kahler-closed, d omega = 0 for omega = A^B + C^D; a missing rule fails
+    each check that reads it."""
+    A, B, C, D = (sys.one_form(n) for n in COFRAME)
+    closed = [(f"d2-{n}", f"d^2 {n}", n) for n in COFRAME] + [("kahler-closed", "d omega", None)]
+    for check_id, label, name in closed:
+        try:
+            form = sys.d_rule(name) if name else wedge(A, B) + wedge(C, D)
+            ok, detail = ext_d(form, sys).is_zero(), ""
+        except FormError as exc:
+            ok, detail = False, str(exc)
+        check(checks, check_id, label, ok, detail)
 
 
 # ---------------------------------------------------------------------------

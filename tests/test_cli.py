@@ -53,13 +53,11 @@ def test_points_below_one_is_a_usage_error(capsys):
         assert "--points" in capsys.readouterr().err
 
 
-def test_tolerance_must_be_finite_and_positive(capsys):
-    for tol in ("inf", "nan", "0", "-1"):
-        for suite in ("numeric", "all"):
-            with pytest.raises(SystemExit) as exc:
-                main([suite, "--points", "5", "--tol", tol])
-            assert exc.value.code == 2
-            assert "--tol" in capsys.readouterr().err
+def test_tol_is_an_unknown_argument():
+    """numeric's tolerance is the constant `numeric.TOL`: no option sets it."""
+    result = run_cli("numeric", "--points", "5", "--tol", "1e6")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --tol 1e6" in result.stderr
 
 
 def test_parse_failure_exits_3(tmp_path):
@@ -95,7 +93,7 @@ def test_seeded_reports_are_byte_identical(tmp_path):
 
 def test_numeric_flags(tmp_path):
     out = tmp_path / "n.json"
-    assert main(["numeric", "--seed", "3", "--points", "10", "--tol", "1e-10", "--json", str(out)]) == 0
+    assert main(["numeric", "--seed", "3", "--points", "10", "--json", str(out)]) == 0
     data = json.loads(out.read_text())
     ids = {c["id"] for c in data["checks"]}
     assert "sweep-weakly_einstein" in ids and "orbit-group" in ids

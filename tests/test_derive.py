@@ -33,10 +33,16 @@ def derived36(system, derived):
     return D.derive_36(derived.rules, derived.components, system.roles, system.nonzero)
 
 
+def traces(checks: list) -> dict:
+    """The `trace` of each eq- check of `derive_36`, by row label."""
+    return {c["label"]: c["trace"] for c in checks}
+
+
 def test_nel_row_count(nel):
-    rows, report = nel
+    rows, checks = nel
     assert len(rows) == 12
-    assert all(entry["matched"] for entry in report.values())
+    assert [c["id"] for c in checks] == sorted(f"nel-{row}" for row in NEL)
+    assert all(c["status"] == "pass" for c in checks)
 
 
 def test_nel_specific_rows():
@@ -68,14 +74,14 @@ def test_back_substitution_zero(system, nel, solution):
 
 
 def test_all_36_matched(derived36):
-    rows, report = derived36
+    rows, checks = derived36
     assert len(rows) == 36
-    assert all(entry["matched"] for entry in report.values())
-    assert all(entry["residual"] == "0" for entry in report.values())
+    assert all(entry["matched"] for entry in traces(checks).values())
+    assert all(entry["residual"] == "0" for entry in traces(checks).values())
 
 
 def test_equation_sources(derived36):
-    _, report = derived36
+    report = traces(derived36[1])
     assert report["a"]["source"] == "d2lam @ AB"
     assert report["f"]["source"] == "d2sig @ AB"
     assert report["c"]["source"] == "dF @ AB"
@@ -98,11 +104,11 @@ def test_multipliers_recovered(derived36):
 @pytest.mark.parametrize("label", ["a", "c"])
 def test_a_negated_multiplier_fails(derived36, label, monkeypatch, tmp_path):
     """A recovered multiplier of the wrong sign fails the `multipliers` check."""
-    rows, report = derived36
+    rows, checks = derived36
     factor, den_mono = rows[label].provenance["multiplier_value"]
     flipped = Equation(label, rows[label].poly,
                        {**rows[label].provenance, "multiplier_value": (-factor, den_mono)})
-    monkeypatch.setattr(D, "derive_36", lambda *_: ({**rows, label: flipped}, report))
+    monkeypatch.setattr(D, "derive_36", lambda *_: ({**rows, label: flipped}, checks))
     out = tmp_path / "r.json"
     assert main(["equations36", "--json", str(out)]) == 1
     failed = [c for c in json.loads(out.read_text())["checks"] if c["status"] != "pass"]
@@ -111,7 +117,7 @@ def test_a_negated_multiplier_fails(derived36, label, monkeypatch, tmp_path):
 
 
 def test_dG_cross_checks(derived36):
-    _, report = derived36
+    report = traces(derived36[1])
     for label in D.SYMMETRY_GENERATED:
         assert report[label]["dG_cross_check"]
 
@@ -410,8 +416,8 @@ def test_equations_affine_linear_in_second_order_jets():
 def test_derived_rows_follow_the_transcriptions(derived36):
     from edsverify.equations import SECOND_ORDER
 
-    rows, report = derived36
-    assert list(rows) == list(report) == list(EQ36)
+    rows, checks = derived36
+    assert list(rows) == [c["label"] for c in checks] == list(EQ36)
     assert len(SECOND_ORDER) == 48
 
 
@@ -426,13 +432,13 @@ def test_tampered_system_is_caught(system):
     rules = dict(system.d_rules)
     rules["F"] = rules["F"] - wedge(A, C).scale(2 * sig)  # sigma A^C -> -sigma A^C
     broken = StructureSystem(system.basis, system.ctx, rules, system.nonzero)
-    rows, report = D.derive_nel(broken)
-    unmatched = [label for label, entry in report.items() if not entry["matched"]]
-    assert len(report) == 12 and unmatched
+    rows, checks = D.derive_nel(broken)
+    failed = {c["id"]: c["detail"] for c in checks if c["status"] == "fail"}
+    unmatched = [f"nel-{row}" for row in NEL if f"nel-{row}" in failed]
+    assert len(checks) == 12 and unmatched
     for label in unmatched:
-        assert report[label]["multiplier"] is None
-        assert report[label]["residual"] != "0"
-    assert list(rows) == [label for label in report if label not in unmatched]
+        assert failed[label].startswith("residual ") and failed[label] != "residual 0"
+    assert list(rows) == [f"nel-{row}" for row in NEL if f"nel-{row}" not in failed]
     with pytest.raises(D.DeriveError, match=f"rows: {', '.join(unmatched)}$"):
         D.solve_sol(rows, broken)
 
@@ -505,15 +511,14 @@ def test_a_row_matches_through_a_shift_only_in_declared_atoms():
     divides raw (the shift) is declared nonzero: lam1 T = 0 does not give
     T = 0, while lam T = 0 does under lam != 0."""
     T = Poly.var("S1") + 2 * Poly.var("sig2")
-    source = {"x": "demo"}
-    _, report = D.match_rows({"x": T}, {"x": LocFrac(Poly.var("lam1") * T)}, source, ("lam", "sig"))
-    assert report["x"]["matched"] is False and report["x"]["multiplier"] is None
-    assert report["x"]["residual"] == str(T - Poly.var("lam1") * T)
-    rows, report = D.match_rows({"x": T}, {"x": LocFrac(lam * T)}, source, ("lam", "sig"))
-    assert report["x"]["matched"] and report["x"]["multiplier"] == "(1)/(lam)"
-    assert list(rows) == ["x"]
-    _, report = D.match_rows({"x": T}, {"x": LocFrac(lam * T)}, source, ("sig",))
-    assert report["x"]["matched"] is False
+    row, trace = D.match_row("x", T, LocFrac(Poly.var("lam1") * T), "demo", ("lam", "sig"))
+    assert row is None and trace["matched"] is False and trace["multiplier"] is None
+    assert trace["residual"] == str(T - Poly.var("lam1") * T)
+    row, trace = D.match_row("x", T, LocFrac(lam * T), "demo", ("lam", "sig"))
+    assert trace["matched"] and trace["multiplier"] == "(1)/(lam)"
+    assert row.label == "x" and row.provenance["multiplier"] == "(1)/(lam)"
+    row, trace = D.match_row("x", T, LocFrac(lam * T), "demo", ("sig",))
+    assert row is None and trace["matched"] is False
 
 
 def test_rename_maps_share_one_string_per_symbol():

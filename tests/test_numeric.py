@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 import tracemalloc
@@ -8,7 +10,10 @@ import numpy as np
 import pytest
 
 import edsverify.numeric as N
+from edsverify.cli import main
 from edsverify.equations import curvature_table
+
+from conftest import recorded
 
 TOL = 1e-12
 
@@ -40,7 +45,7 @@ def brute_weyl(R, g, ric, s):
     return W
 
 
-def reference_sweep(points, seed, tol=1e-12):
+def reference_sweep(points, seed):
     """The sweep as a loop over single points, calling the per-point forms."""
     rng = random.Random(seed)
     worst = {
@@ -74,7 +79,7 @@ def reference_sweep(points, seed, tol=1e-12):
         worst["w_plus"] = max(worst["w_plus"], w["w_plus_norm"])
         norm2 = float(np.einsum("ijkl,ijkl->", pt.R, pt.R))
         worst["norm2"] = max(worst["norm2"], abs(norm2 - (8 * lam**2 + 32 * sig**2)))
-    return {"worst": worst, "ok": all(v < tol for v in worst.values())}
+    return worst
 
 
 def stacked(points):
@@ -277,7 +282,7 @@ def test_complex_structure():
 def test_symmetry_orbit_elements():
     pt = N.build_curvature(1.0, 1.0)
     report = N.symmetry_orbit_check(pt, seed=2)
-    assert report["group_elements"] == 32
+    assert len(N.group_matrices()) == 32
     assert report["group_residual"] < 1e-12
     assert report["rotation_residual"] < 1e-12
 
@@ -305,24 +310,20 @@ def test_identity_rotation():
 
 
 def test_sweep_interface():
-    report = N.sweep(points=30, seed=9, tol=1e-12)
-    assert report["ok"]
-    assert report["points"] == 30
+    worst = N.sweep(points=30, seed=9)
+    assert sorted(worst) == sorted(reference_sweep(1, 0))
+    assert all(value < N.TOL for value in worst.values())
     with pytest.raises(ValueError):
         N.sweep(points=0)
-    for tol in (math.inf, math.nan, 0, -1):
-        with pytest.raises(ValueError):
-            N.sweep(points=5, tol=tol)
+    with pytest.raises(TypeError):  # the tolerance is the constant TOL
+        N.sweep(points=5, tol=1e-12)
 
 
 def test_sweep_matches_reference_loop():
     # block boundaries on each side: one point, a block less one, a block, a block plus one
     for seed in range(4):
         for points in (1, N.BLOCK - 1, N.BLOCK, N.BLOCK + 1, 31, 32, 33, 100, 2000):
-            got = N.sweep(points=points, seed=seed)
-            want = reference_sweep(points, seed)
-            assert got["worst"] == want["worst"], (seed, points)
-            assert got["ok"] == want["ok"]
+            assert N.sweep(points=points, seed=seed) == reference_sweep(points, seed), (seed, points)
 
 
 def test_sweep_heap_is_bounded_by_the_block():
@@ -397,12 +398,35 @@ def test_stacked_weyl_forms_match_one_action_per_form():
 
 def test_a_nan_residual_fails(monkeypatch):
     monkeypatch.setattr(N, "norm_residual", lambda pt: np.full(np.shape(pt.lam), np.nan))
-    report = N.sweep(points=2 * N.BLOCK + 1)
-    assert math.isnan(report["worst"]["norm2"])
-    assert not report["ok"]
+    assert math.isnan(N.sweep(points=2 * N.BLOCK + 1)["norm2"])
+    checks = recorded(N.verify_sweep, 2 * N.BLOCK + 1, 0)
+    assert [c_id for c_id, c in checks.items() if c["status"] == "fail"] == ["sweep-norm2"]
+    assert checks["sweep-norm2"]["detail"] == "nan"
     monkeypatch.setattr(N, "transform", lambda M, R: np.full_like(R, np.nan))
     report = N.symmetry_orbit_check(N.build_curvature(1.25, -0.75))
     assert math.isnan(report["group_residual"]) and math.isnan(report["rotation_residual"])
+    checks = recorded(N.verify_orbit, 0)
+    assert [c["status"] for c in checks.values()] == ["fail", "fail"]
+
+
+def test_no_array_constant_is_writeable():
+    """Every ndarray constant of the module is read-only, so no caller can
+    change what a later sweep reads in the same process."""
+    arrays = {name: value for name, value in vars(N).items() if isinstance(value, np.ndarray)}
+    assert {"R_LAM", "R_SIG", "SPECTRUM_SIGNS", "METRIC", "WEYL_FORMS"} <= arrays.keys()
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
+    with pytest.raises(ValueError):
+        N.R_SIG[0, 2, 0, 2] += 0.5
+
+
+def test_a_perturbed_table_fails_the_sweep(monkeypatch):
+    """Against the constant tolerance, one curvature component off by 0.5
+    fails the numeric suite."""
+    perturbed = N.R_SIG.copy()
+    perturbed[0, 2, 0, 2] += 0.5
+    monkeypatch.setattr(N, "R_SIG", perturbed)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["numeric", "--points", "50"]) == 1
 
 
 def test_curvature_point_shares_read_only_frames():
