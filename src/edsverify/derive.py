@@ -131,9 +131,9 @@ def derive_nel(sys: StructureSystem):
 
     Free components this time: the rows constrain F_i, G_i, L_i.  Returns
     the matched rows (`match_row`) and the nel-i .. nel-xii checks, sorted,
-    each with its multiplier, or as residual that of its row or the
-    FormError of a source that cannot be formed (a missing d-rule, a role
-    slot).
+    whose detail is the multiplier, or `residual` and the row's residual or
+    the FormError of a source that cannot be formed (a missing d-rule, a
+    role slot).
     """
     one_forms = {
         "d(dF)": (lambda r: r.F, ("i", "ii", "iii", "iv")),
@@ -547,27 +547,27 @@ def rotation_invariance(checks: list):
     """Record rotation: under a simultaneous rotation of (e1,e2) and (e3,e4)
     by an unconstrained angle pair (c, s), every curvature component
     transforms by (c^2+s^2)^2, among them R(ce1+se2, ce3+se4, ce1+se2,
-    ce3+se4) = (c^2+s^2)^2 sig."""
-    table = eqs.curvature_table()
-    c, s = Poly.var("c"), Poly.var("s")
+    ce3+se4) = (c^2+s^2)^2 sig.
+
+    The rotation is c + s K, K the quarter turn K e_i = sign_i e_turn(i), so
+    a rotated component is the sum over the slot sets Q of c^(4-|Q|) s^|Q|
+    times the table with K in the slots of Q.  It is (c^4 + 2 c^2 s^2 + s^4)
+    times the component exactly when the sums for |Q| = 1, 2, 3, 4 are 0,
+    twice it, 0 and it.  One component at a time: no rotated table is held.
+    """
+    T = eqs.curvature_table()
+    # each slot keeps its index a (a c factor) or turns it (an s factor)
+    options = [((a, 1, 0), (b, sb, 1)) for a, b, sb in zip(range(4), (1, 0, 3, 2), (1, -1, 1, -1))]
     zero = Poly.zero()
-    M = (
-        (c, s, zero, zero),
-        (-s, c, zero, zero),
-        (zero, zero, c, s),
-        (zero, zero, -s, c),
-    )
-    slots = list(product(range(4), repeat=4))
-    T = {ix: table[ix[0]][ix[1]][ix[2]][ix[3]] for ix in slots}
-    R = T
-    for _ in range(4):
-        # rotate the first slot and move it last: R'[j,k,l,i] = sum_p M_ip R[p,j,k,l]
-        R = {
-            (*rest, i): sum((M[i][p] * R[(p, *rest)] for p in range(4) if M[i][p]), zero)
-            for *rest, i in slots
-        }
-    factor = (c**2 + s**2) ** 2
-    ok = all(R[ix] == factor * T[ix] for ix in slots) and R[0, 2, 0, 2] == factor * eqs.sig
+    ok = T[0][2][0][2] == eqs.sig
+    for ix in product(range(4), repeat=4):
+        sums = [zero] * 5
+        for (i, si, di), (j, sj, dj), (k, sk, dk), (l, sl, dl) in product(*(options[a] for a in ix)):
+            if T[i][j][k][l]:
+                entry = T[i][j][k][l] if si * sj * sk * sl > 0 else -T[i][j][k][l]
+                sums[di + dj + dk + dl] = sums[di + dj + dk + dl] + entry
+        t = T[ix[0]][ix[1]][ix[2]][ix[3]]
+        ok = ok and sums[1:] == [zero, 2 * t, zero, t]
     check(checks, "rotation", "rce", ok, "R(c e1 + s e2, ...) = (c^2+s^2)^2 sigma")
 
 

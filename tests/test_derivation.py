@@ -372,30 +372,25 @@ def corrupted(draw):
     return "".join(lines)
 
 
-def assert_fails_cleanly(text: str, shipped_report: bytes, tmp: Path):
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(corrupted())
+def test_any_corruption_fails_cleanly(shipped_seed0, text):
     """`all --seed 0` on a corrupted file exits 1 or 3, or 0 with the shipped
     report; no suite is a `suite-error`, stderr holds no traceback, and a
     parse error names its line and column."""
-    eds, out, err = tmp / "system.eds", tmp / "all.json", io.StringIO()
-    eds.write_text(text)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["all", "--seed", "0", "--eds", str(eds), "--json", str(out)])
+    with tempfile.TemporaryDirectory() as tmp:
+        eds, out, err = Path(tmp) / "system.eds", Path(tmp) / "all.json", io.StringIO()
+        eds.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["all", "--seed", "0", "--eds", str(eds), "--json", str(out)])
+        report = out.read_bytes() if code != 3 else None
     assert "Traceback" not in err.getvalue()
     if code == 3:
         assert re.search(r"line \d+, column \d+", err.getvalue()), err.getvalue()
         return
-    assert code in (0, 1)
-    report = out.read_bytes()
-    assert code == 1 or report == shipped_report
+    assert code == 1 or (code, report) == shipped_seed0
     assert [(s["suite"], c["detail"]) for s in json.loads(report)["suites"]
             for c in s["checks"] if c["id"] == "suite-error"] == []
-
-
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(corrupted())
-def test_any_corruption_fails_cleanly(shipped_seed0, text):
-    with tempfile.TemporaryDirectory() as tmp:
-        assert_fails_cleanly(text, shipped_seed0[1], Path(tmp))
 
 
 def test_derivation_runs_once_per_run(monkeypatch):

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+from itertools import product
 from fractions import Fraction
 from pathlib import Path
 
@@ -385,6 +386,47 @@ def test_rotation_invariance():
         "id": "rotation", "label": "rce", "status": "pass",
         "detail": "R(c e1 + s e2, ...) = (c^2+s^2)^2 sigma",
     }}
+
+
+def rotated_table_holds(T) -> bool:
+    """The rotation claim on the table T, by rotating the whole table slot
+    after slot with the matrix in c and s: the reference for
+    `rotation_invariance`, which expands the rotation in c and s instead."""
+    c, s = Poly.var("c"), Poly.var("s")
+    zero = Poly.zero()
+    M = ((c, s, zero, zero), (-s, c, zero, zero), (zero, zero, c, s), (zero, zero, -s, c))
+    slots = list(product(range(4), repeat=4))
+    R = {ix: T[ix[0]][ix[1]][ix[2]][ix[3]] for ix in slots}
+    for _ in range(4):
+        # rotate the first slot and move it last: R'[j,k,l,i] = sum_p M_ip R[p,j,k,l]
+        R = {(*rest, i): sum((M[i][p] * R[(p, *rest)] for p in range(4) if M[i][p]), zero)
+             for *rest, i in slots}
+    factor = (c**2 + s**2) ** 2
+    return (all(R[ix] == factor * T[ix[0]][ix[1]][ix[2]][ix[3]] for ix in slots)
+            and R[0, 2, 0, 2] == factor * sig)
+
+
+def test_rotation_invariance_matches_the_rotated_table(monkeypatch):
+    """On the table and on 24 seeded perturbations of one entry (shifted,
+    negated or swapped with its pair transpose), `rotation_invariance`
+    passes exactly when the rotated table is (c^2+s^2)^2 times the table."""
+    rng = random.Random(11)
+    verdicts = []
+    for trial in range(25):
+        table = D.eqs.curvature_table()
+        i, j, k, l = (rng.randrange(4) for _ in range(4))
+        kind = trial % 3 + 1 if trial else None
+        if kind == 1:
+            table[i][j][k][l] = table[i][j][k][l] + lam
+        elif kind == 2:
+            table[i][j][k][l] = -table[i][j][k][l]
+        elif kind == 3:
+            table[i][j][k][l], table[j][i][l][k] = table[j][i][l][k], table[i][j][k][l]
+        monkeypatch.setattr(D.eqs, "curvature_table", lambda: table)
+        status = recorded(D.rotation_invariance)["rotation"]["status"]
+        assert (status == "pass") == rotated_table_holds(table), (trial, kind, (i, j, k, l))
+        verdicts.append(status)
+    assert verdicts[0] == "pass" and "fail" in verdicts
 
 
 def test_rotation_invariance_catches_a_perturbed_entry(monkeypatch):
