@@ -94,8 +94,7 @@ def run_case_iii(derived, args) -> list:
 
 def run_numeric(derived, args) -> list:
     checks = []
-    numeric.verify_sweep(args.points, args.seed, checks)
-    numeric.verify_orbit(args.seed, checks)
+    numeric.verify_residuals(args.points, args.seed, checks)
     return checks
 
 

@@ -83,11 +83,9 @@ def match_row(label: str, transcribed: Poly, raw: LocFrac, source: str, nonzero)
     """Match the transcription of row `label` against its derived
     coefficient `raw`.  A match whose shift (`match_transcription`) holds a
     variable outside the declared-nonzero atoms `nonzero` is not one: raw = 0
-    does not give the transcription then.
-
-    Returns (the Equation or, unmatched, None; its trace).  The trace holds
-    source, matched, multiplier and residual, the difference of the two
-    primitive parts, the raw one times a rejected shift ("0" on a match).
+    does not give the transcription then.  Returns the Equation (None when
+    unmatched) and its trace: source, matched, multiplier and residual, the
+    difference of the primitive parts, the raw one times a rejected shift.
     """
     mult = match_transcription(transcribed, raw)
     shift = Poly({mult[1]: 1}) if mult else Poly.const(1)
@@ -130,10 +128,9 @@ def derive_nel(sys: StructureSystem):
     of the roles (`StructureSystem.role_forms`).
 
     Free components this time: the rows constrain F_i, G_i, L_i.  Returns
-    the matched rows (`match_row`) and the nel-i .. nel-xii checks, sorted,
-    whose detail is the multiplier, or `residual` and the row's residual or
-    the FormError of a source that cannot be formed (a missing d-rule, a
-    role slot).
+    the matched rows (`match_row`) and the nel- checks sorted by label; an
+    unmatched row's residual is the FormError of a source that cannot be
+    formed (a missing d-rule, a role slot) if there is one.
     """
     one_forms = {
         "d(dF)": (lambda r: r.F, ("i", "ii", "iii", "iv")),
@@ -547,14 +544,10 @@ def rotation_invariance(checks: list):
     """Record rotation: under a simultaneous rotation of (e1,e2) and (e3,e4)
     by an unconstrained angle pair (c, s), every curvature component
     transforms by (c^2+s^2)^2, among them R(ce1+se2, ce3+se4, ce1+se2,
-    ce3+se4) = (c^2+s^2)^2 sig.
-
-    The rotation is c + s K, K the quarter turn K e_i = sign_i e_turn(i), so
-    a rotated component is the sum over the slot sets Q of c^(4-|Q|) s^|Q|
-    times the table with K in the slots of Q.  It is (c^4 + 2 c^2 s^2 + s^4)
-    times the component exactly when the sums for |Q| = 1, 2, 3, 4 are 0,
-    twice it, 0 and it.  One component at a time: no rotated table is held.
-    """
+    ce3+se4) = (c^2+s^2)^2 sig.  The rotation is c + s K, K the quarter
+    turn, so the coefficient of c^(4-q) s^q in a rotated component T is the
+    table summed with K in q of its slots: 0, 2T, 0, T for q = 1..4.  One
+    component at a time, so no rotated table is held."""
     T = eqs.curvature_table()
     # each slot keeps its index a (a c factor) or turns it (an s factor)
     options = [((a, 1, 0), (b, sb, 1)) for a, b, sb in zip(range(4), (1, 0, 3, 2), (1, -1, 1, -1))]

@@ -278,15 +278,6 @@ def symmetry_orbit_check(pt: CurvaturePoint, seed: int = 0) -> dict:
     }
 
 
-def verify_orbit(seed: int, checks: list):
-    """Record orbit-group and orbit-rotations, the residuals of
-    `symmetry_orbit_check` at (lam, sig) = (1.25, -0.75) below TOL."""
-    orbit = symmetry_orbit_check(build_curvature(1.25, -0.75), seed=seed)
-    for check_id, label, key in (("orbit-group", "32 elements", "group_residual"),
-                                 ("orbit-rotations", "16 angles", "rotation_residual")):
-        check(checks, check_id, label, orbit[key] < TOL, f"{orbit[key]:.3e}")
-
-
 def _block_residuals(lam: np.ndarray, sig: np.ndarray) -> dict:
     """The sweep's residuals at the points (lam, sig), one array each.  A
     function, so that a block's tensors are freed before the next block is
@@ -327,8 +318,13 @@ def sweep(points: int = 100, seed: int = 0) -> dict:
     return dict(zip(block, worst.tolist()))
 
 
-def verify_sweep(points: int, seed: int, checks: list):
-    """Record sweep-<name>, the worst value of each residual of `sweep`
-    below TOL (a NaN is not)."""
-    for name, value in sorted(sweep(points, seed).items()):
-        check(checks, f"sweep-{name}", name, value < TOL, f"{value:.3e}")
+def verify_residuals(points: int, seed: int, checks: list):
+    """Record sweep-<name>, the worst value of each residual of `sweep`, and
+    orbit-group and orbit-rotations, those of `symmetry_orbit_check` at
+    (lam, sig) = (1.25, -0.75): each passes below TOL (a NaN does not)."""
+    found = [(f"sweep-{name}", name, v) for name, v in sorted(sweep(points, seed).items())]
+    orbit = symmetry_orbit_check(build_curvature(1.25, -0.75), seed=seed)
+    found += [("orbit-group", "32 elements", orbit["group_residual"]),
+              ("orbit-rotations", "16 angles", orbit["rotation_residual"])]
+    for check_id, label, value in found:
+        check(checks, check_id, label, value < TOL, f"{value:.3e}")

@@ -399,14 +399,14 @@ def test_stacked_weyl_forms_match_one_action_per_form():
 def test_a_nan_residual_fails(monkeypatch):
     monkeypatch.setattr(N, "norm_residual", lambda pt: np.full(np.shape(pt.lam), np.nan))
     assert math.isnan(N.sweep(points=2 * N.BLOCK + 1)["norm2"])
-    checks = recorded(N.verify_sweep, 2 * N.BLOCK + 1, 0)
+    checks = recorded(N.verify_residuals, 2 * N.BLOCK + 1, 0)
     assert [c_id for c_id, c in checks.items() if c["status"] == "fail"] == ["sweep-norm2"]
     assert checks["sweep-norm2"]["detail"] == "nan"
     monkeypatch.setattr(N, "transform", lambda M, R: np.full_like(R, np.nan))
     report = N.symmetry_orbit_check(N.build_curvature(1.25, -0.75))
     assert math.isnan(report["group_residual"]) and math.isnan(report["rotation_residual"])
-    checks = recorded(N.verify_orbit, 0)
-    assert [c["status"] for c in checks.values()] == ["fail", "fail"]
+    checks = recorded(N.verify_residuals, 1, 0)
+    assert checks["orbit-group"]["status"] == checks["orbit-rotations"]["status"] == "fail"
 
 
 def test_no_array_constant_is_writeable():
