@@ -589,10 +589,7 @@ class LocFrac:
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
-        den = dict(self.den)
-        for n, e in other.den.items():
-            den[n] = den.get(n, 0) + e
-        return _frac(self.num * other.num, den)
+        return _frac(*frac_product(self, other))
 
     __rmul__ = __mul__
 
@@ -697,6 +694,14 @@ def frac_sum(parts) -> LocFrac:
             s = t.get(m)
             t[m] = c if s is None else s + c
     return _frac(_poly({m: _coeff(c) for m, c in t.items() if c}), common)
+
+
+def frac_product(a: LocFrac, b: LocFrac) -> tuple:
+    """a * b as an unnormalized `frac_sum` part."""
+    den = dict(a.den)
+    for n, e in b.den.items():
+        den[n] = den.get(n, 0) + e
+    return a.num * b.num, den
 
 
 def _coerce_frac(x):

@@ -5,14 +5,15 @@ basis name list.  The first four basis names are always the coframe; the
 remaining names (F, G, L, S for the shipped system) behave as extra 1-form
 generators so connection and curvature identities can be checked without
 choosing components.  Scalar coefficients are LocFrac and the exterior
-derivative expands 0-forms through the jet context (df = f_i e^i).
+derivative expands 0-forms through the jet context (df = f_i e^i).  Every
+sum goes through `form_sum`, so no form stores a zero coefficient.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .algebra import LocFrac, Poly, _coerce_frac
+from .algebra import LocFrac, Poly, _coerce_frac, frac_product, frac_sum
 from .jets import ROLES, JetContext, Scalar
 
 COFRAME = ("A", "B", "C", "D")
@@ -69,14 +70,22 @@ def _merge_sign(a: tuple, b: tuple):
     return sign, tuple(out)
 
 
-def _accumulate(terms: dict, idx: tuple, c: LocFrac) -> None:
-    """Add c to terms[idx], dropping the entry when the sum is zero."""
-    s = terms.get(idx)
-    s = c if s is None else s + c
-    if s.is_zero():
-        terms.pop(idx, None)
-    else:
-        terms[idx] = s
+def form_sum(basis: FormBasis, degree: int, parts) -> "DForm":
+    """The form summing (index, num, den) parts: one unnormalized
+    `frac_sum` per index, zero sums dropped."""
+    groups: dict[tuple, list] = {}
+    for idx, num, den in parts:
+        groups.setdefault(idx, []).append((num, den))
+    out = DForm(basis, degree)
+    for idx, group in groups.items():
+        if c := frac_sum(group):
+            out.terms[idx] = c
+    return out
+
+
+def parts_of(*forms: "DForm"):
+    """Every term of `forms` as a `form_sum` part."""
+    return ((idx, c.num, c.den) for form in forms for idx, c in form.terms.items())
 
 
 class DForm:
@@ -101,10 +110,6 @@ class DForm:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(basis: FormBasis, degree: int = 0) -> "DForm":
-        return DForm(basis, degree)
-
-    @staticmethod
     def scalar(basis: FormBasis, value: Scalar) -> "DForm":
         return DForm(basis, 0, {(): value})
 
@@ -115,13 +120,11 @@ class DForm:
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other: "DForm") -> "DForm":
-        self._check_compatible(other)
-        t = dict(self.terms)
-        for idx, c in other.terms.items():
-            _accumulate(t, idx, c)
-        out = DForm(self.basis, self.degree)
-        out.terms = t
-        return out
+        if self.basis != other.basis:
+            raise FormError("mixed bases")
+        if self.degree != other.degree:
+            raise FormError(f"degree mismatch: {self.degree} vs {other.degree}")
+        return form_sum(self.basis, self.degree, parts_of(self, other))
 
     def __neg__(self) -> "DForm":
         out = DForm(self.basis, self.degree)
@@ -142,14 +145,8 @@ class DForm:
     def __rmul__(self, factor):
         return self.scale(factor)
 
-    def _check_compatible(self, other):
-        if self.basis != other.basis:
-            raise FormError("mixed bases")
-        if self.degree != other.degree:
-            raise FormError(f"degree mismatch: {self.degree} vs {other.degree}")
-
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
+        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, DForm):
@@ -166,15 +163,13 @@ class DForm:
         return self.terms.get(idx, LocFrac(Poly.zero()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx in sorted(self.terms):
-            mono = "^".join(self.basis.names[i] for i in idx) or "1"
-            parts.append(f"({self.terms[idx]}) {mono}")
-        return " + ".join(parts)
+        return " + ".join(self.term_text(idx) for idx in sorted(self.terms)) or "0"
 
     __repr__ = __str__
+
+    def term_text(self, idx: tuple) -> str:
+        """The term on `idx` as `__str__` writes it."""
+        return f"({self.terms[idx]}) " + ("^".join(self.basis.names[i] for i in idx) or "1")
 
 
 def wedge(a: DForm, b: DForm) -> DForm:
@@ -184,17 +179,14 @@ def wedge(a: DForm, b: DForm) -> DForm:
     deg = a.degree + b.degree
     if deg > len(a.basis.names):
         return DForm(a.basis, len(a.basis.names))  # necessarily zero
-    out = DForm(a.basis, deg)
-    t: dict[tuple, LocFrac] = {}
+    terms = []
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             sign, idx = _merge_sign(ia, ib)
-            if sign == 0:
-                continue
-            c = ca * cb
-            _accumulate(t, idx, c if sign > 0 else -c)
-    out.terms = t
-    return out
+            if sign:
+                num, den = frac_product(ca, cb)
+                terms.append((idx, num if sign > 0 else -num, den))
+    return form_sum(a.basis, deg, terms)
 
 
 class RuleSystem:
@@ -235,22 +227,22 @@ def ext_d(form: DForm, sys) -> DForm:
     if form.degree == 0:
         coeff = form.terms.get((), LocFrac(Poly.zero()))
         return d_scalar(sys.ctx, basis, coeff)
-    out = DForm(basis, form.degree + 1)
+    terms = []
     for idx, c in form.terms.items():
         for i in range(4):
             dc = sys.ctx.derive(c, i + 1)
             sign, merged = _merge_sign((i,), idx)
             if dc and sign:
-                _accumulate(out.terms, merged, dc if sign > 0 else -dc)
+                terms.append((merged, dc.num if sign > 0 else -dc.num, dc.den))
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
             parity = -1 if pos % 2 else 1
             for jdx, r in sys.d_rule(basis.names[i]).terms.items():
                 sign, merged = _merge_sign(jdx, rest)
                 if sign:
-                    rc = r * c
-                    _accumulate(out.terms, merged, rc if sign == parity else -rc)
-    return out
+                    num, den = frac_product(r, c)
+                    terms.append((merged, num if sign == parity else -num, den))
+    return form_sum(basis, form.degree + 1, terms)
 
 
 COEFF6_ORDER = (("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D"))
@@ -272,13 +264,11 @@ def substitute_one_forms(form: DForm, mapping: Mapping[str, DForm]) -> DForm:
     for name, repl in mapping.items():
         if repl.degree != 1 or repl.basis != basis:
             raise FormError("replacement must be a 1-form over the same basis")
-    out = DForm(basis, form.degree)
+    pieces = []
     for idx, c in form.terms.items():
         piece = DForm.scalar(basis, c)
         for i in idx:
-            name = basis.names[i]
-            factor = mapping.get(name, DForm(basis, 1, {(i,): 1}))
-            piece = wedge(piece, factor)
-        out = out + piece
-    return out
+            piece = wedge(piece, mapping.get(basis.names[i], DForm(basis, 1, {(i,): 1})))
+        pieces.append(piece)
+    return form_sum(basis, form.degree, parts_of(*pieces))
 

@@ -19,9 +19,7 @@ its points in fixed blocks of `BLOCK` = 8, so its heap is bounded by the
 block, not by the number of points: about 77 KiB, some four curvature
 tensors of the block and numpy's iteration buffers.  A block makes about 64
 numpy calls whatever its size: sums are formed in place or in one scratch
-buffer, renamed indices are plain transposes, and the scaled tables are
-einsum products, which sum into a zeroed output and need no broadcast
-buffer.  Each element goes through the same operations in the same order
+buffer, and renamed indices are plain transposes.  Each element goes through the same operations in the same order
 whatever the batch, so a point's residuals do not depend on its block.
 """
 
@@ -56,17 +54,18 @@ def _constant(a) -> np.ndarray:
     return m
 
 
-def _coefficient_arrays():
-    """(R_LAM, R_SIG): the exact curvature table at (lam, sig) = (1, 0) and (0, 1)."""
+def _coefficient_tables() -> np.ndarray:
+    """(R_LAM, R_SIG) stacked: the exact table at (lam, sig) = (1, 0), (0, 1)."""
     T = np.array(curvature_table(), dtype=object)
-    return tuple(
-        _constant(np.vectorize(lambda v: float(v.evaluate(at)) if v else 0.0, otypes=[float])(T))
+    return _constant([
+        np.vectorize(lambda v: float(v.evaluate(at)) if v else 0.0, otypes=[float])(T)
         for at in ({"lam": 1, "sig": 0}, {"lam": 0, "sig": 1})
-    )
+    ])
 
 
 #: R = lam * R_LAM + sig * R_SIG, read once from equations.curvature_table
-R_LAM, R_SIG = _coefficient_arrays()
+R_TABLES = _coefficient_tables()
+R_LAM, R_SIG = R_TABLES
 
 #: the flat metric g_ij in the orthonormal frame
 METRIC = _constant(np.eye(4))
@@ -144,11 +143,9 @@ class CurvaturePoint:
 
 def build_curvature(lam, sig) -> CurvaturePoint:
     """Curvature tensor of the exact component table at (lam, sig), scalars
-    or arrays of one shape.  Each scaled table is an einsum, which sums into
-    a zeroed output: entries the table leaves at zero read +0.0, and no
-    broadcast operand needs an iteration buffer."""
-    R = np.einsum("...,ijkl->...ijkl", lam, R_LAM)
-    R += np.einsum("...,ijkl->...ijkl", sig, R_SIG)
+    or arrays of one shape.  One einsum, which sums into a zeroed output:
+    entries the table leaves at zero read +0.0, and it needs no temporary."""
+    R = np.einsum("...c,cijkl->...ijkl", np.stack((lam, sig), axis=-1), R_TABLES)
     return CurvaturePoint(lam, sig, R)
 
 
@@ -174,9 +171,11 @@ def ricci_weyl_scalar(pt: CurvaturePoint):
     R = pt.R
     ric = np.einsum("...ipjp->...ij", R)
     s = ric.trace(axis1=-2, axis2=-1)
-    # gr[..., i, j, p, q] = g_ip ric_jq; the other three terms of the formula
-    # are transposes of it
-    gr = np.einsum("ip,...jq->...ijpq", pt.g, ric)
+    # gr[..., i, j, p, q] = g_ip ric_jq (g = 1, so by slices, with no
+    # temporary); the other three terms of the formula are transposes of it
+    gr = np.zeros((*ric.shape[:-2], 4, 4, 4, 4))
+    for i in range(4):
+        gr[..., i, :, i, :] = ric
     W = gr + gr.swapaxes(-4, -3).swapaxes(-2, -1)  # + g_jq ric_ip
     W -= gr.swapaxes(-4, -3)  # - g_jp ric_iq
     W -= gr.swapaxes(-2, -1)  # - g_iq ric_jp

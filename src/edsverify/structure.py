@@ -32,6 +32,8 @@ from .forms import (
     FormError,
     RuleSystem,
     ext_d,
+    form_sum,
+    parts_of,
     substitute_one_forms,
     wedge,
 )
@@ -237,10 +239,8 @@ def grid_rules(sys: StructureSystem) -> RuleSystem:
     grid = sys.connection
     rules = {}
     for k, name in enumerate(COFRAME, start=1):
-        rule = DForm(sys.basis, 2)
-        for j, lower in enumerate(COFRAME, start=1):
-            rule = rule + wedge(sys.one_form(lower), gamma(grid, j, k))
-        rules[name] = rule
+        wedges = (wedge(sys.one_form(lower), gamma(grid, j, k)) for j, lower in enumerate(COFRAME, start=1))
+        rules[name] = form_sum(sys.basis, 2, parts_of(*wedges))
     return RuleSystem(sys.basis, sys.ctx, rules)
 
 
@@ -266,16 +266,12 @@ def verify_torsion(sys: StructureSystem, checks: list):
 def curvature_forms(sys: StructureSystem):
     """R_k^l = -d Gamma_k^l + Gamma_k^p ^ Gamma_p^l as a 4x4 grid of 2-forms."""
     grid = sys.connection
-    out = []
-    for k in range(1, 5):
-        row = []
-        for l in range(1, 5):
-            r = -ext_d(gamma(grid, k, l), sys)
-            for p in range(1, 5):
-                r = r + wedge(gamma(grid, k, p), gamma(grid, p, l))
-            row.append(r)
-        out.append(row)
-    return out
+
+    def entry(k, l):
+        products = (wedge(gamma(grid, k, p), gamma(grid, p, l)) for p in range(1, 5))
+        return form_sum(sys.basis, 2, parts_of(-ext_d(gamma(grid, k, l), sys), *products))
+
+    return [[entry(k, l) for l in range(1, 5)] for k in range(1, 5)]
 
 
 def expected_curvature(sys: StructureSystem):
@@ -349,13 +345,14 @@ def verify_covariant_derivatives(sys: StructureSystem, checks: list):
 def verify_closed(sys: StructureSystem, checks: list):
     """Record d2-A..d2-D, d(d e) = 0 for each coframe form e, and
     kahler-closed, d omega = 0 for omega = A^B + C^D; a missing rule fails
-    each check that reads it."""
+    each check that reads it; a nonzero 3-form is named by its first term."""
     A, B, C, D = (sys.one_form(n) for n in COFRAME)
     closed = [(f"d2-{n}", f"d^2 {n}", n) for n in COFRAME] + [("kahler-closed", "d omega", None)]
     for check_id, label, name in closed:
         try:
-            form = sys.d_rule(name) if name else wedge(A, B) + wedge(C, D)
-            ok, detail = ext_d(form, sys).is_zero(), ""
+            dd = ext_d(sys.d_rule(name) if name else wedge(A, B) + wedge(C, D), sys)
+            ok = dd.is_zero()
+            detail = "" if ok else f"nonzero terms: {len(dd.terms)}, first {dd.term_text(min(dd.terms))}"
         except FormError as exc:
             ok, detail = False, str(exc)
         check(checks, check_id, label, ok, detail)
@@ -428,19 +425,15 @@ class _LineParser:
 
 def _parse_sum(p: _LineParser, basis: FormBasis, scalars, macros, ctx, degree):
     """sum := [sign] term (sign term)*; term := (rational|scalar)* form(^form)*"""
-    total = DForm(basis, degree)
-    first = True
-    while True:
-        tok = p.peek()
-        if tok is None:
-            if first:
-                p.error("empty expression")
-            return total
+    if p.peek() is None:
+        p.error("empty expression")
+    terms = []
+    while (tok := p.peek()) is not None:
         sign = 1
         if tok in "+-":
             p.take()
             sign = -1 if tok == "-" else 1
-        elif not first:
+        elif terms:
             p.error("expected '+' or '-' between terms")
         coeff = LocFrac(Poly.const(sign))
         wedge_names = []
@@ -501,10 +494,8 @@ def _parse_sum(p: _LineParser, basis: FormBasis, scalars, macros, ctx, degree):
             form = wedge(form, factor)
         if form.degree != degree:
             p.error(f"term has degree {form.degree}, rule needs degree {degree}")
-        total = total + form
-        first = False
-        if p.peek() is None:
-            return total
+        terms.append(form)
+    return form_sum(basis, degree, parts_of(*terms))
 
 
 def parse_eds(text: str) -> StructureSystem:

@@ -761,6 +761,37 @@ def test_only_algebra_uses_the_term_helpers():
     assert not offenders
 
 
+def terms_writers(path: Path) -> list:
+    """Each place in the file that assigns, deletes or mutates an attribute
+    named `terms`: `x.terms = ...`, `x.terms[i] = ...`, `del x.terms[i]` or a
+    mutating dict method of `x.terms`."""
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            found += [node.lineno for t in targets
+                      if is_terms(t) or isinstance(t, ast.Subscript) and is_terms(t.value)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and is_terms(node.func.value) \
+                and node.func.attr in ("pop", "popitem", "update", "setdefault", "clear"):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_only_algebra_and_forms_write_terms():
+    """A Poly's and a DForm's terms are written only by their own modules,
+    so `forms.form_sum` alone decides that no form stores a zero
+    coefficient, the invariant `DForm.is_zero` reads."""
+    offenders = []
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        if path.name not in ("algebra.py", "forms.py"):
+            offenders += terms_writers(path)
+    assert not offenders
+    assert terms_writers(Path(algebra.__file__).parent / "forms.py")
+
+
 def test_cases_divides_only_through_the_fact_store():
     """Outside `FactStore`, cases.py builds no LocFrac with a denominator,
     calls no `.inverse()` and uses no `/`, so every division of a pipeline is

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from edsverify.forms import (
     coeff6,
     d_scalar,
     ext_d,
+    form_sum,
+    parts_of,
     wedge,
 )
 from conftest import random_locfrac
@@ -229,9 +233,10 @@ def reference_ext_d(form, sys):
 
 
 def stored(form):
-    """Every term of form as stored: index, numerator terms and denominator
-    atoms, in dict order."""
-    return [(idx, list(c.num.terms.items()), list(c.den.items())) for idx, c in form.terms.items()]
+    """Every term of form as stored, by index: the coefficient's canonical
+    text, which writes its numerator and denominator.  Compared as a dict, so
+    the order the terms were added in does not count."""
+    return {idx: str(c) for idx, c in form.terms.items()}
 
 
 def test_ext_d_matches_reference_on_the_shipped_rules(system):
@@ -260,8 +265,8 @@ fracs = st.builds(
 
 
 @st.composite
-def forms(draw):
-    degree = draw(st.integers(1, 3))
+def forms(draw, degree=None):
+    degree = draw(st.integers(1, 3)) if degree is None else degree
     size = len(DEFAULT_BASIS.names)
     index = st.sets(st.integers(0, size - 1), min_size=degree, max_size=degree)
     terms = draw(st.dictionaries(index.map(lambda s: tuple(sorted(s))), fracs, max_size=3))
@@ -272,3 +277,35 @@ def forms(draw):
 @given(form=forms())
 def test_ext_d_matches_reference_on_drawn_forms(system, form):
     assert stored(ext_d(form, system)) == stored(reference_ext_d(form, system))
+
+
+@st.composite
+def summands(draw):
+    """Forms of one degree, and the negation of one of them, so that some
+    indices cancel, in a drawn order."""
+    degree = draw(st.integers(1, 3))
+    drawn = draw(st.lists(forms(degree), min_size=1, max_size=4))
+    drawn.append(-draw(st.sampled_from(drawn)))
+    return draw(st.permutations(drawn))
+
+
+def assert_no_zero_stored(form):
+    assert all(not c.is_zero() for c in form.terms.values()), form.terms
+    assert form.is_zero() == (form == DForm(form.basis, form.degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(summands())
+def test_form_sum_is_the_fold_of_plus_in_any_order(drawn):
+    total = form_sum(DEFAULT_BASIS, drawn[0].degree, parts_of(*drawn))
+    assert stored(total) == stored(reduce(add, drawn))
+    assert stored(total) == stored(reduce(add, reversed(drawn)))
+    assert_no_zero_stored(total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=forms(), b=forms())
+def test_no_form_stores_a_zero_coefficient(system, a, b):
+    for form in (wedge(a, b), ext_d(a, system), a + a, a - a, a.scale(0)):
+        assert_no_zero_stored(form)
+    assert (a - a).terms == {}

@@ -413,7 +413,7 @@ def test_no_array_constant_is_writeable():
     """Every ndarray constant of the module is read-only, so no caller can
     change what a later sweep reads in the same process."""
     arrays = {name: value for name, value in vars(N).items() if isinstance(value, np.ndarray)}
-    assert {"R_LAM", "R_SIG", "SPECTRUM_SIGNS", "METRIC", "WEYL_FORMS"} <= arrays.keys()
+    assert {"R_TABLES", "R_LAM", "R_SIG", "SPECTRUM_SIGNS", "METRIC", "WEYL_FORMS"} <= arrays.keys()
     assert [name for name, a in arrays.items() if a.flags.writeable] == []
     with pytest.raises(ValueError):
         N.R_SIG[0, 2, 0, 2] += 0.5
@@ -422,9 +422,9 @@ def test_no_array_constant_is_writeable():
 def test_a_perturbed_table_fails_the_sweep(monkeypatch):
     """Against the constant tolerance, one curvature component off by 0.5
     fails the numeric suite."""
-    perturbed = N.R_SIG.copy()
-    perturbed[0, 2, 0, 2] += 0.5
-    monkeypatch.setattr(N, "R_SIG", perturbed)
+    perturbed = N.R_TABLES.copy()
+    perturbed[1, 0, 2, 0, 2] += 0.5  # R_SIG's entry
+    monkeypatch.setattr(N, "R_TABLES", perturbed)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["numeric", "--points", "50"]) == 1
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 from edsverify import structure
 from edsverify.algebra import LocFrac, Poly
@@ -13,6 +14,7 @@ from edsverify.structure import (
     load_system,
     role_slots,
     torsion_equations,
+    verify_closed,
     verify_covariant_derivatives,
     verify_parallel_g_J,
 )
@@ -348,3 +350,23 @@ def test_covariant_check_sees_a_swapped_grid(system):
     assert (covariant["status"], covariant["detail"]) == ("fail", "nabla zeta; nabla theta")
     A, B, C, D = (system.one_form(n) for n in COFRAME)
     assert ext_d(wedge(A, B) + wedge(C, D), grid_rules(system)).is_zero()
+
+
+def test_a_failing_closure_check_names_its_three_form(system):
+    """Doubling the first coefficient of d F leaves d^2 B and d^2 D nonzero:
+    each of the two checks names the number of terms of its 3-form and the
+    first term in index order, as the form prints it.  A missing rule keeps
+    its own message."""
+    mutant = load_system(Path(__file__).parent / "data" / "mutant-F.1.double.eds")
+    checks = recorded(verify_closed, mutant)
+    assert {k: (c["status"], c["detail"]) for k, c in checks.items()} == {
+        "d2-A": ("pass", ""),
+        "d2-B": ("fail", "nonzero terms: 1, first (-sig) A^C^D"),
+        "d2-C": ("pass", ""),
+        "d2-D": ("fail", "nonzero terms: 1, first (-sig) A^B^C"),
+        "kahler-closed": ("pass", ""),
+    }
+    rules = {n: r for n, r in system.d_rules.items() if n != "B"}
+    without_b = StructureSystem(system.basis, system.ctx, rules, system.nonzero)
+    assert recorded(verify_closed, without_b)["d2-B"]["detail"] == \
+        "no exterior-derivative rule for basis form 'B'"
