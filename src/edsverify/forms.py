@@ -71,7 +71,7 @@ def _merge_sign(a: tuple, b: tuple):
 
 
 def form_sum(basis: FormBasis, degree: int, parts) -> "DForm":
-    """The form summing (index, num, den) parts: one unnormalized
+    """The form summing (index, num, den) parts, normalized or not: one
     `frac_sum` per index, zero sums dropped."""
     groups: dict[tuple, list] = {}
     for idx, num, den in parts:

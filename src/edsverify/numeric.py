@@ -19,8 +19,9 @@ its points in fixed blocks of `BLOCK` = 8, so its heap is bounded by the
 block, not by the number of points: about 77 KiB, some four curvature
 tensors of the block and numpy's iteration buffers.  A block makes about 64
 numpy calls whatever its size: sums are formed in place or in one scratch
-buffer, and renamed indices are plain transposes.  Each element goes through the same operations in the same order
-whatever the batch, so a point's residuals do not depend on its block.
+buffer, and renamed indices are plain transposes.  Each element goes
+through the same operations in the same order whatever the batch, so a
+point's residuals do not depend on its block.
 """
 
 from __future__ import annotations
